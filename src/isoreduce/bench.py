@@ -12,7 +12,7 @@ from .generate import ExperimentConfig, random_delta, random_stochastic_graph
 from .graph import WeightedDigraph, compute_depths, find_structural_set
 from .markov import (MarkovChain, simulate_stopped_chain, verify_return_identity,
                      verify_stationary_restriction, within_sigma_fraction)
-from .reduction import enumerate_branches, extended_reduced_matrix, reduced_matrix
+from .reduction import reduced_matrix
 from .spectral import lift_eigenvector, power_iteration, verify_restriction
 from .update import CostReport, StoredState, run_update, simplex_bound
 
@@ -92,15 +92,12 @@ class ExperimentSummary:
 
 
 def scratch_equivalent(state: StoredState, tol: float = 1e-12) -> bool:
-    """Whether stored branch set and extended matrix match a fresh recomputation."""
-    ss = compute_depths(state.graph, state.structural.members, 1.0)
-    fresh = enumerate_branches(state.graph, ss)
-    if {b.vertices for b in fresh.branches} != {b.vertices for b in state.branches.branches}:
-        return False
-    ext = extended_reduced_matrix(state.graph, ss, branches=fresh)
-    if ext.entries.shape != state.extended.entries.shape:
-        return False
-    return float(np.abs(ext.entries - state.extended.entries).max()) <= tol
+    """Whether stored structural set, branch set and extended matrix match a
+    fresh recomputation."""
+    dev = state.consistency_report()
+    inf = float("inf")
+    return (dev["structural"] == 0 and dev.get("branches", inf) == 0
+            and dev.get("extended", inf) <= tol)
 
 
 def run_experiment(config: ExperimentConfig, *, check_equivalence: bool | None = None,
@@ -136,6 +133,11 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # checks often compute ``passed`` with numpy, whose bool does not
+        # serialize to JSON
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -158,19 +160,17 @@ def _three_cycle() -> WeightedDigraph:
 
 def _check_fixture() -> CheckResult:
     g = _three_cycle()
-    ss = compute_depths(g, [1], 1.0)
-    r2 = reduced_matrix(g, ss, 2.0).entries[0, 0]
-    branches = enumerate_branches(g, ss)
-    ext = extended_reduced_matrix(g, ss, branches=branches)
-    lifted = lift_eigenvector(g, ss, 1.0, [1.0])
+    state = StoredState.from_graph(g, structural=[1], assume_primitive=True)
+    r2 = reduced_matrix(g, state.structural, 2.0).entries[0, 0]
+    lifted = lift_eigenvector(g, state.structural, 1.0, [1.0])
     checks = [
         abs(r2 - 0.25) < 1e-15,
-        len(branches) == 6,
-        abs(ext.entries[0, 0] - 1.0) < 1e-15,
+        len(state.branches) == 6,
+        abs(state.extended.entries[0, 0] - 1.0) < 1e-15,
         np.allclose(lifted.vector, 1.0),
     ]
     return CheckResult("fixture-three-cycle", all(checks),
-                       f"reduced(2)={r2}, branches={len(branches)}")
+                       f"reduced(2)={r2}, branches={len(state.branches)}")
 
 
 def _check_roundtrip(seed: int, rounds: int) -> CheckResult:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: reduce, lift, update, simulate, bench, verify.  Exit codes:
-0 success, 1 invariant/verification failure, 2 invalid input.  The default
-tolerance comes from --tol, or the ISOREDUCE_TOL environment variable.
+0 success, 1 invariant/verification failure or a bench with no completed
+trial, 2 invalid input.  The default tolerance comes from --tol, or the
+ISOREDUCE_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def cmd_reduce(args) -> int:
     lam = args.lam
     ss = _structural_for(graph, args, lam)
     branches = enumerate_branches(graph, ss)
-    red = reduced_matrix(graph, ss, lam, branches=branches, tol=args.tol)
+    red = reduced_matrix(graph, ss, lam, tol=args.tol)
     payload = {
         "lambda": [lam.real, lam.imag],
         "members": list(ss.members),
@@ -82,10 +83,10 @@ def cmd_reduce(args) -> int:
         m = len(ss.complement())
         payload["by_length"] = {
             str(p): _complex_matrix(reduced_matrix_by_length(
-                graph, ss, lam, p, branches=branches, tol=args.tol))
+                graph, ss, lam, p, tol=args.tol))
             for p in range(1, m + 2)}
     if args.extended:
-        ext = extended_reduced_matrix(graph, ss, branches=branches, tol=args.tol)
+        ext = extended_reduced_matrix(graph, ss, tol=args.tol)
         payload["extended"] = ext.entries.tolist()
     _emit(payload, args)
     return 0
@@ -151,7 +152,7 @@ def cmd_bench(args) -> int:
             fh.write(summary.savings_csv())
     _emit(summary.to_dict(), args)
     bad_eq = any(r.equivalence_ok is False for r in summary.results)
-    return 1 if bad_eq else 0
+    return 1 if bad_eq or not summary.savings else 0
 
 
 def cmd_verify(args) -> int:

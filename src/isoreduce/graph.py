@@ -7,7 +7,7 @@ tombstones so that identifiers stay stable across incremental updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -209,8 +209,9 @@ class StructuralSet:
         return out
 
 
-def _noloop_cycle(graph: WeightedDigraph, excluded: set[int]) -> tuple[int, ...] | None:
-    """Find one non-loop cycle avoiding ``excluded``, or None. Closed tuple form."""
+def _cycles(graph: WeightedDigraph, excluded: set[int]) -> Iterator[tuple[int, ...]]:
+    """One DFS pass yielding a non-loop cycle per back edge in the subgraph
+    avoiding ``excluded``, each in closed tuple form."""
     color: dict[int, int] = {}
     for root in graph.vertices():
         if root in excluded or color.get(root, 0) == 2:
@@ -233,45 +234,11 @@ def _noloop_cycle(graph: WeightedDigraph, excluded: set[int]) -> tuple[int, ...]
                     break
                 if c == 1:
                     k = path.index(u)
-                    return tuple(path[k:]) + (u,)
+                    yield tuple(path[k:]) + (u,)
             if not advanced:
                 color[v] = 2
                 path.pop()
                 stack.pop()
-    return None
-
-
-def _collect_cycles(graph: WeightedDigraph, excluded: set[int]) -> list[tuple[int, ...]]:
-    """One DFS pass collecting a cycle per back edge in the induced subgraph."""
-    cycles = []
-    color: dict[int, int] = {}
-    for root in graph.vertices():
-        if root in excluded or color.get(root, 0) == 2:
-            continue
-        stack = [(root, iter(graph.out_neighbors(root)))]
-        color[root] = 1
-        path = [root]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == v or u in excluded:
-                    continue
-                c = color.get(u, 0)
-                if c == 0:
-                    color[u] = 1
-                    path.append(u)
-                    stack.append((u, iter(graph.out_neighbors(u))))
-                    advanced = True
-                    break
-                if c == 1:
-                    k = path.index(u)
-                    cycles.append(tuple(path[k:]) + (u,))
-            if not advanced:
-                color[v] = 2
-                path.pop()
-                stack.pop()
-    return cycles
 
 
 def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -296,7 +263,7 @@ def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: com
             continue
         if abs(graph.weight(v, v) - lam) <= tol:
             return ValidationResult(False, vertex=v)
-    cycle = _noloop_cycle(graph, members)
+    cycle = next(_cycles(graph, members), None)
     if cycle is not None:
         return ValidationResult(False, cycle=cycle)
     return ValidationResult(True)
@@ -354,7 +321,7 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
         raise ValueError("graph has no active vertices")
     chosen = {v for v in graph.vertices() if abs(graph.weight(v, v) - lam) <= tol}
     while True:
-        cycles = _collect_cycles(graph, chosen)
+        cycles = list(_cycles(graph, chosen))
         if not cycles:
             break
         counts: dict[int, int] = {}
@@ -383,7 +350,7 @@ def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | No
     for v in comp:
         if graph.has_edge(v, v):
             return None
-    if _noloop_cycle(graph, set(graph.vertices()) - comp_set) is not None:
+    if next(_cycles(graph, set(graph.vertices()) - comp_set), None) is not None:
         return None
     chain: dict[int, int] = {}
     for start in comp:

@@ -17,7 +17,8 @@ import numpy as np
 from .exceptions import AmbiguousStationaryError, SimulationError
 from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths,
                     validate_structural)
-from .reduction import enumerate_branches, reduced_matrix
+from .reduction import reduced_matrix, reduced_matrix_by_length
+from .spectral import strongly_connected
 
 #: Row-sum tolerance for transition matrices.
 ROW_SUM_TOL = 1e-12
@@ -110,39 +111,28 @@ def taboo_matrix(chain: MarkovChain, taboo_set, n: int) -> np.ndarray:
 
 def verify_return_identity(graph: WeightedDigraph, structural: StructuralSet, *,
                            tol: float = DEFAULT_TOL) -> float:
-    """Largest gap between length-partitioned branch sums and taboo probabilities.
+    """Largest gap between length-partitioned reduced matrices and taboo probabilities.
 
     Converts the column-stochastic graph to its chain, rebuilds the reduction
     over the chain's row-oriented graph, and compares, for every pair of
-    structural states and every feasible length, the branch-sum entry against
-    the dynamic-programming taboo probability.  Also checks that the total
-    branch sum matches the accumulated first-return probability.
+    structural states and every feasible length, the length-``n`` entry
+    against the dynamic-programming taboo probability.  Also checks that the
+    length terms add up to the reduced matrix.
     """
     chain = MarkovChain.from_stochastic_graph(graph)
     cg = chain.graph()
     members = structural.members
     cs = compute_depths(cg, members, 1.0, tol)
-    branches = enumerate_branches(cg, cs)
-    pos = {v: t for t, v in enumerate(members)}
+    idx = [v - 1 for v in members]
     m = len(cs.complement())
     worst = 0.0
     totals = np.zeros((len(members), len(members)))
     for n in range(1, m + 2):
-        tb = taboo_matrix(chain, members, n)
-        r_n = np.zeros((len(members), len(members)))
-        for (i, j), bucket in branches.by_endpoints.items():
-            if i in pos and j in pos:
-                for b in bucket:
-                    if b.length == n:
-                        w = 1.0
-                        for a, c in zip(b.vertices, b.vertices[1:]):
-                            w *= cg.weight(a, c).real
-                        r_n[pos[i], pos[j]] += w
+        tb = taboo_matrix(chain, members, n)[np.ix_(idx, idx)]
+        r_n = reduced_matrix_by_length(cg, cs, 1.0, n, tol=tol).real
         totals += r_n
-        for i in members:
-            for j in members:
-                worst = max(worst, abs(r_n[pos[i], pos[j]] - tb[i - 1, j - 1]))
-    r_full = reduced_matrix(cg, cs, 1.0, branches=branches).entries.real
+        worst = max(worst, float(np.abs(r_n - tb).max()))
+    r_full = reduced_matrix(cg, cs, 1.0, tol=tol).entries.real
     worst = max(worst, float(np.abs(r_full - totals).max()))
     return worst
 
@@ -200,23 +190,7 @@ def reduced_matrix_of_chain(chain: MarkovChain, members) -> np.ndarray:
 
 def is_irreducible(chain: MarkovChain) -> bool:
     """Strong connectivity of the transition support."""
-    p = chain.transition
-    n = chain.n_states
-    for mat in (p, p.T):
-        lists = [[j for j in range(n) if mat[i, j] > 0] for i in range(n)]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in lists[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        if len(seen) != n:
-            return False
-    return True
+    return strongly_connected(chain.transition > 0)
 
 
 def stationary_distribution(chain: MarkovChain) -> np.ndarray:

@@ -1,9 +1,15 @@
-"""Branch enumeration and reduced matrices over a structural set.
+"""Branches and reduced matrices over a structural set.
 
 A branch is a path whose interior vertices all avoid the structural set;
 the final vertex may close a cycle back onto the first.  Reduced-matrix
-entries sum branch weights between vertex pairs at a fixed spectral
-parameter.
+entries are defined as sums of branch weights between vertex pairs at a
+fixed spectral parameter, and computed in closed form,
+``R(lam) = A_SS + A_SC (lam I - A_CC)^-1 A_CS``: the isospectral reduction
+of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
+complement.  The complement carries no non-loop cycle, so the solve is one
+sweep over the complement in increasing depth, the same recursion that
+lifts an eigenvector.  ``enumerate_branches`` lists the paths themselves,
+for branch counts and the update cost model.
 """
 
 from __future__ import annotations
@@ -167,32 +173,77 @@ class ExtendedReducedMatrix:
     entries: np.ndarray
 
 
+
+
+def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
+                 terminal: np.ndarray, *, by_length: bool = False,
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The depth-order recursion behind every reduction and the lift.
+
+    ``a`` is the n x n adjacency matrix and ``terminal`` holds one row per
+    vertex slot (row ``v - 1`` for vertex ``v``).  Members keep their
+    terminal row; complement vertices, in increasing depth, take
+    ``x_v = t_v + sum_{j != v} a_vj x_j / (lam - a_vv)``.  A vertex only
+    points at shallower ones, so each depth layer is one matrix product and
+    ``lam I - A_CC`` is never formed.
+
+    With ``by_length`` the result is stacked by path length: slice ``q``
+    holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
+    ``terminal``), and the slices sum to the plain result.
+
+    Raises:
+        SingularWeightError: a complement denominator is within ``tol`` of zero.
+    """
+    off = a.copy()
+    loops = off.diagonal().copy()
+    np.fill_diagonal(off, 0)
+    layers: list[list[int]] = [[] for _ in range(structural.max_depth)]
+    for v, d in structural.depth_of.items():
+        if d > 0:
+            layers[d - 1].append(v - 1)
+    depth = structural.max_depth + 1 if by_length else 1
+    x = np.zeros((depth,) + terminal.shape, dtype=np.result_type(a, terminal, lam))
+    x[0] = terminal
+    for d, layer in enumerate(layers, 1):
+        rows = np.array(sorted(layer), dtype=int)
+        den = lam - loops[rows]
+        bad = np.flatnonzero(np.abs(den) <= tol)
+        if bad.size:
+            raise SingularWeightError(
+                f"complement vertex {rows[bad[0]] + 1} has loop weight within {tol} of {lam}")
+        if by_length:
+            x[1:d + 1, rows] = (off[rows] @ x[:d]) / den[:, None]
+        else:
+            x[0, rows] += (off[rows] @ x[0]) / den[:, None]
+    return x if by_length else x[0]
+
+
+def _member_rows(n: int, members: tuple[int, ...]) -> np.ndarray:
+    """Terminal rows with the identity on the members and zeros elsewhere."""
+    t = np.zeros((n, len(members)))
+    t[[v - 1 for v in members], np.arange(len(members))] = 1.0
+    return t
+
+
 def reduced_matrix(graph: WeightedDigraph, structural: StructuralSet,
-                   lam: complex | None = None, *, branches: BranchSet | None = None,
+                   lam: complex | None = None, *,
                    tol: float = DEFAULT_TOL) -> ReducedMatrix:
     """Reduced matrix over the structural members at ``lam``.
 
     ``lam`` defaults to the structural set's own parameter; passing another
-    value re-evaluates the same branches there (used by the eigenvalue
+    value re-evaluates the same reduction there (used by the eigenvalue
     co-iteration).
     """
     if lam is None:
         lam = structural.lam
-    if branches is None:
-        branches = enumerate_branches(graph, structural)
     members = structural.members
-    pos = {v: t for t, v in enumerate(members)}
-    out = np.zeros((len(members), len(members)), dtype=complex)
-    for i in members:
-        for j in members:
-            for b in branches.between(i, j):
-                out[pos[i], pos[j]] += branch_weight(graph, b, lam, tol)
-    return ReducedMatrix(members, lam, out)
+    a = graph.matrix()
+    x = _depth_sweep(a, structural, lam, _member_rows(graph.n_vertices, members), tol=tol)
+    return ReducedMatrix(members, lam, a[[v - 1 for v in members]] @ x)
 
 
 def reduced_matrix_by_length(graph: WeightedDigraph, structural: StructuralSet,
                              lam: complex | None = None, p: int = 1, *,
-                             branches: BranchSet | None = None,
                              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Contribution of length-``p`` branches to the reduced matrix.
 
@@ -203,35 +254,28 @@ def reduced_matrix_by_length(graph: WeightedDigraph, structural: StructuralSet,
     m = len(structural.complement())
     if not 1 <= p <= m + 1:
         raise ValueError(f"branch length {p} outside 1..{m + 1}")
-    if branches is None:
-        branches = enumerate_branches(graph, structural)
     members = structural.members
-    pos = {v: t for t, v in enumerate(members)}
-    out = np.zeros((len(members), len(members)), dtype=complex)
-    for i in members:
-        for j in members:
-            for b in branches.between(i, j):
-                if b.length == p:
-                    out[pos[i], pos[j]] += branch_weight(graph, b, lam, tol)
-    return out
+    a = graph.matrix()
+    x = _depth_sweep(a, structural, lam, _member_rows(graph.n_vertices, members),
+                     by_length=True, tol=tol)
+    if p > len(x):
+        return np.zeros((len(members), len(members)), dtype=complex)
+    return a[[v - 1 for v in members]] @ x[p - 1]
 
 
 def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *,
-                            branches: BranchSet | None = None,
                             tol: float = DEFAULT_TOL) -> ExtendedReducedMatrix:
     """Branch-weight sums between every vertex pair, at parameter 1.
 
     Only defined for stochastic graphs (real weights, no loops, unit column
-    sums); rows and columns of removed vertices are zero.
+    sums); rows and columns of removed vertices are zero.  Every vertex is
+    a terminal of the sweep, so each branch is counted at its own end.
     """
     if not graph.stochastic:
         raise NonStochasticError("extended reduced matrix requires a stochastic graph")
     if abs(structural.lam - 1) > tol:
         raise ValueError("extended reduced matrix is evaluated at parameter 1")
-    if branches is None:
-        branches = enumerate_branches(graph, structural)
     n = graph.n_vertices
-    out = np.zeros((n, n), dtype=float)
-    for b in branches.branches:
-        out[b.start - 1, b.end - 1] += branch_weight(graph, b, 1.0, tol).real
-    return ExtendedReducedMatrix(n, structural.members, out)
+    a = graph.matrix().real
+    x = _depth_sweep(a, structural, 1.0, np.eye(n), tol=tol)
+    return ExtendedReducedMatrix(n, structural.members, a @ x)

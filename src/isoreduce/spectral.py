@@ -15,7 +15,7 @@ import numpy as np
 from .exceptions import (DegenerateRestrictionError, IterationError,
                          NotPrimitiveError, SingularWeightError)
 from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
-from .reduction import BranchSet, reduced_matrix
+from .reduction import _depth_sweep, reduced_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +44,21 @@ def _support_lists(matrix: np.ndarray) -> list[list[int]]:
     return [[j for j in range(n) if matrix[i, j] != 0] for i in range(n)]
 
 
+def strongly_connected(support: np.ndarray) -> bool:
+    """Whether the digraph with boolean adjacency matrix ``support`` is
+    strongly connected: vertex 0 reaches every vertex and is reached by all."""
+    for mat in (support, support.T):
+        seen = np.zeros(mat.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = mat[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
+
+
 def is_primitive(matrix) -> bool:
     """Whether a non-negative matrix is primitive (some power entrywise positive).
 
@@ -56,21 +71,9 @@ def is_primitive(matrix) -> bool:
         return False
     if n == 1:
         return m[0, 0] != 0
+    if not strongly_connected(m != 0):
+        return False
     out = _support_lists(m)
-    rev = _support_lists(m.T)
-    for lists in (out, rev):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in lists[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        if len(seen) != n:
-            return False
     level = {0: 0}
     frontier = [0]
     g = 0
@@ -145,8 +148,7 @@ def power_iteration(matrix, max_iters: int = 1000, tol: float = 1e-13, *,
 
 
 def verify_restriction(graph: WeightedDigraph, structural: StructuralSet,
-                    eigpair: EigenPair, *, branches: BranchSet | None = None,
-                    tol: float = DEFAULT_TOL) -> float:
+                    eigpair: EigenPair, *, tol: float = DEFAULT_TOL) -> float:
     """Relative residual of the reduced matrix acting on a restricted eigenvector.
 
     For an eigenpair of the full adjacency matrix whose eigenvalue admits the
@@ -164,7 +166,7 @@ def verify_restriction(graph: WeightedDigraph, structural: StructuralSet,
     if norm_s == 0 or norm_s < 1e-13 * norm_full:
         raise DegenerateRestrictionError(
             "eigenvector restricts to zero on the structural set")
-    r = reduced_matrix(graph, structural, eigpair.lambda0, branches=branches, tol=tol)
+    r = reduced_matrix(graph, structural, eigpair.lambda0, tol=tol)
     return float(np.linalg.norm(r.entries @ u_s - eigpair.lambda0 * u_s) / norm_s)
 
 
@@ -185,30 +187,20 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
     u_s = np.asarray(u_s, dtype=complex)
     if u_s.shape != (len(members),):
         raise ValueError("restricted vector length does not match the structural set")
-    values: dict[int, complex] = {v: u_s[t] for t, v in enumerate(members)}
-    order = sorted((d, v) for v, d in structural.depth_of.items() if d > 0)
-    for _, v in order:
-        den = lambda0 - graph.weight(v, v)
-        if abs(den) <= tol:
-            raise SingularWeightError(
-                f"cannot lift through vertex {v}: loop weight equals the eigenvalue")
-        acc = 0j
-        for j in graph.out_neighbors(v):
-            if j != v:
-                acc += complex(graph.weight(v, j)) * values[j]
-        values[v] = acc / den
+    a = graph.matrix()
+    terminal = np.zeros((graph.n_vertices, 1), dtype=complex)
+    terminal[[v - 1 for v in members], 0] = u_s
+    full = _depth_sweep(a, structural, lambda0, terminal, tol=tol)[:, 0]
     ids = graph.vertices()
-    vec = np.array([values[v] for v in ids], dtype=complex)
-    m, _ = graph.active_matrix()
+    vec = full[[v - 1 for v in ids]]
     scale = np.linalg.norm(vec)
-    residual = float(np.linalg.norm(m @ vec - lambda0 * vec) / scale) if scale > 0 else 0.0
+    residual = float(np.linalg.norm(a @ full - lambda0 * full) / scale) if scale > 0 else 0.0
     return EigenPair(lambda0, vec, ids, "none", residual, 0, True)
 
 
 def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet,
                                initial_lambda: complex, initial_us, max_iters: int = 200,
                                tol: float = 1e-12, *, relax: float = 0.5,
-                               branches: BranchSet | None = None,
                                weight_tol: float = DEFAULT_TOL) -> tuple[complex, np.ndarray]:
     """Joint fixed-point iteration for an eigenvalue of the reduced matrix.
 
@@ -227,9 +219,6 @@ def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet
     """
     if not 0 < relax <= 1:
         raise ValueError("relax must be in (0, 1]")
-    if branches is None:
-        from .reduction import enumerate_branches
-        branches = enumerate_branches(graph, structural)
     lam = complex(initial_lambda)
     u = np.asarray(initial_us, dtype=complex)
     nu = np.linalg.norm(u)
@@ -239,8 +228,7 @@ def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet
     trace = [lam]
     for _ in range(max_iters):
         try:
-            r = reduced_matrix(graph, structural, lam, branches=branches,
-                               tol=weight_tol).entries
+            r = reduced_matrix(graph, structural, lam, tol=weight_tol).entries
         except SingularWeightError as exc:
             raise IterationError(
                 f"reduced matrix singular at estimate {lam}", trace=trace) from exc

@@ -105,7 +105,7 @@ class StoredState:
         else:
             ss = compute_depths(graph, structural, 1.0)
         branches = enumerate_branches(graph, ss)
-        ext = extended_reduced_matrix(graph, ss, branches=branches)
+        ext = extended_reduced_matrix(graph, ss)
         idx = [v - 1 for v in ss.members]
         pair = power_iteration(ext.entries[np.ix_(idx, idx)], ell, tol,
                                assume_primitive=True, lazy=True)
@@ -131,7 +131,7 @@ class StoredState:
         fresh = enumerate_branches(self.graph, ss)
         same = {b.vertices for b in fresh.branches} == {b.vertices for b in self.branches.branches}
         out["branches"] = 0.0 if same else float("inf")
-        ext = extended_reduced_matrix(self.graph, ss, branches=fresh)
+        ext = extended_reduced_matrix(self.graph, ss)
         if ext.entries.shape == self.extended.entries.shape:
             out["extended"] = float(np.abs(ext.entries - self.extended.entries).max())
         else:
@@ -578,7 +578,7 @@ class UpdateSession:
             self._S = set(ss.members)
             fresh = enumerate_branches(g2, ss)
             self._branches = {b.vertices for b in fresh.branches}
-            self._ext = extended_reduced_matrix(g2, ss, branches=fresh).entries.copy()
+            self._ext = extended_reduced_matrix(g2, ss).entries.copy()
         self._graph2 = g2
         self._structural2 = ss
 

@@ -64,8 +64,8 @@ def test_length_partition_identity():
         lam = complex(np.cos(len(g.edges())), np.sin(g.n_vertices))
         ss = find_structural_set(g, lam, 1e-8)
         bs = enumerate_branches(g, ss)
-        r = reduced_matrix(g, ss, lam, branches=bs).entries
-        total = sum(reduced_matrix_by_length(g, ss, lam, p, branches=bs)
+        r = reduced_matrix(g, ss, lam).entries
+        total = sum(reduced_matrix_by_length(g, ss, lam, p)
                     for p in range(1, len(ss.complement()) + 2))
         scale = max(1.0, float(np.abs(r).max()))
         worst = max(worst, float(np.abs(total - r).max()) / scale)
@@ -163,7 +163,7 @@ def test_incremental_equals_scratch():
         assert {b.vertices for b in fresh.branches} == \
             {b.vertices for b in new_state.branches.branches}
         # matrices to 1e-12
-        ext = extended_reduced_matrix(new_state.graph, ss, branches=fresh)
+        ext = extended_reduced_matrix(new_state.graph, ss)
         worst_ext = max(worst_ext, float(np.abs(ext.entries -
                                                 new_state.extended.entries).max()))
         # lifted eigenvector against the dense oracle

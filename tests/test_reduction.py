@@ -101,13 +101,13 @@ def test_reduced_matrix_full_set_is_adjacency():
 def test_by_length_three_cycle(three_cycle):
     ss = compute_depths(three_cycle, [1], 2.0)
     bs = enumerate_branches(three_cycle, ss)
-    r1 = reduced_matrix_by_length(three_cycle, ss, 2.0, 1, branches=bs)
-    r2 = reduced_matrix_by_length(three_cycle, ss, 2.0, 2, branches=bs)
-    r3 = reduced_matrix_by_length(three_cycle, ss, 2.0, 3, branches=bs)
+    r1 = reduced_matrix_by_length(three_cycle, ss, 2.0, 1)
+    r2 = reduced_matrix_by_length(three_cycle, ss, 2.0, 2)
+    r3 = reduced_matrix_by_length(three_cycle, ss, 2.0, 3)
     assert r1[0, 0] == 0 and r2[0, 0] == 0
     assert r3[0, 0] == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        reduced_matrix_by_length(three_cycle, ss, 2.0, 4, branches=bs)
+        reduced_matrix_by_length(three_cycle, ss, 2.0, 4)
 
 
 def test_length_one_is_structural_block():
@@ -127,9 +127,9 @@ def test_length_partition_sums_to_reduced():
         lam = complex(rng.normal(), rng.normal())
         ss = find_structural_set(g, lam)
         bs = enumerate_branches(g, ss)
-        total = sum(reduced_matrix_by_length(g, ss, lam, p, branches=bs)
+        total = sum(reduced_matrix_by_length(g, ss, lam, p)
                     for p in range(1, len(ss.complement()) + 2))
-        r = reduced_matrix(g, ss, lam, branches=bs)
+        r = reduced_matrix(g, ss, lam)
         scale = max(1.0, float(np.abs(r.entries).max()))
         assert np.abs(total - r.entries).max() <= 1e-12 * scale
 
@@ -174,9 +174,9 @@ def test_stochastic_closure_columns_sum_to_one():
         g = random_stochastic_graph(int(rng.integers(4, 12)), 2.5, rng)
         ss = find_structural_set(g, 1.0)
         bs = enumerate_branches(g, ss)
-        red = reduced_matrix(g, ss, 1.0, branches=bs)
+        red = reduced_matrix(g, ss, 1.0)
         assert np.allclose(red.entries.real.sum(axis=0), 1.0, atol=1e-10)
-        ext = extended_reduced_matrix(g, ss, branches=bs)
+        ext = extended_reduced_matrix(g, ss)
         rows = [v - 1 for v in ss.members]
         assert np.allclose(ext.entries[rows, :].sum(axis=0), 1.0, atol=1e-10)
 
@@ -186,3 +186,45 @@ def test_branchset_sequences_roundtrip(three_cycle):
     bs = enumerate_branches(three_cycle, ss)
     rebuilt = BranchSet(tuple(Branch(tuple(s)) for s in bs.sequences()))
     assert rebuilt.branches == bs.branches
+
+
+def _branch_sums(g, paths, lam, shape, index):
+    out = np.zeros(shape, dtype=complex)
+    for p in paths:
+        out[index[p[0]], index[p[-1]]] += branch_weight(g, Branch(p), lam)
+    return out
+
+
+def _relative_gap(got, want):
+    return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
+
+
+def test_closed_form_matches_branch_sums():
+    # Branch sums over exhaustively enumerated paths are the definition the
+    # depth-order sweep is checked against.
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        g = random_complex_graph(rng, int(rng.integers(3, 9)),
+                                 float(rng.uniform(0.15, 0.5)))
+        lam = complex(rng.normal(), rng.normal())
+        ss = find_structural_set(g, lam)
+        pos = {v: t for t, v in enumerate(ss.members)}
+        s = len(ss.members)
+        paths = [p for p in all_branches_bruteforce(g, ss.members)
+                 if p[0] in pos and p[-1] in pos]
+        want = _branch_sums(g, paths, lam, (s, s), pos)
+        assert _relative_gap(reduced_matrix(g, ss, lam).entries, want) <= 1e-12
+        for p in range(1, len(ss.complement()) + 2):
+            want_p = _branch_sums(g, [q for q in paths if len(q) == p + 1], lam,
+                                  (s, s), pos)
+            got_p = reduced_matrix_by_length(g, ss, lam, p)
+            assert _relative_gap(got_p, want_p) <= 1e-12
+    for _ in range(20):
+        g = random_stochastic_graph(int(rng.integers(4, 12)), 2.5, rng)
+        ss = find_structural_set(g, 1.0)
+        n = g.n_vertices
+        index = {v: v - 1 for v in g.vertices()}
+        want = _branch_sums(g, all_branches_bruteforce(g, ss.members), 1.0,
+                            (n, n), index)
+        got = extended_reduced_matrix(g, ss).entries
+        assert _relative_gap(got, want.real) <= 1e-12

@@ -137,6 +137,9 @@ def test_lift_singular_denominator():
     ss = compute_depths(g, [1], 1.0)
     with pytest.raises(SingularWeightError):
         lift_eigenvector(g, ss, 4.0, [1.0])
+    from isoreduce import reduced_matrix
+    with pytest.raises(SingularWeightError):
+        reduced_matrix(g, ss, 4.0)
 
 
 def test_co_iteration_stochastic_fixed_point():
