@@ -23,7 +23,8 @@ from .markov import (MarkovChain, StoppedChainSample, is_irreducible,
                      total_variation_summary, verify_return_identity,
                      verify_stationary_restriction, within_sigma_fraction)
 from .reduction import (Branch, BranchSet, ExtendedReducedMatrix, ReducedMatrix,
-                        branch_weight, enumerate_branches, extended_reduced_matrix,
+                        branch_counts, branch_weight, enumerate_branches,
+                        extended_reduced_matrix,
                         reduced_matrix, reduced_matrix_by_length)
 from .spectral import (EigenPair, is_primitive, lift_eigenvector, power_iteration,
                        reduced_eigen_co_iteration, verify_restriction)
@@ -43,7 +44,7 @@ __all__ = [
     "ReducedMatrix", "SimulationError", "SingularWeightError", "StoppedChainSample",
     "StoredState", "StructuralSet", "StructuralSetError", "TrialResult",
     "UpdateSession", "ValidationResult", "VerificationReport", "WeightedDigraph",
-    "apply_ops", "branch_weight", "check_assumptions", "compute_depths",
+    "apply_ops", "branch_counts", "branch_weight", "check_assumptions", "compute_depths",
     "enumerate_branches", "extended_reduced_matrix", "find_structural_set",
     "is_irreducible", "is_primitive", "lift_eigenvector", "nilpotency_index",
     "power_iteration", "promotion_candidates", "promotion_rule", "random_delta",

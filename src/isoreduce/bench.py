@@ -92,12 +92,10 @@ class ExperimentSummary:
 
 
 def scratch_equivalent(state: StoredState, tol: float = 1e-12) -> bool:
-    """Whether stored structural set, branch set and extended matrix match a
-    fresh recomputation."""
+    """Whether the stored structural set and extended matrix match a fresh
+    recomputation."""
     dev = state.consistency_report()
-    inf = float("inf")
-    return (dev["structural"] == 0 and dev.get("branches", inf) == 0
-            and dev.get("extended", inf) <= tol)
+    return dev["structural"] == 0 and dev.get("extended", float("inf")) <= tol
 
 
 def run_experiment(config: ExperimentConfig, *, check_equivalence: bool | None = None,
@@ -274,8 +272,7 @@ def _check_state_dir(state_dir: str) -> CheckResult:
     except IsoreduceError as exc:
         return CheckResult("stored-state-consistency", False, str(exc))
     dev = state.consistency_report()
-    ok = (dev.get("structural", 1) == 0.0 and dev.get("branches", 1) == 0.0
-          and dev.get("extended", 1) <= 1e-12
+    ok = (dev.get("structural", 1) == 0.0 and dev.get("extended", 1) <= 1e-12
           and dev.get("full_vector", 1) <= 1e-6)
     detail = ", ".join(f"{k}={v:.2e}" if math.isfinite(v) else f"{k}=inf"
                        for k, v in dev.items())

@@ -21,8 +21,8 @@ from .exceptions import (DeltaError, GraphFormatError, IsoreduceError,
 from .generate import ExperimentConfig
 from .graph import compute_depths, find_structural_set
 from .markov import MarkovChain, reduced_matrix_of_chain, simulate_stopped_chain
-from .reduction import (enumerate_branches, extended_reduced_matrix,
-                        reduced_matrix, reduced_matrix_by_length)
+from .reduction import (branch_counts, extended_reduced_matrix, reduced_matrix,
+                        reduced_matrix_by_length)
 from .spectral import lift_eigenvector
 from .update import run_update
 
@@ -69,14 +69,14 @@ def cmd_reduce(args) -> int:
     graph = io.read_graph(args.graph, stochastic=args.stochastic or None)
     lam = args.lam
     ss = _structural_for(graph, args, lam)
-    branches = enumerate_branches(graph, ss)
+    n_branches, m_statistic = branch_counts(graph, ss)
     red = reduced_matrix(graph, ss, lam, tol=args.tol)
     payload = {
         "lambda": [lam.real, lam.imag],
         "members": list(ss.members),
         "max_depth": ss.max_depth,
-        "n_branches": len(branches),
-        "m_statistic": branches.m_statistic,
+        "n_branches": n_branches,
+        "m_statistic": m_statistic,
         "reduced": _complex_matrix(red.entries),
     }
     if args.lengths:

@@ -60,8 +60,10 @@ def random_stochastic_graph(n: int, avg_degree: float, rng: np.random.Generator,
     """Loop-free primitive stochastic graph with expected out-degree ``avg_degree``.
 
     Edges are sampled independently, empty columns are patched with one
-    random in-edge, column weights are normalized to unit sum, and
-    non-primitive draws are rejected and resampled.
+    random in-edge and then empty rows with one random out-edge (a vertex
+    with no out-edge cannot lie on a cycle, so such a draw could never be
+    primitive), column weights are normalized to unit sum, and non-primitive
+    draws are rejected and resampled.
 
     Raises:
         GenerationError: no primitive draw within ``max_tries``.
@@ -77,6 +79,12 @@ def random_stochastic_graph(n: int, avg_degree: float, rng: np.random.Generator,
                 i = int(rng.integers(0, n - 1))
                 if i >= j:
                     i += 1
+                mask[i, j] = True
+        for i in range(n):
+            if not mask[i].any():
+                j = int(rng.integers(0, n - 1))
+                if j >= i:
+                    j += 1
                 mask[i, j] = True
         w = rng.uniform(0.05, 1.0, (n, n)) * mask
         if not is_primitive(w):
@@ -150,8 +158,9 @@ def random_delta(graph: WeightedDigraph, rng: np.random.Generator, p: int, *,
 def promotion_candidates(state: StoredState) -> list[tuple[int, int]]:
     """Edges (i, j) whose insertion fires the structural promotion rule.
 
-    Scans stored branches for complement-to-complement connections j -> i
-    where the edge (i, j) is still absent.
+    Scans the state's branches (listed on first use) for
+    complement-to-complement connections j -> i where the edge (i, j) is
+    still absent.
     """
     members = set(state.structural.members)
     g = state.graph

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import GraphFormatError
 from .graph import WeightedDigraph, compute_depths
-from .reduction import Branch, BranchSet, ExtendedReducedMatrix
+from .reduction import ExtendedReducedMatrix
 from .update import DeltaOp, GraphDelta, StoredState
 
 
@@ -200,18 +200,6 @@ def read_vector(path: str):
             raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def branches_to_dict(branches: BranchSet) -> dict:
-    return {"branches": branches.sequences()}
-
-
-def branches_from_dict(data: dict) -> BranchSet:
-    try:
-        return BranchSet(tuple(Branch(tuple(int(v) for v in seq))
-                               for seq in data["branches"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"bad branch manifest: {exc}") from exc
-
-
 def save_state(state: StoredState, dirpath: str) -> None:
     """Persist a stored state as a directory of JSON artifacts."""
     os.makedirs(dirpath, exist_ok=True)
@@ -222,7 +210,6 @@ def save_state(state: StoredState, dirpath: str) -> None:
     put("structural.json", {"members": list(state.structural.members),
                             "lambda": [complex(state.structural.lam).real,
                                        complex(state.structural.lam).imag]})
-    put("branches.json", branches_to_dict(state.branches))
     put("extended.json", {"n": state.extended.n_vertices,
                           "members": list(state.extended.members),
                           "rows": state.extended.entries.tolist()})
@@ -235,6 +222,12 @@ def save_state(state: StoredState, dirpath: str) -> None:
 
 
 def load_state(dirpath: str) -> StoredState:
+    """Read a state directory back, rejecting parts that do not fit its graph.
+
+    Raises:
+        GraphFormatError: a file is missing or malformed, a structural member
+            is not an active vertex, or a matrix or vector has the wrong size.
+    """
     def get(name):
         p = os.path.join(dirpath, name)
         try:
@@ -247,17 +240,33 @@ def load_state(dirpath: str) -> StoredState:
     graph = graph_from_dict(get("graph.json"))
     sdata = get("structural.json")
     lam = complex(sdata["lambda"][0], sdata["lambda"][1])
-    structural = compute_depths(graph, [int(v) for v in sdata["members"]], lam)
-    branches = branches_from_dict(get("branches.json"))
+    members = [int(v) for v in sdata["members"]]
+    inactive = [v for v in members if not graph.is_active(v)]
+    if inactive:
+        raise GraphFormatError(f"structural members {inactive} are not active vertices")
+    structural = compute_depths(graph, members, lam)
+    n = graph.n_vertices
     edata = get("extended.json")
-    extended = ExtendedReducedMatrix(int(edata["n"]),
-                                     tuple(int(v) for v in edata["members"]),
-                                     np.array(edata["rows"], dtype=float))
-    _, reduced, _, _ = vector_from_dict(get("reduced_vector.json"))
     fdata = get("full_vector.json")
-    full = np.array(fdata["values"], dtype=float)
+    try:
+        extended = ExtendedReducedMatrix(int(edata["n"]),
+                                         tuple(int(v) for v in edata["members"]),
+                                         np.array(edata["rows"], dtype=float))
+        full = np.array(fdata["values"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"bad extended matrix or full vector: {exc}") from exc
+    if extended.n_vertices != n or extended.entries.shape != (n, n):
+        raise GraphFormatError(
+            f"extended matrix is for {extended.n_vertices} vertices with shape "
+            f"{extended.entries.shape}, the graph has {n}")
+    _, reduced, _, _ = vector_from_dict(get("reduced_vector.json"))
+    if reduced.shape != (len(structural.members),):
+        raise GraphFormatError(f"reduced vector has {reduced.size} entries, "
+                               f"the structural set {len(structural.members)}")
+    if full.shape != (n,):
+        raise GraphFormatError(f"full vector has {full.size} entries, the graph {n}")
     meta = get("meta.json")
-    return StoredState(graph, structural, branches, extended, reduced.real, full,
+    return StoredState(graph, structural, extended, reduced.real, full,
                        bool(meta.get("eig_converged", True)))
 
 

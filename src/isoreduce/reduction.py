@@ -8,8 +8,9 @@ fixed spectral parameter, and computed in closed form,
 of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
 complement.  The complement carries no non-loop cycle, so the solve is one
 sweep over the complement in increasing depth, the same recursion that
-lifts an eigenvector.  ``enumerate_branches`` lists the paths themselves,
-for branch counts and the update cost model.
+lifts an eigenvector.  ``branch_counts`` runs that sweep on the 0/1
+support to count branches for the update cost model;
+``enumerate_branches`` lists the paths themselves, as a reference.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class BranchSet:
         return max(candidates, default=0)
 
     def sequences(self) -> list[list[int]]:
-        """Plain vertex-sequence lists, for the JSON manifest."""
+        """Plain vertex-sequence lists."""
         return [list(b.vertices) for b in self.branches]
 
 
@@ -279,3 +280,28 @@ def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *
     a = graph.matrix().real
     x = _depth_sweep(a, structural, 1.0, np.eye(n), tol=tol)
     return ExtendedReducedMatrix(n, structural.members, a @ x)
+
+
+def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[int, int]:
+    """Number of branches and their ``m`` statistic, without listing one.
+
+    The depth sweep on the 0/1 support with loops dropped (so every
+    denominator is 1) counts paths instead of summing weights: ``B X``
+    holds, per start and end, every branch but the one-step loops
+    ``(v, v)``, which the diagonal of the support adds back.  Row and
+    column sums give the branches leaving and entering a vertex.  A
+    complement vertex lies inside exactly in * out of the loop-free ones:
+    any branch ending at it joined to any leaving it, since the complement
+    has no cycle to repeat a vertex on.  Agrees with
+    ``enumerate_branches(graph, structural)`` and its ``m_statistic``.
+    """
+    b = (graph.matrix() != 0).astype(float)
+    loops = b.diagonal().copy()
+    np.fill_diagonal(b, 0)
+    paths = b @ _depth_sweep(b, structural, 1.0, np.eye(graph.n_vertices))
+    ends = paths + np.diag(loops)
+    comp = [v - 1 for v in structural.complement()]
+    through = paths.sum(axis=0)[comp] * paths.sum(axis=1)[comp]
+    m = max(ends.sum(axis=1).max(initial=0), ends.sum(axis=0).max(initial=0),
+            through.max(initial=0))
+    return int(round(ends.sum())), int(round(m))

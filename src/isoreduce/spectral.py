@@ -40,8 +40,7 @@ class EigenPair:
 
 
 def _support_lists(matrix: np.ndarray) -> list[list[int]]:
-    n = matrix.shape[0]
-    return [[j for j in range(n) if matrix[i, j] != 0] for i in range(n)]
+    return [np.flatnonzero(row).tolist() for row in matrix != 0]
 
 
 def strongly_connected(support: np.ndarray) -> bool:

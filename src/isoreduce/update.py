@@ -1,26 +1,30 @@
 """Incremental maintenance of the reduction under graph deltas.
 
-A stored state bundles a stochastic graph with its structural set, branch
-set, extended reduced matrix, and dominant eigenvectors.  A delta (a short
-list of vertex/edge insertions and removals) is applied one operation at a
-time: the matrix is edited and affected columns renormalized, the structural
+A stored state bundles a stochastic graph with its structural set,
+extended reduced matrix, and dominant eigenvectors.  A delta (a short list
+of vertex/edge insertions and removals) is applied one operation at a time:
+the matrix is edited and affected columns renormalized, and the structural
 set grows by the promotion rule when a new edge closes a cycle outside it,
-branches are patched rather than re-enumerated, and the extended matrix
-absorbs the weight differences.  The dominant eigenvector is then recomputed
-on the reduced block and lifted through the depth hierarchy, and an itemized
-cost report compares the work against full re-iteration of the big matrix.
+found by a search that does not enter the set.  The extended matrix is then
+recomputed in closed form by one depth-order sweep, the dominant
+eigenvector recomputed on the reduced block and lifted through the depth
+hierarchy, and an itemized cost report compares the work against full
+re-iteration of the big matrix.  No branch is listed on the way: the cost
+model's branch statistic is counted by the same sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DeltaError, NonStochasticError, NotPrimitiveError
+from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
+                         StructuralSetError)
 from .graph import (StructuralSet, WeightedDigraph, compute_depths,
-                    find_structural_set, validate_structural)
-from .reduction import (Branch, BranchSet, ExtendedReducedMatrix,
+                    find_structural_set)
+from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_reduced_matrix)
 from .spectral import is_primitive, lift_eigenvector, power_iteration
 
@@ -82,7 +86,6 @@ class StoredState:
 
     graph: WeightedDigraph
     structural: StructuralSet
-    branches: BranchSet
     extended: ExtendedReducedMatrix
     reduced_vector: np.ndarray
     full_vector: np.ndarray
@@ -104,13 +107,23 @@ class StoredState:
             ss = compute_depths(graph, structural.members, 1.0)
         else:
             ss = compute_depths(graph, structural, 1.0)
-        branches = enumerate_branches(graph, ss)
         ext = extended_reduced_matrix(graph, ss)
         idx = [v - 1 for v in ss.members]
         pair = power_iteration(ext.entries[np.ix_(idx, idx)], ell, tol,
                                assume_primitive=True, lazy=True)
         full = _lift_full(graph, ss, pair.vector)
-        return cls(graph, ss, branches, ext, pair.vector, full, pair.converged)
+        return cls(graph, ss, ext, pair.vector, full, pair.converged)
+
+    @cached_property
+    def branches(self) -> BranchSet:
+        """Every branch of the stored pair, listed on first use; nothing on
+        the build or update path reads it."""
+        return enumerate_branches(self.graph, self.structural)
+
+    @cached_property
+    def m_statistic(self) -> int:
+        """The cost model's branch statistic, counted without listing branches."""
+        return branch_counts(self.graph, self.structural)[1]
 
     def reduced_block(self) -> np.ndarray:
         idx = [v - 1 for v in self.structural.members]
@@ -122,15 +135,11 @@ class StoredState:
         Sets report 0.0 when equal and inf otherwise; matrices and vectors
         report the max absolute entry difference.
         """
-        out: dict[str, float] = {}
-        ok = validate_structural(self.graph, self.structural.members, 1.0)
-        out["structural"] = 0.0 if ok else float("inf")
-        if not ok:
-            return out
-        ss = compute_depths(self.graph, self.structural.members, 1.0)
-        fresh = enumerate_branches(self.graph, ss)
-        same = {b.vertices for b in fresh.branches} == {b.vertices for b in self.branches.branches}
-        out["branches"] = 0.0 if same else float("inf")
+        try:
+            ss = compute_depths(self.graph, self.structural.members, 1.0)
+        except StructuralSetError:
+            return {"structural": float("inf")}
+        out = {"structural": 0.0}
         ext = extended_reduced_matrix(self.graph, ss)
         if ext.entries.shape == self.extended.entries.shape:
             out["extended"] = float(np.abs(ext.entries - self.extended.entries).max())
@@ -170,8 +179,11 @@ class CostReport:
     Step costs follow the update algorithm's own estimates: branch and
     matrix patching are charged the per-object bound, the reduced eigenvector
     solve is charged cubically in the new structural size, and the lift is
-    charged by the depth-layer recursion.  ``touched_branches`` and
-    ``weight_updates`` carry the measured counterparts for reference.
+    charged by the depth-layer recursion.  The measured counterparts count
+    what the update changed in the extended matrix: ``touched_branches`` the
+    rows (start vertices whose branch sums moved) and ``weight_updates`` the
+    entries, against the base state's matrix padded with zeros for new
+    vertices.
     """
 
     n: int
@@ -325,6 +337,17 @@ class _Editor:
         for x in self.into[j]:
             self.w[(x, j)] /= total
 
+    def apply(self, op: DeltaOp) -> None:
+        """Apply one delta operation; every edit check lives here."""
+        if op.kind == "add_edge":
+            self.add_edge(op.i, op.j, op.w)
+        elif op.kind == "remove_edge":
+            self.remove_edge(op.i, op.j)
+        elif op.kind == "add_vertex":
+            self.add_vertex()
+        else:
+            self.remove_vertex(op.v)
+
     def add_edge(self, i: int, j: int, w: float) -> None:
         if not self.active(i) or not self.active(j):
             raise DeltaError(f"add_edge({i},{j}) references an inactive vertex")
@@ -347,13 +370,12 @@ class _Editor:
         self.into[j].discard(i)
         self._renorm(j)
 
-    def add_vertex(self) -> int:
+    def add_vertex(self) -> None:
         self.n += 1
         self.out[self.n] = set()
         self.into[self.n] = set()
-        return self.n
 
-    def remove_vertex(self, v: int) -> set[int]:
+    def remove_vertex(self, v: int) -> None:
         if not self.active(v):
             raise DeltaError(f"remove_vertex({v}) references an inactive vertex")
         targets = set(self.out[v])
@@ -368,11 +390,32 @@ class _Editor:
         self.removed.add(v)
         for y in targets:
             self._renorm(y)
-        return targets
 
-    def graph(self, stochastic: bool = True) -> WeightedDigraph:
-        return WeightedDigraph(self.n, dict(self.w), stochastic=stochastic,
-                               removed=frozenset(self.removed))
+    def reaches(self, start: int, goal: int, avoid: set[int]) -> bool:
+        """Whether a path leads from ``start`` to ``goal`` without entering ``avoid``."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v == goal:
+                return True
+            for u in self.out[v]:
+                if u not in seen and u not in avoid:
+                    seen.add(u)
+                    stack.append(u)
+        return False
+
+    def graph(self) -> WeightedDigraph:
+        """The edited graph, validated stochastic.
+
+        Raises:
+            DeltaError: the edits leave the graph non-stochastic.
+        """
+        try:
+            return WeightedDigraph(self.n, dict(self.w), stochastic=True,
+                                   removed=frozenset(self.removed))
+        except NonStochasticError as exc:
+            raise DeltaError(f"delta leaves the graph non-stochastic: {exc}") from exc
 
 
 def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:
@@ -383,26 +426,18 @@ def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:
     """
     ed = _Editor(graph)
     for op in delta.ops:
-        if op.kind == "add_edge":
-            ed.add_edge(op.i, op.j, op.w)
-        elif op.kind == "remove_edge":
-            ed.remove_edge(op.i, op.j)
-        elif op.kind == "add_vertex":
-            ed.add_vertex()
-        else:
-            ed.remove_vertex(op.v)
-    try:
-        return ed.graph()
-    except NonStochasticError as exc:
-        raise DeltaError(f"delta leaves the graph non-stochastic: {exc}") from exc
+        ed.apply(op)
+    return ed.graph()
 
 
 def promotion_rule(members, branches, i: int, j: int) -> int | None:
-    """Structural-set update for a new edge (i, j) (step 2).
+    """Structural-set update for a new edge (i, j) (step 2), by branch lookup.
 
     Returns the vertex to promote (``i``) when both endpoints lie outside the
     set and some branch already runs from j back to i, so the new edge would
-    close a cycle avoiding the set.  Returns None otherwise.
+    close a cycle avoiding the set.  Returns None otherwise.  The update
+    session asks the same question as a search from j that does not enter
+    the set; this form is the reference it is tested against.
     """
     s = set(members)
     if i in s or j in s:
@@ -414,30 +449,25 @@ def promotion_rule(members, branches, i: int, j: int) -> int | None:
     return i if exists else None
 
 
-def _uses_edge(seq: tuple[int, ...], i: int, j: int) -> bool:
-    return any(a == i and b == j for a, b in zip(seq, seq[1:]))
-
-
 class UpdateSession:
     """Single-writer update of a stored state; readers keep the old snapshot.
 
-    Steps 1-4 run per operation via :meth:`apply`; steps 5-6 run once via
-    :meth:`refresh`; :meth:`commit` returns the new state and the cost
-    report.  Any error leaves the base state untouched.
+    The session carries the edited weight table and the structural set:
+    :meth:`apply` runs steps 1-2 per operation and then recomputes the
+    extended matrix (steps 3-4) in closed form; :meth:`refresh` runs steps
+    5-6; :meth:`commit` returns the new state and the cost report.  Any
+    error leaves the base state untouched.
     """
 
     def __init__(self, state: StoredState):
         self._base = state
         self._ed = _Editor(state.graph)
         self._S = set(state.structural.members)
-        self._branches = {b.vertices for b in state.branches.branches}
-        self._ext = state.extended.entries.copy()
-        self._touched = 0
-        self._wops = 0
         self._p = 0
         self._fallback = False
         self._graph2: WeightedDigraph | None = None
         self._structural2: StructuralSet | None = None
+        self._ext: ExtendedReducedMatrix | None = None
         self._reduced: np.ndarray | None = None
         self._full: np.ndarray | None = None
         self._converged = True
@@ -445,142 +475,43 @@ class UpdateSession:
 
     # -- steps 1-4 ------------------------------------------------------
 
-    def _prod(self, seq: tuple[int, ...]) -> float:
-        w = 1.0
-        for a, b in zip(seq, seq[1:]):
-            w *= self._ed.w[(a, b)]
-        self._wops += len(seq) - 1
-        return w
-
-    def _subtract(self, seqs) -> None:
-        for b in seqs:
-            self._ext[b[0] - 1, b[-1] - 1] -= self._prod(b)
-
-    def _add(self, seqs) -> None:
-        for b in seqs:
-            self._ext[b[0] - 1, b[-1] - 1] += self._prod(b)
-
-    def _concatenations(self, i: int, j: int, survivors: set) -> set:
-        """New branches created by edge (i, j): prefix + edge + suffix splices.
-
-        A nonempty prefix (ending at i) or suffix (starting at j) is allowed
-        only when that endpoint stays outside the structural set; candidates
-        with a repeated vertex other than a first-equals-last closure are
-        dropped.
-        """
-        prefixes: list[tuple[int, ...]] = [()]
-        if i not in self._S:
-            prefixes += [b for b in survivors if b[-1] == i]
-        suffixes: list[tuple[int, ...]] = [()]
-        if j not in self._S:
-            suffixes += [b for b in survivors if b[0] == j]
-        out = set()
-        for b1 in prefixes:
-            head = b1 if b1 else (i,)
-            for b2 in suffixes:
-                seq = head + (j,) + (b2[1:] if b2 else ())
-                body = seq[:-1]
-                if len(set(body)) != len(body):
-                    continue
-                if seq[-1] in body and seq[-1] != seq[0]:
-                    continue
-                out.add(seq)
-        return out
-
-    def _op_add_edge(self, op: DeltaOp) -> None:
-        i, j = op.i, op.j
-        if not self._ed.active(i) or not self._ed.active(j):
-            raise DeltaError(f"add_edge({i},{j}) references an inactive vertex")
-        if (i, j) in self._ed.w:
-            raise DeltaError(f"edge ({i},{j}) already exists")
-        promoted = promotion_rule(self._S, self._branches, i, j)
-        removed = set()
-        if promoted is not None:
-            removed = {b for b in self._branches if promoted in b[1:-1]}
-        survivors = self._branches - removed
-        repriced = {b for b in survivors if j in b[1:]}
-        self._subtract(removed | repriced)
-        self._ed.add_edge(i, j, op.w)
-        if promoted is not None:
-            self._S.add(promoted)
-        added = self._concatenations(i, j, survivors)
-        self._branches = survivors | added
-        self._add(repriced | added)
-        self._touched += len(removed) + len(repriced) + len(added)
-
-    def _op_remove_edge(self, op: DeltaOp) -> None:
-        i, j = op.i, op.j
-        if (i, j) not in self._ed.w:
-            raise DeltaError(f"edge ({i},{j}) does not exist")
-        removed = {b for b in self._branches if _uses_edge(b, i, j)}
-        survivors = self._branches - removed
-        repriced = {b for b in survivors if j in b[1:]}
-        self._subtract(removed | repriced)
-        self._ed.remove_edge(i, j)
-        self._branches = survivors
-        self._add(repriced)
-        self._touched += len(removed) + len(repriced)
-
-    def _op_add_vertex(self) -> None:
-        self._ed.add_vertex()
-        self._ext = np.pad(self._ext, ((0, 1), (0, 1)))
-
-    def _op_remove_vertex(self, op: DeltaOp) -> None:
-        v = op.v
-        if not self._ed.active(v):
-            raise DeltaError(f"remove_vertex({v}) references an inactive vertex")
-        if v in self._S and len(self._S) == 1:
-            raise DeltaError(f"removing {v} would empty the structural set")
-        removed = {b for b in self._branches if v in b}
-        survivors = self._branches - removed
-        cols = set(self._ed.out[v])
-        repriced = {b for b in survivors if any(y in b[1:] for y in cols)}
-        self._subtract(removed | repriced)
-        self._ed.remove_vertex(v)
-        self._S.discard(v)
-        self._branches = survivors
-        self._add(repriced)
-        self._touched += len(removed) + len(repriced)
-
     def apply(self, delta: GraphDelta, *, max_ops: int | None = None,
               assume_primitive: bool = False) -> None:
-        """Run steps 1-4 for every operation, then re-validate the result."""
+        """Edit the graph and structural set per operation, then recompute.
+
+        A new edge (i, j) with both ends outside the set promotes ``i`` when
+        j already reaches i outside the set, since the edge would close a
+        cycle there; a removed vertex leaves the set.
+        """
         if self._graph2 is not None:
             raise RuntimeError("session already applied a delta")
         if max_ops is not None and delta.size > max_ops:
             raise DeltaError(f"delta has {delta.size} ops, limit is {max_ops}")
         self._p = delta.size
         for op in delta.ops:
+            self._ed.apply(op)
             if op.kind == "add_edge":
-                self._op_add_edge(op)
-            elif op.kind == "remove_edge":
-                self._op_remove_edge(op)
-            elif op.kind == "add_vertex":
-                self._op_add_vertex()
-            else:
-                self._op_remove_vertex(op)
-        try:
-            g2 = self._ed.graph()
-        except NonStochasticError as exc:
-            raise DeltaError(f"delta leaves the graph non-stochastic: {exc}") from exc
+                if (op.i not in self._S and op.j not in self._S
+                        and self._ed.reaches(op.j, op.i, self._S)):
+                    self._S.add(op.i)
+            elif op.kind == "remove_vertex":
+                self._S.discard(op.v)
+        g2 = self._ed.graph()
         if not self._S:
             raise DeltaError("delta emptied the structural set")
         if not assume_primitive:
             mat, _ = g2.active_matrix()
             if not is_primitive(mat):
                 raise DeltaError("delta breaks primitivity of the adjacency matrix")
-        ok = validate_structural(g2, self._S, 1.0)
-        if ok:
+        try:
             ss = compute_depths(g2, self._S, 1.0)
-        else:
+        except StructuralSetError:
             self._fallback = True
             ss = find_structural_set(g2, 1.0)
             self._S = set(ss.members)
-            fresh = enumerate_branches(g2, ss)
-            self._branches = {b.vertices for b in fresh.branches}
-            self._ext = extended_reduced_matrix(g2, ss).entries.copy()
         self._graph2 = g2
         self._structural2 = ss
+        self._ext = extended_reduced_matrix(g2, ss)
 
     # -- steps 5-6 ------------------------------------------------------
 
@@ -590,7 +521,7 @@ class UpdateSession:
             raise RuntimeError("apply a delta before refreshing eigenvectors")
         members = self._structural2.members
         idx = [v - 1 for v in members]
-        block = self._ext[np.ix_(idx, idx)]
+        block = self._ext.entries[np.ix_(idx, idx)]
         prev = self._base.full_vector
         init = np.array([prev[v - 1] if v - 1 < prev.shape[0] else 0.0 for v in members])
         if init.sum() <= 0:
@@ -607,31 +538,33 @@ class UpdateSession:
     def commit(self, *, meas_ratio: float = 0.1) -> tuple[StoredState, CostReport]:
         if self._graph2 is None or self._reduced is None:
             raise RuntimeError("apply and refresh before committing")
-        branchset = BranchSet(tuple(Branch(b) for b in self._branches))
-        ext = ExtendedReducedMatrix(self._graph2.n_vertices,
-                                    self._structural2.members, self._ext.copy())
-        state = StoredState(self._graph2, self._structural2, branchset, ext,
+        state = StoredState(self._graph2, self._structural2, self._ext,
                             self._reduced, self._full, self._converged)
-        report = self._report(meas_ratio)
-        return state, report
+        return state, self._report(meas_ratio)
 
     def _report(self, meas_ratio: float) -> CostReport:
         base = self._base
         s_old = len(base.structural.members)
         k_old = base.structural.max_depth
-        m_old = base.branches.m_statistic
+        m_old = base.m_statistic
         s_new = len(self._structural2.members)
         k_new = self._structural2.max_depth
         counts = self._structural2.depth_counts()
         step6 = float(sum(j * counts[j - 1] * (counts[j] - counts[j - 1])
                           for j in range(1, len(counts))))
         patch = float(self._p * (k_old + 1) * m_old)
+        new = self._ext.entries
+        old = np.zeros_like(new)
+        k = base.extended.entries.shape[0]
+        old[:k, :k] = base.extended.entries
+        changed = new != old
         return CostReport(
             n=self._graph2.n_active, s=s_old, s_new=s_new, k=k_old, k_new=k_new,
             m=m_old, ell=self._ell_used, p=self._p,
             step3_cost=patch, step4_cost=patch,
             step5_cost=float(self._ell_used) * s_new ** 3, step6_cost=step6,
-            touched_branches=self._touched, weight_updates=self._wops,
+            touched_branches=int(changed.any(axis=1).sum()),
+            weight_updates=int(changed.sum()),
             structural_fallback=self._fallback, meas_ratio=meas_ratio)
 
 

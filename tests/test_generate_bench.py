@@ -130,3 +130,11 @@ def test_verify_suite_flags_corrupted_state(tmp_path):
     by_name = {c.name: c for c in report.checks}
     assert not by_name["stored-state-consistency"].passed
     assert not report.passed
+
+
+def test_generator_patches_rows_and_columns_at_n100():
+    for seed in range(10):
+        g = random_stochastic_graph(100, 2.5, np.random.default_rng(seed))
+        support = g.matrix() != 0
+        assert support.any(axis=0).all() and support.any(axis=1).all()
+        check_assumptions(g)

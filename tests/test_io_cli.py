@@ -185,3 +185,57 @@ def test_cli_table_format(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "members:" in text and "reduced:" in text
+
+
+def _saved_state(tmp_path):
+    g = random_stochastic_graph(8, 2.5, np.random.default_rng(72))
+    path = str(tmp_path / "st")
+    iio.save_state(StoredState.from_graph(g), path)
+    return path
+
+
+def _rewrite(path, name, change):
+    with open(f"{path}/{name}", encoding="utf-8") as fh:
+        data = json.load(fh)
+    change(data)
+    with open(f"{path}/{name}", "w", encoding="utf-8") as fh:
+        fh.write(iio.dumps(data))
+
+
+def test_state_directory_holds_no_branch_list(tmp_path):
+    path = _saved_state(tmp_path)
+    assert not (tmp_path / "st" / "branches.json").exists()
+    assert iio.load_state(path).branches.branches
+
+
+def test_load_state_rejects_extended_of_other_size(tmp_path):
+    path = _saved_state(tmp_path)
+    _rewrite(path, "extended.json", lambda d: d.update(n=d["n"] + 1))
+    with pytest.raises(GraphFormatError):
+        iio.load_state(path)
+    for change in (lambda d: d["rows"].pop(), lambda d: d["rows"][0].pop()):
+        path = _saved_state(tmp_path)
+        _rewrite(path, "extended.json", change)
+        with pytest.raises(GraphFormatError):
+            iio.load_state(path)
+
+
+def test_load_state_rejects_full_vector_of_other_length(tmp_path):
+    path = _saved_state(tmp_path)
+    _rewrite(path, "full_vector.json", lambda d: d["values"].append(0.0))
+    with pytest.raises(GraphFormatError):
+        iio.load_state(path)
+
+
+def test_load_state_rejects_reduced_vector_of_other_length(tmp_path):
+    path = _saved_state(tmp_path)
+    _rewrite(path, "reduced_vector.json", lambda d: d["values"].pop())
+    with pytest.raises(GraphFormatError):
+        iio.load_state(path)
+
+
+def test_load_state_rejects_inactive_member(tmp_path):
+    path = _saved_state(tmp_path)
+    _rewrite(path, "structural.json", lambda d: d["members"].append(99))
+    with pytest.raises(GraphFormatError):
+        iio.load_state(path)

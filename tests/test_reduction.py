@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from isoreduce import (Branch, BranchSet, NonStochasticError, SingularWeightError,
-                       WeightedDigraph, branch_weight, compute_depths,
+                       WeightedDigraph, branch_counts, branch_weight, compute_depths,
                        enumerate_branches, extended_reduced_matrix,
                        find_structural_set, random_stochastic_graph,
                        reduced_matrix, reduced_matrix_by_length)
@@ -228,3 +228,20 @@ def test_closed_form_matches_branch_sums():
                             (n, n), index)
         got = extended_reduced_matrix(g, ss).entries
         assert _relative_gap(got, want.real) <= 1e-12
+
+
+def test_branch_counts_match_enumeration(three_cycle, path_graph):
+    cases = [(three_cycle, compute_depths(three_cycle, [1], 1.0)),
+             (path_graph, compute_depths(path_graph, [1], 1.0))]
+    rng = np.random.default_rng(24)
+    for _ in range(15):
+        g = random_stochastic_graph(int(rng.integers(5, 30)), 2.5, rng)
+        cases.append((g, find_structural_set(g, 1.0)))
+    for _ in range(15):
+        # loops on every vertex: the one-step loop branch counts, an
+        # interior loop does not
+        g = random_complex_graph(rng, int(rng.integers(3, 9)))
+        cases.append((g, find_structural_set(g, complex(rng.normal(), rng.normal()))))
+    for g, ss in cases:
+        bs = enumerate_branches(g, ss)
+        assert branch_counts(g, ss) == (len(bs), bs.m_statistic)

@@ -229,7 +229,6 @@ def test_stored_state_consistency_report():
     state = cycle_state(ell=3000, tol=1e-15)
     dev = state.consistency_report(ell=3000, tol=1e-15)
     assert dev["structural"] == 0.0
-    assert dev["branches"] == 0.0
     assert dev["extended"] == 0.0
     assert dev["full_vector"] < 1e-12
 
@@ -326,3 +325,27 @@ def test_simplex_bound_property(raw):
     f, bound = simplex_bound(xs)
     assert f <= bound + 1e-9 * max(1.0, xs[-1] ** 2)
     assert bound <= xs[-1] ** 2 / 2 + 1e-12
+
+
+def test_reachability_promotion_matches_branch_rule():
+    rng = np.random.default_rng(56)
+    checked = promoted = 0
+    while checked < 60:
+        g = random_stochastic_graph(int(rng.integers(6, 20)), 2.0, rng)
+        state = StoredState.from_graph(g, ell=200)
+        branches = enumerate_branches(g, state.structural)
+        members = state.structural.members
+        for _ in range(5):
+            i, j = map(int, rng.choice(g.vertices(), 2, replace=False))
+            if g.has_edge(i, j):
+                continue
+            want = promotion_rule(members, branches, i, j)
+            new_state, report = run_update(
+                state, GraphDelta((DeltaOp.add_edge(i, j, 0.5),)), ell=200,
+                assume_primitive=True)
+            assert not report.structural_fallback
+            gained = set(new_state.structural.members) - set(members)
+            assert gained == ({want} if want is not None else set())
+            checked += 1
+            promoted += want is not None
+    assert promoted >= 5
