@@ -24,7 +24,7 @@ from .markov import (MarkovChain, StoppedChainSample, is_irreducible,
                      verify_stationary_restriction, within_sigma_fraction)
 from .reduction import (Branch, BranchSet, ExtendedReducedMatrix, ReducedMatrix,
                         branch_counts, branch_weight, enumerate_branches,
-                        extended_reduced_matrix,
+                        extended_reduced_matrix, reduced_matrices_by_length,
                         reduced_matrix, reduced_matrix_by_length)
 from .spectral import (EigenPair, is_primitive, lift_eigenvector, power_iteration,
                        reduced_eigen_co_iteration, verify_restriction)
@@ -48,7 +48,8 @@ __all__ = [
     "enumerate_branches", "extended_reduced_matrix", "find_structural_set",
     "is_irreducible", "is_primitive", "lift_eigenvector", "nilpotency_index",
     "power_iteration", "promotion_candidates", "promotion_rule", "random_delta",
-    "random_stochastic_graph", "reduced_eigen_co_iteration", "reduced_matrix",
+    "random_stochastic_graph", "reduced_eigen_co_iteration", "reduced_matrices_by_length",
+    "reduced_matrix",
     "reduced_matrix_by_length", "reduced_matrix_of_chain", "run_experiment",
     "run_update", "scratch_equivalent", "simplex_bound", "simulate_stopped_chain",
     "stationary_distribution", "taboo_matrix", "taboo_probability", "total_variation_summary",

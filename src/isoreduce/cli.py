@@ -21,8 +21,8 @@ from .exceptions import (DeltaError, GraphFormatError, IsoreduceError,
 from .generate import ExperimentConfig
 from .graph import compute_depths, find_structural_set
 from .markov import MarkovChain, reduced_matrix_of_chain, simulate_stopped_chain
-from .reduction import (branch_counts, extended_reduced_matrix, reduced_matrix,
-                        reduced_matrix_by_length)
+from .reduction import (branch_counts, extended_reduced_matrix,
+                        reduced_matrices_by_length, reduced_matrix)
 from .spectral import lift_eigenvector
 from .update import run_update
 
@@ -80,11 +80,8 @@ def cmd_reduce(args) -> int:
         "reduced": _complex_matrix(red.entries),
     }
     if args.lengths:
-        m = len(ss.complement())
-        payload["by_length"] = {
-            str(p): _complex_matrix(reduced_matrix_by_length(
-                graph, ss, lam, p, tol=args.tol))
-            for p in range(1, m + 2)}
+        terms = reduced_matrices_by_length(graph, ss, lam, tol=args.tol)
+        payload["by_length"] = {str(p): _complex_matrix(t) for p, t in enumerate(terms, 1)}
     if args.extended:
         ext = extended_reduced_matrix(graph, ss, tol=args.tol)
         payload["extended"] = ext.entries.tolist()

@@ -2,12 +2,19 @@
 
 Vertices are the integers ``1..n_vertices``; removed vertices leave
 tombstones so that identifiers stay stable across incremental updates.
+Each graph builds one dense, read-only adjacency matrix when it is
+constructed, and the passes over the graph are array passes over it: one
+peel of the complement's non-loop support gives the depths, the
+structural check and the nilpotency index.  The one depth-first search,
+``_cycles``, runs only for a witness cycle once the peel has stalled and
+for the cycle counts of the structural-set search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -20,6 +27,16 @@ DEFAULT_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
 
 
+def _neighbor_tuples(adjacency: np.ndarray, ids: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Per active vertex, the ascending ids its row of ``adjacency`` points at."""
+    rows, cols = np.nonzero(adjacency)
+    idx = np.array(ids, dtype=np.int64) - 1
+    lo = np.searchsorted(rows, idx, side="left").tolist()
+    hi = np.searchsorted(rows, idx, side="right").tolist()
+    cols = (cols + 1).tolist()
+    return {v: tuple(cols[a:b]) for v, a, b in zip(ids, lo, hi)}
+
+
 @dataclass(frozen=True)
 class WeightedDigraph:
     """Directed graph with complex edge weights.
@@ -28,48 +45,63 @@ class WeightedDigraph:
     nonzero weight; absent pairs read as weight 0.  With ``stochastic`` set,
     weights must be real in (0, 1], the graph must be loop-free, and every
     active column of the adjacency matrix must sum to 1.
+
+    ``adjacency`` is the dense n x n weighted adjacency matrix, built once
+    and read-only (zero rows and columns at tombstones); every pass over the
+    graph reads it.
     """
 
     n_vertices: int
     weights: Mapping[tuple[int, int], complex]
     stochastic: bool = False
     removed: frozenset[int] = frozenset()
-    _out: dict = field(init=False, repr=False, compare=False)
-    _in: dict = field(init=False, repr=False, compare=False)
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    _ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_vertices < 0:
+        n = self.n_vertices
+        if n < 0:
             raise ValueError("n_vertices must be non-negative")
         object.__setattr__(self, "removed", frozenset(self.removed))
-        active = set(range(1, self.n_vertices + 1)) - self.removed
-        out: dict[int, list[int]] = {v: [] for v in active}
-        into: dict[int, list[int]] = {v: [] for v in active}
-        for (i, j), w in self.weights.items():
-            if i not in active or j not in active:
+        active = np.zeros(n + 1, dtype=bool)
+        active[1:] = True
+        active[[v for v in self.removed if 1 <= v <= n]] = False
+        edges = np.array(list(self.weights), dtype=np.int64).reshape(-1, 2)
+        w = np.array(list(self.weights.values()), dtype=complex)
+        inside = ((edges >= 1) & (edges <= n)).all(axis=1)
+        inside[inside] = active[edges[inside]].all(axis=1)
+        bad = np.flatnonzero(~inside | (w == 0))
+        if bad.size:
+            i, j = edges[bad[0]].tolist()
+            if not inside[bad[0]]:
                 raise ValueError(f"edge ({i},{j}) touches an inactive vertex")
-            if w == 0:
-                raise ValueError(f"edge ({i},{j}) stored with zero weight")
-            out[i].append(j)
-            into[j].append(i)
-        object.__setattr__(self, "_out", {v: tuple(sorted(ns)) for v, ns in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(sorted(ns)) for v, ns in into.items()})
+            raise ValueError(f"edge ({i},{j}) stored with zero weight")
+        adj = np.zeros((n, n), dtype=complex)
+        adj[edges[:, 0] - 1, edges[:, 1] - 1] = w
+        adj.flags.writeable = False
+        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "_ids", tuple(np.flatnonzero(active).tolist()))
         if self.stochastic:
-            self._validate_stochastic()
+            self._validate_stochastic(edges, w)
 
-    def _validate_stochastic(self):
-        sums = {v: 0.0 for v in self._in}
-        for (i, j), w in self.weights.items():
-            w = complex(w)
-            if abs(w.imag) > 0:
-                raise NonStochasticError(f"edge ({i},{j}) has non-real weight {w}")
-            if not 0.0 < w.real <= 1.0:
-                raise NonStochasticError(f"edge ({i},{j}) weight {w.real} outside (0, 1]")
-            if i == j:
-                raise NonStochasticError(f"stochastic graph may not contain loop ({i},{i})")
-            sums[j] += w.real
-        for v, s in sums.items():
-            if abs(s - 1.0) > STOCHASTIC_TOL:
-                raise NonStochasticError(f"column {v} sums to {s}, expected 1")
+    def _validate_stochastic(self, edges: np.ndarray, w: np.ndarray):
+        faults = np.stack([np.abs(w.imag) > 0, ~((w.real > 0) & (w.real <= 1)),
+                           edges[:, 0] == edges[:, 1]])
+        bad = np.flatnonzero(faults.any(axis=0))
+        if bad.size:
+            t = bad[0]
+            (i, j), wt = edges[t].tolist(), complex(w[t])
+            if faults[0, t]:
+                raise NonStochasticError(f"edge ({i},{j}) has non-real weight {wt}")
+            if faults[1, t]:
+                raise NonStochasticError(f"edge ({i},{j}) weight {wt.real} outside (0, 1]")
+            raise NonStochasticError(f"stochastic graph may not contain loop ({i},{i})")
+        ids = np.array(self._ids, dtype=np.int64) - 1
+        sums = self.adjacency.real[:, ids].sum(axis=0)
+        off = np.flatnonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)
+        if off.size:
+            raise NonStochasticError(
+                f"column {ids[off[0]] + 1} sums to {sums[off[0]]}, expected 1")
 
     # -- construction -------------------------------------------------
 
@@ -86,24 +118,25 @@ class WeightedDigraph:
 
     @classmethod
     def from_matrix(cls, m, *, stochastic: bool = False) -> "WeightedDigraph":
-        """Build a graph from a square matrix; nonzero entry (i, j) is edge i->j."""
+        """Build a graph from a square matrix; nonzero entry (i, j) is edge i->j.
+
+        Edges are keyed in row-major order; a weight with zero imaginary part
+        is stored as a float.
+        """
         m = np.asarray(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        n = m.shape[0]
-        weights = {}
-        for i in range(n):
-            for j in range(n):
-                if m[i, j] != 0:
-                    w = complex(m[i, j])
-                    weights[(i + 1, j + 1)] = w.real if w.imag == 0 else w
-        return cls(n, weights, stochastic=stochastic)
+        rows, cols = np.nonzero(m)
+        w = m[rows, cols].astype(complex)
+        weights = {(i + 1, j + 1): (re if im == 0 else z) for i, j, z, re, im in zip(
+            rows.tolist(), cols.tolist(), w.tolist(), w.real.tolist(), w.imag.tolist())}
+        return cls(m.shape[0], weights, stochastic=stochastic)
 
     # -- queries ------------------------------------------------------
 
     def vertices(self) -> tuple[int, ...]:
         """Active vertex ids, ascending."""
-        return tuple(sorted(self._out))
+        return self._ids
 
     @property
     def n_active(self) -> int:
@@ -118,6 +151,14 @@ class WeightedDigraph:
     def weight(self, i: int, j: int) -> complex:
         return self.weights.get((i, j), 0)
 
+    @cached_property
+    def _out(self) -> dict[int, tuple[int, ...]]:
+        return _neighbor_tuples(self.adjacency, self._ids)
+
+    @cached_property
+    def _in(self) -> dict[int, tuple[int, ...]]:
+        return _neighbor_tuples(self.adjacency.T, self._ids)
+
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         return self._out[i]
 
@@ -128,20 +169,14 @@ class WeightedDigraph:
         return sorted(self.weights)
 
     def matrix(self) -> np.ndarray:
-        """Full n x n weighted adjacency matrix (zero rows/columns at tombstones)."""
-        m = np.zeros((self.n_vertices, self.n_vertices), dtype=complex)
-        for (i, j), w in self.weights.items():
-            m[i - 1, j - 1] = w
-        return m
+        """Full n x n weighted adjacency matrix (zero rows/columns at tombstones),
+        as a fresh writable copy of ``adjacency``."""
+        return self.adjacency.copy()
 
     def active_matrix(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Adjacency matrix restricted to active vertices, with the id order used."""
-        ids = self.vertices()
-        pos = {v: t for t, v in enumerate(ids)}
-        m = np.zeros((len(ids), len(ids)), dtype=complex)
-        for (i, j), w in self.weights.items():
-            m[pos[i], pos[j]] = w
-        return m, ids
+        idx = np.array(self._ids, dtype=np.int64) - 1
+        return self.adjacency[np.ix_(idx, idx)], self._ids
 
     def compact(self) -> tuple["WeightedDigraph", dict[int, int]]:
         """Renumber active vertices densely as 1..n_active.
@@ -183,7 +218,8 @@ class StructuralSet:
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
     def complement(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.depth_of if v not in set(self.members)))
+        members = set(self.members)
+        return tuple(sorted(v for v in self.depth_of if v not in members))
 
     def depth_sets(self) -> list[list[int]]:
         """Nested vertex sets by depth: entry k lists vertices of depth <= k."""
@@ -209,36 +245,107 @@ class StructuralSet:
         return out
 
 
-def _cycles(graph: WeightedDigraph, excluded: set[int]) -> Iterator[tuple[int, ...]]:
-    """One DFS pass yielding a non-loop cycle per back edge in the subgraph
-    avoiding ``excluded``, each in closed tuple form."""
-    color: dict[int, int] = {}
+def _cycles(graph: WeightedDigraph,
+            excluded: set[int]) -> tuple[tuple[int, ...] | None, list[int]]:
+    """One DFS over the subgraph avoiding ``excluded``, loops ignored.
+
+    Each back edge closes a cycle on the current DFS path.  Returns the first
+    such cycle in closed tuple form (None when the subgraph has no non-loop
+    cycle) and, indexed by vertex id, the number of these cycles through each
+    vertex.  A back edge to path position k adds 1 to the positions k..top,
+    kept as a difference array over path positions: +1 at the top, -1 below
+    k, and each popped position hands its total down to the one beneath.
+    """
+    hits = [0] * (graph.n_vertices + 1)
+    first = None
+    out = graph._out
+    pos: dict[int, int] = {}
     for root in graph.vertices():
-        if root in excluded or color.get(root, 0) == 2:
+        if root in excluded or root in pos:
             continue
-        stack = [(root, iter(graph.out_neighbors(root)))]
-        color[root] = 1
-        path = [root]
+        pos[root] = 0
+        path, diff = [root], [0]
+        stack = [(root, iter(out[root]))]
         while stack:
             v, it = stack[-1]
-            advanced = False
             for u in it:
                 if u == v or u in excluded:
                     continue
-                c = color.get(u, 0)
-                if c == 0:
-                    color[u] = 1
+                k = pos.get(u)
+                if k is None:
+                    pos[u] = len(path)
                     path.append(u)
-                    stack.append((u, iter(graph.out_neighbors(u))))
-                    advanced = True
+                    diff.append(0)
+                    stack.append((u, iter(out[u])))
                     break
-                if c == 1:
-                    k = path.index(u)
-                    yield tuple(path[k:]) + (u,)
-            if not advanced:
-                color[v] = 2
+                if k >= 0:
+                    if first is None:
+                        first = tuple(path[k:]) + (u,)
+                    diff[-1] += 1
+                    if k:
+                        diff[k - 1] -= 1
+            else:
+                pos[v] = -1
                 path.pop()
                 stack.pop()
+                c = diff.pop()
+                hits[v] += c
+                if diff:
+                    diff[-1] += c
+    return first, hits
+
+
+def _peel(adjacency: np.ndarray, comp: np.ndarray) -> np.ndarray | None:
+    """Depths of the complement positions ``comp`` (0-based), or None.
+
+    Level d holds the complement vertices whose complement out-neighbours,
+    loops aside, all lie on levels below d, so a vertex sits one level above
+    its deepest complement out-neighbour.  A peel that stalls before every
+    vertex has a level means the complement carries a non-loop cycle.
+    """
+    sub = adjacency[np.ix_(comp, comp)] != 0
+    np.fill_diagonal(sub, False)
+    pending = sub.sum(axis=1)
+    depth = np.zeros(len(comp), dtype=np.int64)
+    level = np.flatnonzero(pending == 0)
+    d = placed = 0
+    while level.size:
+        d += 1
+        depth[level] = d
+        placed += level.size
+        pending -= sub[:, level].sum(axis=1)
+        pending[level] = -1
+        level = np.flatnonzero(pending == 0)
+    return depth if placed == len(comp) else None
+
+
+def _structure(graph: WeightedDigraph, members: set[int], lam: complex,
+               tol: float) -> tuple[ValidationResult, np.ndarray, np.ndarray | None]:
+    """Validate ``members`` at ``lam`` and peel the complement.
+
+    Returns the validation result, the complement ids and their depths
+    (None when the set is not structural).
+
+    Raises:
+        ValueError: empty set or members outside the active vertex range.
+    """
+    if not members:
+        raise ValueError("structural set must be nonempty")
+    for v in members:
+        if not graph.is_active(v):
+            raise ValueError(f"structural member {v} is not an active vertex")
+    ids = np.array(graph.vertices(), dtype=np.int64)
+    in_set = np.zeros(graph.n_vertices + 1, dtype=bool)
+    in_set[list(members)] = True
+    comp = ids[~in_set[ids]]
+    loops = graph.adjacency.diagonal()[comp - 1]
+    bad = np.flatnonzero(np.abs(loops - lam) <= tol)
+    if bad.size:
+        return ValidationResult(False, vertex=int(comp[bad[0]])), comp, None
+    depth = _peel(graph.adjacency, comp - 1)
+    if depth is None:
+        return ValidationResult(False, cycle=_cycles(graph, members)[0]), comp, None
+    return ValidationResult(True), comp, depth
 
 
 def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -252,21 +359,7 @@ def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: com
     Raises:
         ValueError: empty set or members outside the active vertex range.
     """
-    members = set(members)
-    if not members:
-        raise ValueError("structural set must be nonempty")
-    for v in members:
-        if not graph.is_active(v):
-            raise ValueError(f"structural member {v} is not an active vertex")
-    for v in graph.vertices():
-        if v in members:
-            continue
-        if abs(graph.weight(v, v) - lam) <= tol:
-            return ValidationResult(False, vertex=v)
-    cycle = next(_cycles(graph, members), None)
-    if cycle is not None:
-        return ValidationResult(False, cycle=cycle)
-    return ValidationResult(True)
+    return _structure(graph, set(members), lam, tol)[0]
 
 
 def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -276,37 +369,18 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     Raises:
         StructuralSetError: the set is not structural; carries the witness.
     """
-    members = tuple(sorted(set(members)))
-    result = validate_structural(graph, members, lam, tol)
+    member_set = set(members)
+    members = tuple(sorted(member_set))
+    result, comp, depth = _structure(graph, member_set, lam, tol)
     if not result:
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: "
             + (f"cycle {result.cycle} avoids it" if result.cycle
                else f"vertex {result.vertex} has loop weight equal to the parameter"),
             cycle=result.cycle, vertex=result.vertex)
-    member_set = set(members)
-    depth: dict[int, int] = {v: 0 for v in member_set}
-    # Non-loop edges inside the complement form a DAG, so the recursion is
-    # well founded; resolve it with an explicit post-order stack.
-    for start in graph.vertices():
-        if start in depth:
-            continue
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            if v in depth:
-                stack.pop()
-                continue
-            pending = [u for u in graph.out_neighbors(v)
-                       if u != v and u not in depth]
-            if pending:
-                stack.extend(pending)
-                continue
-            depth[v] = 1 + max(
-                (depth[u] for u in graph.out_neighbors(v) if u != v), default=0)
-            stack.pop()
-    max_depth = max(depth.values(), default=0)
-    return StructuralSet(members, lam, depth, max_depth)
+    depth_of = dict.fromkeys(graph.vertices(), 0)
+    depth_of.update(zip(comp.tolist(), depth.tolist()))
+    return StructuralSet(members, lam, depth_of, int(depth.max(initial=0)))
 
 
 def find_structural_set(graph: WeightedDigraph, lam: complex,
@@ -315,23 +389,20 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
 
     Vertices whose loop weight equals ``lam`` are forced in first; remaining
     non-loop cycles are broken greedily by the vertex covering the most
-    cycles detected per sweep.
+    cycles detected per sweep (the smallest id among ties).
     """
     if graph.n_active == 0:
         raise ValueError("graph has no active vertices")
-    chosen = {v for v in graph.vertices() if abs(graph.weight(v, v) - lam) <= tol}
+    ids = graph.vertices()
+    loops = graph.adjacency.diagonal()[np.array(ids, dtype=np.int64) - 1]
+    chosen = {v for v, hit in zip(ids, (np.abs(loops - lam) <= tol).tolist()) if hit}
     while True:
-        cycles = list(_cycles(graph, chosen))
-        if not cycles:
+        first, hits = _cycles(graph, chosen)
+        if first is None:
             break
-        counts: dict[int, int] = {}
-        for cyc in cycles:
-            for v in set(cyc[:-1]):
-                counts[v] = counts.get(v, 0) + 1
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        chosen.add(best)
+        chosen.add(hits.index(max(hits)))
     if not chosen:
-        chosen.add(graph.vertices()[0])
+        chosen.add(ids[0])
     return compute_depths(graph, chosen, lam, tol)
 
 
@@ -342,30 +413,9 @@ def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | No
     (0 for an empty complement), or None when the complement contains any
     cycle or loop, in which case no power of the restriction vanishes.
     """
-    member_set = set(members)
-    comp = [v for v in graph.vertices() if v not in member_set]
-    if not comp:
-        return 0
-    comp_set = set(comp)
-    for v in comp:
-        if graph.has_edge(v, v):
-            return None
-    if next(_cycles(graph, set(graph.vertices()) - comp_set), None) is not None:
+    ids = np.array(graph.vertices(), dtype=np.int64)
+    comp = ids[~np.isin(ids, list(set(members)))] - 1
+    if graph.adjacency.diagonal()[comp].any():
         return None
-    chain: dict[int, int] = {}
-    for start in comp:
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            if v in chain:
-                stack.pop()
-                continue
-            pending = [u for u in graph.out_neighbors(v)
-                       if u in comp_set and u not in chain]
-            if pending:
-                stack.extend(pending)
-                continue
-            chain[v] = 1 + max((chain[u] for u in graph.out_neighbors(v)
-                                if u in comp_set), default=0)
-            stack.pop()
-    return max(chain.values())
+    depth = _peel(graph.adjacency, comp)
+    return None if depth is None else int(depth.max(initial=0))

@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import AmbiguousStationaryError, SimulationError
 from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths,
                     validate_structural)
-from .reduction import reduced_matrix, reduced_matrix_by_length
+from .reduction import reduced_matrices_by_length, reduced_matrix
 from .spectral import strongly_connected
 
 #: Row-sum tolerance for transition matrices.
@@ -124,14 +124,12 @@ def verify_return_identity(graph: WeightedDigraph, structural: StructuralSet, *,
     members = structural.members
     cs = compute_depths(cg, members, 1.0, tol)
     idx = [v - 1 for v in members]
-    m = len(cs.complement())
+    terms = reduced_matrices_by_length(cg, cs, 1.0, tol=tol).real
     worst = 0.0
-    totals = np.zeros((len(members), len(members)))
-    for n in range(1, m + 2):
+    for n, r_n in enumerate(terms, 1):
         tb = taboo_matrix(chain, members, n)[np.ix_(idx, idx)]
-        r_n = reduced_matrix_by_length(cg, cs, 1.0, n, tol=tol).real
-        totals += r_n
         worst = max(worst, float(np.abs(r_n - tb).max()))
+    totals = terms.sum(axis=0)
     r_full = reduced_matrix(cg, cs, 1.0, tol=tol).entries.real
     worst = max(worst, float(np.abs(r_full - totals).max()))
     return worst

@@ -238,9 +238,30 @@ def reduced_matrix(graph: WeightedDigraph, structural: StructuralSet,
     if lam is None:
         lam = structural.lam
     members = structural.members
-    a = graph.matrix()
+    a = graph.adjacency
     x = _depth_sweep(a, structural, lam, _member_rows(graph.n_vertices, members), tol=tol)
     return ReducedMatrix(members, lam, a[[v - 1 for v in members]] @ x)
+
+
+def reduced_matrices_by_length(graph: WeightedDigraph, structural: StructuralSet,
+                               lam: complex | None = None, *,
+                               tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Every branch length's contribution to the reduced matrix, from one sweep.
+
+    Slice ``p - 1`` holds the length-``p`` term for p = 1 .. (complement
+    size + 1); lengths beyond the structural depth + 1 have no branch and
+    read zero.  The slices sum to the full matrix.
+    """
+    if lam is None:
+        lam = structural.lam
+    members = structural.members
+    a = graph.adjacency
+    x = _depth_sweep(a, structural, lam, _member_rows(graph.n_vertices, members),
+                     by_length=True, tol=tol)
+    terms = np.zeros((len(structural.complement()) + 1, len(members), len(members)),
+                     dtype=x.dtype)
+    terms[:len(x)] = a[[v - 1 for v in members]] @ x
+    return terms
 
 
 def reduced_matrix_by_length(graph: WeightedDigraph, structural: StructuralSet,
@@ -248,20 +269,13 @@ def reduced_matrix_by_length(graph: WeightedDigraph, structural: StructuralSet,
                              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Contribution of length-``p`` branches to the reduced matrix.
 
-    Summing over p = 1 .. (complement size + 1) recovers the full matrix.
+    Summing over p = 1 .. (complement size + 1) recovers the full matrix;
+    ``reduced_matrices_by_length`` gives every term at once.
     """
-    if lam is None:
-        lam = structural.lam
     m = len(structural.complement())
     if not 1 <= p <= m + 1:
         raise ValueError(f"branch length {p} outside 1..{m + 1}")
-    members = structural.members
-    a = graph.matrix()
-    x = _depth_sweep(a, structural, lam, _member_rows(graph.n_vertices, members),
-                     by_length=True, tol=tol)
-    if p > len(x):
-        return np.zeros((len(members), len(members)), dtype=complex)
-    return a[[v - 1 for v in members]] @ x[p - 1]
+    return reduced_matrices_by_length(graph, structural, lam, tol=tol)[p - 1]
 
 
 def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *,
@@ -277,7 +291,7 @@ def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *
     if abs(structural.lam - 1) > tol:
         raise ValueError("extended reduced matrix is evaluated at parameter 1")
     n = graph.n_vertices
-    a = graph.matrix().real
+    a = graph.adjacency.real
     x = _depth_sweep(a, structural, 1.0, np.eye(n), tol=tol)
     return ExtendedReducedMatrix(n, structural.members, a @ x)
 
@@ -295,7 +309,7 @@ def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[in
     has no cycle to repeat a vertex on.  Agrees with
     ``enumerate_branches(graph, structural)`` and its ``m_statistic``.
     """
-    b = (graph.matrix() != 0).astype(float)
+    b = (graph.adjacency != 0).astype(float)
     loops = b.diagonal().copy()
     np.fill_diagonal(b, 0)
     paths = b @ _depth_sweep(b, structural, 1.0, np.eye(graph.n_vertices))

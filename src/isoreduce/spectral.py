@@ -7,7 +7,6 @@ dense solvers are deliberately left to external test oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,30 +38,32 @@ class EigenPair:
         return self.vector[self.vertices.index(v)]
 
 
-def _support_lists(matrix: np.ndarray) -> list[list[int]]:
-    return [np.flatnonzero(row).tolist() for row in matrix != 0]
+def _bfs_levels(support: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from vertex 0 on a boolean adjacency matrix, one
+    frontier product per level; -1 marks a vertex that 0 does not reach."""
+    level = np.full(support.shape[0], -1, dtype=np.int64)
+    level[0] = 0
+    frontier = level == 0
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = support[frontier].any(axis=0) & (level < 0)
+        level[frontier] = d
+    return level
 
 
 def strongly_connected(support: np.ndarray) -> bool:
     """Whether the digraph with boolean adjacency matrix ``support`` is
     strongly connected: vertex 0 reaches every vertex and is reached by all."""
-    for mat in (support, support.T):
-        seen = np.zeros(mat.shape[0], dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = mat[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        if not seen.all():
-            return False
-    return True
+    return bool((_bfs_levels(support) >= 0).all() and (_bfs_levels(support.T) >= 0).all())
 
 
 def is_primitive(matrix) -> bool:
     """Whether a non-negative matrix is primitive (some power entrywise positive).
 
     Decided on the support digraph: strong connectivity plus an aperiodicity
-    test via the gcd of closed-walk length discrepancies on a BFS tree.
+    test, the gcd over all edges (v, u) of ``level[v] + 1 - level[u]`` for
+    the BFS levels from vertex 0, which is the period.
     """
     m = np.asarray(matrix)
     n = m.shape[0]
@@ -70,24 +71,12 @@ def is_primitive(matrix) -> bool:
         return False
     if n == 1:
         return m[0, 0] != 0
-    if not strongly_connected(m != 0):
+    support = m != 0
+    level = _bfs_levels(support)
+    if (level < 0).any() or (_bfs_levels(support.T) < 0).any():
         return False
-    out = _support_lists(m)
-    level = {0: 0}
-    frontier = [0]
-    g = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in out[v]:
-                if u not in level:
-                    level[u] = level[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    for v in range(n):
-        for u in out[v]:
-            g = math.gcd(g, level[v] + 1 - level[u])
-    return g == 1
+    rows, cols = np.nonzero(support)
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols])) == 1
 
 
 def power_iteration(matrix, max_iters: int = 1000, tol: float = 1e-13, *,
@@ -186,7 +175,7 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
     u_s = np.asarray(u_s, dtype=complex)
     if u_s.shape != (len(members),):
         raise ValueError("restricted vector length does not match the structural set")
-    a = graph.matrix()
+    a = graph.adjacency
     terminal = np.zeros((graph.n_vertices, 1), dtype=complex)
     terminal[[v - 1 for v in members], 0] = u_s
     full = _depth_sweep(a, structural, lambda0, terminal, tol=tol)[:, 0]

@@ -5,12 +5,13 @@ extended reduced matrix, and dominant eigenvectors.  A delta (a short list
 of vertex/edge insertions and removals) is applied one operation at a time:
 the matrix is edited and affected columns renormalized, and the structural
 set grows by the promotion rule when a new edge closes a cycle outside it,
-found by a search that does not enter the set.  The extended matrix is then
-recomputed in closed form by one depth-order sweep, the dominant
-eigenvector recomputed on the reduced block and lifted through the depth
-hierarchy, and an itemized cost report compares the work against full
-re-iteration of the big matrix.  No branch is listed on the way: the cost
-model's branch statistic is counted by the same sweep.
+found by a search that does not enter the set.  The extended matrix ``E``
+is then recomputed in closed form by one depth-order sweep and the dominant
+eigenvector recomputed on the reduced block ``E[S, S]``.  ``E`` already
+holds the lift: the complement takes ``u_C = E[C, S] u_S``, one product
+and no second sweep.  An itemized cost report compares the work against
+full re-iteration of the big matrix.  No branch is listed on the way: the
+cost model's branch statistic is counted by the same sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graph import (StructuralSet, WeightedDigraph, compute_depths,
                     find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_reduced_matrix)
-from .spectral import is_primitive, lift_eigenvector, power_iteration
+from .spectral import is_primitive, power_iteration
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class StoredState:
         idx = [v - 1 for v in ss.members]
         pair = power_iteration(ext.entries[np.ix_(idx, idx)], ell, tol,
                                assume_primitive=True, lazy=True)
-        full = _lift_full(graph, ss, pair.vector)
+        full = _lift_full(ext, pair.vector)
         return cls(graph, ss, ext, pair.vector, full, pair.converged)
 
     @cached_property
@@ -152,7 +153,7 @@ class StoredState:
             out["reduced_vector"] = float(np.abs(pair.vector - self.reduced_vector).max())
         else:
             out["reduced_vector"] = float("inf")
-        full = _lift_full(self.graph, ss, pair.vector)
+        full = _lift_full(ext, pair.vector)
         if full.shape == self.full_vector.shape:
             out["full_vector"] = float(np.abs(full - self.full_vector).max())
         else:
@@ -160,12 +161,18 @@ class StoredState:
         return out
 
 
-def _lift_full(graph: WeightedDigraph, ss: StructuralSet, reduced_vec: np.ndarray) -> np.ndarray:
-    """Lift a reduced dominant vector and embed it L1-normalized over all slots."""
-    pair = lift_eigenvector(graph, ss, 1.0, reduced_vec)
-    full = np.zeros(graph.n_vertices)
-    for t, v in enumerate(pair.vertices):
-        full[v - 1] = pair.vector[t].real
+def _lift_full(ext: ExtendedReducedMatrix, u_s: np.ndarray) -> np.ndarray:
+    """Lift a reduced dominant vector and embed it L1-normalized over all slots.
+
+    The extended matrix fixes the whole vector from its values on the set:
+    on a stochastic (loop-free) graph at parameter 1, row ``v`` of
+    ``E[C, S]`` is the lift recursion's solution for complement vertex
+    ``v``, so the complement takes ``E[C, S] u_S`` and the members keep
+    ``u_S``.  Tombstone slots read 0.
+    """
+    idx = [v - 1 for v in ext.members]
+    full = ext.entries[:, idx] @ u_s
+    full[idx] = u_s
     total = full.sum()
     if total <= 0:
         raise ValueError("lifted vector has non-positive mass")
@@ -530,7 +537,7 @@ class UpdateSession:
                                lazy=True, init=init)
         self._reduced = pair.vector
         self._converged = pair.converged
-        self._full = _lift_full(self._graph2, self._structural2, pair.vector)
+        self._full = _lift_full(self._ext, pair.vector)
         self._ell_used = ell
 
     # -- commit ----------------------------------------------------------

@@ -3,6 +3,9 @@
 These deliberately avoid the library's own algorithms: path enumeration
 walks every simple path and filters afterwards, eigen-data comes from
 numpy's dense solver, taboo probabilities from explicit trajectory sums.
+The loop forms of algorithms the library now runs as array passes (cycle
+listing, recursive depths, primitivity by matrix powers, the embedded lift,
+entry-by-entry matrix reading) are kept here as references.
 """
 
 from __future__ import annotations
@@ -94,3 +97,141 @@ def random_complex_graph(rng: np.random.Generator, n: int, density: float = 0.35
     if not np.abs(w).sum():
         w[0, min(1, n - 1)] = 1.0 + 0.5j
     return WeightedDigraph.from_matrix(w)
+
+
+# -- loop algorithms the library replaced by array passes ---------------------
+
+def cycles_listed(graph: WeightedDigraph, excluded) -> list[tuple[int, ...]]:
+    """Every cycle a colouring DFS closes on a back edge in the subgraph
+    avoiding ``excluded`` (loops skipped), each listed in closed tuple form."""
+    color: dict[int, int] = {}
+    found = []
+    for root in graph.vertices():
+        if root in excluded or color.get(root, 0) == 2:
+            continue
+        stack = [(root, iter(graph.out_neighbors(root)))]
+        color[root] = 1
+        path = [root]
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for u in it:
+                if u == v or u in excluded:
+                    continue
+                c = color.get(u, 0)
+                if c == 0:
+                    color[u] = 1
+                    path.append(u)
+                    stack.append((u, iter(graph.out_neighbors(u))))
+                    advanced = True
+                    break
+                if c == 1:
+                    k = path.index(u)
+                    found.append(tuple(path[k:]) + (u,))
+            if not advanced:
+                color[v] = 2
+                path.pop()
+                stack.pop()
+    return found
+
+
+def greedy_structural_members(graph: WeightedDigraph, lam: complex,
+                              tol: float = 1e-12) -> tuple[int, ...]:
+    """The structural-set greedy over listed cycles: loop vertices at ``lam``
+    first, then per sweep the vertex on most listed cycles (smallest id on
+    ties) until no cycle avoids the set."""
+    chosen = {v for v in graph.vertices() if abs(graph.weight(v, v) - lam) <= tol}
+    while True:
+        cycles = cycles_listed(graph, chosen)
+        if not cycles:
+            break
+        counts: dict[int, int] = {}
+        for cyc in cycles:
+            for v in set(cyc[:-1]):
+                counts[v] = counts.get(v, 0) + 1
+        chosen.add(max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0])
+    if not chosen:
+        chosen.add(graph.vertices()[0])
+    return tuple(sorted(chosen))
+
+
+def depths_recursive(graph: WeightedDigraph, members) -> dict[int, int]:
+    """The depth definition read literally: 0 on the members, and one more
+    than the deepest non-loop out-neighbour (0 when there is none) elsewhere.
+    Only valid when the complement carries no non-loop cycle."""
+    member_set = set(members)
+    memo: dict[int, int] = {}
+
+    def depth(v: int) -> int:
+        if v in member_set:
+            return 0
+        if v not in memo:
+            memo[v] = 1 + max((depth(u) for u in graph.out_neighbors(v) if u != v),
+                              default=0)
+        return memo[v]
+
+    return {v: depth(v) for v in graph.vertices()}
+
+
+def nilpotency_dfs(graph: WeightedDigraph, members) -> int | None:
+    """Longest vertex chain inside the complement by memoised DFS, or None
+    when the complement holds a loop or a listed cycle."""
+    member_set = set(members)
+    comp = [v for v in graph.vertices() if v not in member_set]
+    if not comp:
+        return 0
+    if any(graph.has_edge(v, v) for v in comp) or cycles_listed(graph, member_set):
+        return None
+    comp_set = set(comp)
+    chain: dict[int, int] = {}
+
+    def longest(v: int) -> int:
+        if v not in chain:
+            chain[v] = 1 + max((longest(u) for u in graph.out_neighbors(v)
+                                if u in comp_set), default=0)
+        return chain[v]
+
+    return max(longest(v) for v in comp)
+
+
+def primitive_wielandt(matrix) -> bool:
+    """Primitivity by Wielandt's bound: the support's power (n-1)^2 + 1 is
+    entrywise positive, taken by boolean repeated squaring."""
+    b = (np.asarray(matrix) != 0).astype(np.int64)
+    n = b.shape[0]
+    if n == 0:
+        return False
+    e = (n - 1) ** 2 + 1
+    result = np.eye(n, dtype=np.int64)
+    while e:
+        if e & 1:
+            result = np.minimum(result @ b, 1)
+        b = np.minimum(b @ b, 1)
+        e >>= 1
+    return bool((result > 0).all())
+
+
+def lift_full_embedded(graph: WeightedDigraph, structural, u_s) -> np.ndarray:
+    """A reduced dominant vector lifted by ``lift_eigenvector`` and embedded
+    L1-normalized over every vertex slot (zero at tombstones)."""
+    from isoreduce import lift_eigenvector
+
+    pair = lift_eigenvector(graph, structural, 1.0, u_s)
+    full = np.zeros(graph.n_vertices)
+    for t, v in enumerate(pair.vertices):
+        full[v - 1] = pair.vector[t].real
+    return full / full.sum()
+
+
+def from_matrix_loop(m, *, stochastic: bool = False) -> WeightedDigraph:
+    """Graph of a square matrix, entry by entry in row-major order; a weight
+    with zero imaginary part is stored as a float."""
+    m = np.asarray(m)
+    n = m.shape[0]
+    weights = {}
+    for i in range(n):
+        for j in range(n):
+            if m[i, j] != 0:
+                w = complex(m[i, j])
+                weights[(i + 1, j + 1)] = w.real if w.imag == 0 else w
+    return WeightedDigraph(n, weights, stochastic=stochastic)

@@ -4,7 +4,8 @@ import pytest
 from isoreduce import (NonStochasticError, StructuralSetError, WeightedDigraph,
                        compute_depths, find_structural_set, nilpotency_index,
                        validate_structural)
-from oracles import random_complex_graph
+from oracles import (cycles_listed, depths_recursive, from_matrix_loop,
+                     greedy_structural_members, nilpotency_dfs, random_complex_graph)
 
 
 def test_graph_construction_and_queries(three_cycle):
@@ -184,3 +185,103 @@ def test_find_structural_set_always_valid():
         lam = complex(rng.normal(), rng.normal())
         ss = find_structural_set(g, lam)
         assert validate_structural(g, ss.members, lam)
+
+
+def test_from_matrix_matches_entry_loop():
+    rng = np.random.default_rng(14)
+    mats = [np.zeros((3, 3)), np.eye(2, dtype=bool), np.arange(9).reshape(3, 3) - 4,
+            np.array([[0, 1 + 0j, 2 - 0j], [0.5j, 0, 0], [0, -0.0, 3 + 1e-300j]])]
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        mask = rng.random((n, n)) < 0.4
+        real = rng.normal(size=(n, n)) * mask
+        mats += [real, real + 1j * rng.normal(size=(n, n)) * mask * (rng.random((n, n)) < 0.5)]
+    for m in mats:
+        got, want = WeightedDigraph.from_matrix(m), from_matrix_loop(m)
+        assert list(got.weights) == list(want.weights)
+        for key, w in want.weights.items():
+            assert type(got.weights[key]) is type(w) and got.weights[key] == w
+        assert np.array_equal(got.matrix(), want.matrix())
+
+
+def test_graph_errors_name_their_fault():
+    with pytest.raises(ValueError, match="inactive vertex"):
+        WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0)], removed=[3])
+    with pytest.raises(ValueError, match=r"edge \(2,1\) stored with zero weight"):
+        WeightedDigraph.from_edges(2, [(1, 2, 1.0), (2, 1, 0.0), (1, 3, 1.0)])
+    cases = [([(1, 2, 1.0), (2, 1, 1.0 + 0.5j)], r"edge \(2,1\) has non-real weight"),
+             ([(1, 2, 1.5), (2, 1, 1.0)], r"edge \(1,2\) weight 1.5 outside \(0, 1\]"),
+             ([(1, 2, 1.0), (1, 1, 1.0)], r"may not contain loop \(1,1\)"),
+             ([(1, 2, 1.0), (2, 1, 0.5)], r"column 1 sums to 0.5, expected 1")]
+    for edges, message in cases:
+        with pytest.raises(NonStochasticError, match=message):
+            WeightedDigraph.from_edges(2, edges, stochastic=True)
+
+
+def test_adjacency_is_read_only_and_matrix_a_copy():
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 1, 1.0)], stochastic=True,
+                                   removed=[3])
+    assert g.vertices() == (1, 2)
+    assert g.out_neighbors(1) == (2,) and g.in_neighbors(1) == (2,)
+    with pytest.raises(ValueError):
+        g.adjacency[0, 0] = 1.0
+    m = g.matrix()
+    m[0, 0] = 1.0
+    assert g.adjacency[0, 0] == 0 and g.active_matrix()[0].shape == (2, 2)
+
+
+def test_compute_depths_matches_recursive_definition():
+    rng = np.random.default_rng(15)
+    kinds = set()
+    for _ in range(300):
+        g = random_complex_graph(rng, int(rng.integers(1, 10)), float(rng.uniform(0.1, 0.5)))
+        ids = g.vertices()
+        members = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)), replace=False)
+        members = sorted(members.tolist())
+        loop_vertex = ids[int(rng.integers(len(ids)))]
+        lam = (g.weight(loop_vertex, loop_vertex) if rng.random() < 0.3
+               else complex(rng.normal(), rng.normal()))
+        try:
+            ss = compute_depths(g, members, lam)
+        except StructuralSetError as exc:
+            if exc.cycle is not None:
+                kinds.add("cycle")
+                assert exc.cycle[0] == exc.cycle[-1] and len(exc.cycle) > 2
+                assert not set(exc.cycle) & set(members)
+                assert all(g.has_edge(a, b) for a, b in zip(exc.cycle, exc.cycle[1:]))
+                assert exc.cycle == cycles_listed(g, set(members))[0]
+            else:
+                kinds.add("loop")
+                assert exc.vertex not in members
+                assert abs(g.weight(exc.vertex, exc.vertex) - lam) <= 1e-12
+            assert not validate_structural(g, members, lam)
+            continue
+        kinds.add("valid")
+        assert dict(ss.depth_of) == depths_recursive(g, members)
+        assert ss.max_depth == max(ss.depth_of.values())
+        assert validate_structural(g, members, lam)
+    assert kinds == {"cycle", "loop", "valid"}
+
+
+def test_find_structural_set_matches_listing_greedy():
+    rng = np.random.default_rng(16)
+    for t in range(200):
+        n = int(rng.integers(1, 25))
+        g = random_complex_graph(rng, n, float(rng.uniform(0.05, 0.5)), loops=t % 2 == 0)
+        v = g.vertices()[int(rng.integers(n))]
+        lam = g.weight(v, v) if t % 4 == 0 else complex(rng.normal(), rng.normal())
+        assert find_structural_set(g, lam).members == greedy_structural_members(g, lam)
+
+
+def test_nilpotency_matches_dfs():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for t in range(200):
+        g = random_complex_graph(rng, int(rng.integers(1, 10)), float(rng.uniform(0.1, 0.5)),
+                                 loops=t % 3 == 0)
+        ids = g.vertices()
+        members = rng.choice(ids, size=int(rng.integers(0, len(ids) + 1)), replace=False)
+        idx = nilpotency_index(g, members.tolist())
+        assert idx == nilpotency_dfs(g, members.tolist())
+        seen.add(idx is None)
+    assert seen == {True, False}

@@ -5,7 +5,9 @@ from isoreduce import (Branch, BranchSet, NonStochasticError, SingularWeightErro
                        WeightedDigraph, branch_counts, branch_weight, compute_depths,
                        enumerate_branches, extended_reduced_matrix,
                        find_structural_set, random_stochastic_graph,
-                       reduced_matrix, reduced_matrix_by_length)
+                       reduced_matrices_by_length, reduced_matrix,
+                       reduced_matrix_by_length)
+from isoreduce.reduction import _depth_sweep, _member_rows
 from oracles import all_branches_bruteforce, random_complex_graph
 
 THREE_CYCLE_BRANCHES = [(1, 2), (1, 2, 3), (1, 2, 3, 1), (2, 3), (2, 3, 1), (3, 1)]
@@ -132,6 +134,25 @@ def test_length_partition_sums_to_reduced():
         r = reduced_matrix(g, ss, lam)
         scale = max(1.0, float(np.abs(r.entries).max()))
         assert np.abs(total - r.entries).max() <= 1e-12 * scale
+
+
+def test_stacked_lengths_match_single_length_sweeps():
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        g = random_complex_graph(rng, n, float(rng.uniform(0.05, 0.4)))
+        lam = complex(rng.normal(), rng.normal())
+        ss = find_structural_set(g, lam)
+        s, m = len(ss.members), len(ss.complement())
+        terms = reduced_matrices_by_length(g, ss, lam)
+        assert terms.shape == (m + 1, s, s)
+        a, rows = g.matrix(), [v - 1 for v in ss.members]
+        x = _depth_sweep(a, ss, lam, _member_rows(n, ss.members), by_length=True)
+        for p in range(1, m + 2):
+            single = reduced_matrix_by_length(g, ss, lam, p)
+            assert np.array_equal(terms[p - 1], single)
+            want = a[rows] @ x[p - 1] if p <= len(x) else np.zeros((s, s))
+            assert np.array_equal(single, want)
 
 
 def test_extended_three_cycle(three_cycle):

@@ -6,7 +6,8 @@ from isoreduce import (DegenerateRestrictionError, EigenPair, IterationError,
                        compute_depths, find_structural_set, is_primitive,
                        lift_eigenvector, power_iteration,
                        reduced_eigen_co_iteration, verify_restriction)
-from oracles import dense_eigenpairs, dominant_unit_vector, random_complex_graph
+from oracles import (dense_eigenpairs, dominant_unit_vector, primitive_wielandt,
+                     random_complex_graph)
 
 
 def test_is_primitive_cases():
@@ -18,6 +19,31 @@ def test_is_primitive_cases():
     assert not is_primitive(cyc)  # period 3
     cyc[2, 1] = 1.0
     assert is_primitive(cyc)  # cycle lengths 2 and 3
+
+
+def test_is_primitive_matches_wielandt_bound():
+    rng = np.random.default_rng(18)
+    supports = []
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        supports.append(rng.random((n, n)) < rng.uniform(0.05, 0.6))
+    for n in range(2, 13):
+        for period in (d for d in range(2, n + 1) if n % d == 0):
+            # Block-cyclic: class k only points at class k + 1 (mod period),
+            # so every cycle length is a multiple of the period.
+            cls = rng.permutation(np.arange(n) % period)
+            block = (cls[None, :] - cls[:, None]) % period == 1
+            dense = block & (rng.random((n, n)) < 0.7)
+            supports += [block, dense]
+            chord = block.copy()
+            chord[np.argmax(cls == 0), np.argmax(cls == 0)] = True
+            supports.append(chord)
+    results = set()
+    for sup in supports:
+        want = primitive_wielandt(sup)
+        assert is_primitive(sup.astype(float) * rng.uniform(0.1, 1.0, sup.shape)) == want
+        results.add(want)
+    assert results == {True, False}
 
 
 def test_power_iteration_rejects_nonprimitive():

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, StoredState,
                        UpdateSession, WeightedDigraph, apply_ops, compute_depths,
-                       enumerate_branches,
+                       enumerate_branches, extended_reduced_matrix, find_structural_set,
                        promotion_candidates, promotion_rule, random_delta,
                        random_stochastic_graph, run_update, scratch_equivalent,
                        simplex_bound)
-from oracles import dominant_unit_vector
+from isoreduce.update import _lift_full
+from oracles import dominant_unit_vector, lift_full_embedded
 
 
 def cycle_state(**kw) -> StoredState:
@@ -213,6 +214,27 @@ def test_incremental_equals_scratch_randomized():
         new_state, report = run_update(state, delta, ell=1000)
         report.validate()
         assert scratch_equivalent(new_state)
+
+
+def test_lift_from_extended_matrix_matches_embedded_lift():
+    rng = np.random.default_rng(45)
+    removed = 0
+    for _ in range(30):
+        g = random_stochastic_graph(int(rng.integers(4, 30)), 2.5, rng)
+        for v in rng.permutation(g.vertices())[:3].tolist():
+            try:
+                g = apply_ops(g, GraphDelta((DeltaOp.remove_vertex(v),)))
+            except DeltaError:
+                continue
+        removed += len(g.removed)
+        ss = find_structural_set(g, 1.0)
+        ext = extended_reduced_matrix(g, ss)
+        u_s = rng.uniform(0.1, 1.0, len(ss.members))
+        got = _lift_full(ext, u_s)
+        want = lift_full_embedded(g, ss, u_s)
+        assert np.abs(got - want).max() <= 1e-12
+        assert not got[[v - 1 for v in g.removed]].any()
+    assert removed > 0
 
 
 def test_session_requires_apply_before_refresh():
