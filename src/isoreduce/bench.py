@@ -273,7 +273,7 @@ def _check_state_dir(state_dir: str) -> CheckResult:
         return CheckResult("stored-state-consistency", False, str(exc))
     dev = state.consistency_report()
     ok = (dev.get("structural", 1) == 0.0 and dev.get("extended", 1) <= 1e-12
-          and dev.get("full_vector", 1) <= 1e-6)
+          and dev.get("reduced_vector", 1) <= 1e-6 and dev.get("full_vector", 1) <= 1e-6)
     detail = ", ".join(f"{k}={v:.2e}" if math.isfinite(v) else f"{k}=inf"
                        for k, v in dev.items())
     return CheckResult("stored-state-consistency", ok, detail)

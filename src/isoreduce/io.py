@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import GraphFormatError
 from .graph import WeightedDigraph, compute_depths
-from .reduction import ExtendedReducedMatrix
+from .reduction import extended_reduced_matrix
 from .update import DeltaOp, GraphDelta, StoredState
 
 
@@ -201,18 +201,19 @@ def read_vector(path: str):
 
 
 def save_state(state: StoredState, dirpath: str) -> None:
-    """Persist a stored state as a directory of JSON artifacts."""
+    """Persist a stored state as a directory of JSON artifacts.
+
+    Only what cannot be recomputed is written: the graph, the structural
+    members, the two eigenvectors and the convergence flag.  The extended
+    matrix is fixed by the graph and the set, and a stored state always sits
+    at parameter 1, so :func:`load_state` rebuilds both.
+    """
     os.makedirs(dirpath, exist_ok=True)
     def put(name, obj):
         with open(os.path.join(dirpath, name), "w", encoding="utf-8") as fh:
             fh.write(dumps(obj))
     put("graph.json", graph_to_dict(state.graph))
-    put("structural.json", {"members": list(state.structural.members),
-                            "lambda": [complex(state.structural.lam).real,
-                                       complex(state.structural.lam).imag]})
-    put("extended.json", {"n": state.extended.n_vertices,
-                          "members": list(state.extended.members),
-                          "rows": state.extended.entries.tolist()})
+    put("structural.json", {"members": list(state.structural.members)})
     put("reduced_vector.json", vector_to_dict(state.structural.members,
                                               state.reduced_vector, "L1-positive", 1.0))
     put("full_vector.json", {"n": state.graph.n_vertices,
@@ -224,9 +225,15 @@ def save_state(state: StoredState, dirpath: str) -> None:
 def load_state(dirpath: str) -> StoredState:
     """Read a state directory back, rejecting parts that do not fit its graph.
 
+    The graph is read as stochastic, the depths are taken over the stored
+    members at parameter 1, and the extended matrix is recomputed by the
+    same sweep that built it, so it comes back bit-identical.  An
+    ``extended.json`` or a ``lambda`` key left by an older save is ignored.
+
     Raises:
-        GraphFormatError: a file is missing or malformed, a structural member
-            is not an active vertex, or a matrix or vector has the wrong size.
+        GraphFormatError: a file is missing or malformed, the structural
+            members are missing or not integers, a member is not an active
+            vertex, or a vector has the wrong length.
     """
     def get(name):
         p = os.path.join(dirpath, name)
@@ -237,28 +244,23 @@ def load_state(dirpath: str) -> StoredState:
             raise GraphFormatError(f"state directory misses {name}") from exc
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{p}: invalid JSON: {exc}") from exc
-    graph = graph_from_dict(get("graph.json"))
-    sdata = get("structural.json")
-    lam = complex(sdata["lambda"][0], sdata["lambda"][1])
-    members = [int(v) for v in sdata["members"]]
+    graph = graph_from_dict(get("graph.json"), stochastic=True)
+    try:
+        members = list(get("structural.json")["members"])
+    except (KeyError, TypeError) as exc:
+        raise GraphFormatError(f"structural.json has no member list: {exc!r}") from exc
+    if not all(type(v) is int for v in members):
+        raise GraphFormatError(f"structural members {members} are not all integers")
     inactive = [v for v in members if not graph.is_active(v)]
     if inactive:
         raise GraphFormatError(f"structural members {inactive} are not active vertices")
-    structural = compute_depths(graph, members, lam)
+    structural = compute_depths(graph, members, 1.0)
+    extended = extended_reduced_matrix(graph, structural)
     n = graph.n_vertices
-    edata = get("extended.json")
-    fdata = get("full_vector.json")
     try:
-        extended = ExtendedReducedMatrix(int(edata["n"]),
-                                         tuple(int(v) for v in edata["members"]),
-                                         np.array(edata["rows"], dtype=float))
-        full = np.array(fdata["values"], dtype=float)
+        full = np.array(get("full_vector.json")["values"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"bad extended matrix or full vector: {exc}") from exc
-    if extended.n_vertices != n or extended.entries.shape != (n, n):
-        raise GraphFormatError(
-            f"extended matrix is for {extended.n_vertices} vertices with shape "
-            f"{extended.entries.shape}, the graph has {n}")
+        raise GraphFormatError(f"bad full vector: {exc}") from exc
     _, reduced, _, _ = vector_from_dict(get("reduced_vector.json"))
     if reduced.shape != (len(structural.members),):
         raise GraphFormatError(f"reduced vector has {reduced.size} entries, "

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
-from .exceptions import AmbiguousStationaryError, SimulationError
-from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths,
-                    validate_structural)
+from .exceptions import AmbiguousStationaryError, SimulationError, StructuralSetError
+from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths
 from .reduction import reduced_matrices_by_length, reduced_matrix
 from .spectral import strongly_connected
 
@@ -74,39 +75,39 @@ class StoppedChainSample:
     empirical_transition: np.ndarray
 
 
+def _taboo_steps(chain: MarkovChain, taboo_set) -> Iterator[np.ndarray]:
+    """All-pairs taboo matrices for steps 1, 2, 3, ... without end.
+
+    Step ``n >= 2`` is ``P[:, C] Q^(n-2) P[C, :]`` with ``Q = P[C, C]`` over
+    the complement ``C`` of the taboo set; one running product ``P[:, C]
+    Q^(n-2)`` (N x |C|) carries from each step to the next.
+    """
+    p = chain.transition
+    yield p.copy()
+    taboo = set(taboo_set)
+    comp = [s for s in range(chain.n_states) if (s + 1) not in taboo]
+    if not comp:
+        while True:
+            yield np.zeros_like(p)
+    q = p[np.ix_(comp, comp)]
+    left = p[:, comp]
+    leave = p[comp, :]
+    while True:
+        yield left @ leave
+        left = left @ q
+
+
 def taboo_probability(chain: MarkovChain, taboo_set, i: int, j: int, n: int) -> float:
     """Probability of standing at ``j`` after ``n`` steps from ``i`` without
     visiting the taboo set at any strictly intermediate time."""
-    if n < 1:
-        raise ValueError("step count must be at least 1")
-    p = chain.transition
-    if n == 1:
-        return float(p[i - 1, j - 1])
-    comp = [s for s in range(chain.n_states) if (s + 1) not in set(taboo_set)]
-    if not comp:
-        return 0.0
-    q = p[np.ix_(comp, comp)]
-    row = p[i - 1, comp]
-    for _ in range(n - 2):
-        row = row @ q
-    return float(row @ p[comp, j - 1])
+    return float(taboo_matrix(chain, taboo_set, n)[i - 1, j - 1])
 
 
 def taboo_matrix(chain: MarkovChain, taboo_set, n: int) -> np.ndarray:
     """All-pairs taboo probabilities at step ``n`` as an N x N matrix."""
     if n < 1:
         raise ValueError("step count must be at least 1")
-    p = chain.transition
-    if n == 1:
-        return p.copy()
-    comp = [s for s in range(chain.n_states) if (s + 1) not in set(taboo_set)]
-    if not comp:
-        return np.zeros_like(p)
-    q = p[np.ix_(comp, comp)]
-    left = p[:, comp]
-    for _ in range(n - 2):
-        left = left @ q
-    return left @ p[comp, :]
+    return next(islice(_taboo_steps(chain, taboo_set), n - 1, None))
 
 
 def verify_return_identity(graph: WeightedDigraph, structural: StructuralSet, *,
@@ -126,9 +127,8 @@ def verify_return_identity(graph: WeightedDigraph, structural: StructuralSet, *,
     idx = [v - 1 for v in members]
     terms = reduced_matrices_by_length(cg, cs, 1.0, tol=tol).real
     worst = 0.0
-    for n, r_n in enumerate(terms, 1):
-        tb = taboo_matrix(chain, members, n)[np.ix_(idx, idx)]
-        worst = max(worst, float(np.abs(r_n - tb).max()))
+    for r_n, tb_n in zip(terms, _taboo_steps(chain, members)):
+        worst = max(worst, float(np.abs(r_n - tb_n[np.ix_(idx, idx)]).max()))
     totals = terms.sum(axis=0)
     r_full = reduced_matrix(cg, cs, 1.0, tol=tol).entries.real
     worst = max(worst, float(np.abs(r_full - totals).max()))
@@ -217,15 +217,16 @@ def verify_stationary_restriction(chain: MarkovChain, members, *,
     The stationary distribution restricted to the set (renormalized) must be
     stationary for the reduced matrix of the chain's graph over the set.
     """
-    members = tuple(sorted(set(members)))
+    member_set = set(members)
+    members = tuple(sorted(member_set))
     cg = chain.graph()
     for v in cg.vertices():
-        if v not in set(members) and cg.has_edge(v, v):
+        if v not in member_set and cg.has_edge(v, v):
             raise ValueError(f"complement state {v} has a self-transition")
-    result = validate_structural(cg, members, 1.0, tol)
-    if not result:
-        raise ValueError("the given set is not structural for the chain at 1")
-    cs = compute_depths(cg, members, 1.0, tol)
+    try:
+        cs = compute_depths(cg, members, 1.0, tol)
+    except StructuralSetError as exc:
+        raise ValueError("the given set is not structural for the chain at 1") from exc
     q = stationary_distribution(chain)
     q_s = np.array([q[v - 1] for v in members])
     q_s = q_s / q_s.sum()

@@ -169,7 +169,6 @@ class ReducedMatrix:
 class ExtendedReducedMatrix:
     """Branch-weight sums between all vertex pairs (stochastic case, lam=1)."""
 
-    n_vertices: int
     members: tuple[int, ...]
     entries: np.ndarray
 
@@ -293,7 +292,7 @@ def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *
     n = graph.n_vertices
     a = graph.adjacency.real
     x = _depth_sweep(a, structural, 1.0, np.eye(n), tol=tol)
-    return ExtendedReducedMatrix(n, structural.members, a @ x)
+    return ExtendedReducedMatrix(structural.members, a @ x)
 
 
 def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[int, int]:

@@ -83,7 +83,9 @@ class GraphDelta:
 
 @dataclass(frozen=True, eq=False)
 class StoredState:
-    """Mutually consistent snapshot: graph, reduction data, eigenvectors."""
+    """Mutually consistent snapshot at parameter 1: graph, reduction data,
+    eigenvectors.  The extended matrix is fixed by the graph and the
+    structural members, so a saved state leaves it out (see ``io``)."""
 
     graph: WeightedDigraph
     structural: StructuralSet
@@ -126,39 +128,27 @@ class StoredState:
         """The cost model's branch statistic, counted without listing branches."""
         return branch_counts(self.graph, self.structural)[1]
 
-    def reduced_block(self) -> np.ndarray:
-        idx = [v - 1 for v in self.structural.members]
-        return self.extended.entries[np.ix_(idx, idx)]
-
     def consistency_report(self, *, ell: int = 2000, tol: float = 1e-13) -> dict[str, float]:
-        """Deviation of every stored field from a from-scratch recomputation.
+        """Deviation of every stored field from a from-scratch build over the
+        stored members.
 
-        Sets report 0.0 when equal and inf otherwise; matrices and vectors
-        report the max absolute entry difference.
+        The structural set reports 0.0 when the members are still structural
+        and inf otherwise; matrices and vectors report the max absolute entry
+        difference, or inf when the shapes differ.
         """
         try:
-            ss = compute_depths(self.graph, self.structural.members, 1.0)
+            fresh = StoredState.from_graph(self.graph, structural=self.structural.members,
+                                           ell=ell, tol=tol, assume_primitive=True)
         except StructuralSetError:
             return {"structural": float("inf")}
-        out = {"structural": 0.0}
-        ext = extended_reduced_matrix(self.graph, ss)
-        if ext.entries.shape == self.extended.entries.shape:
-            out["extended"] = float(np.abs(ext.entries - self.extended.entries).max())
-        else:
-            out["extended"] = float("inf")
-        idx = [v - 1 for v in ss.members]
-        pair = power_iteration(ext.entries[np.ix_(idx, idx)], ell, tol,
-                               assume_primitive=True, lazy=True)
-        if pair.vector.shape == self.reduced_vector.shape:
-            out["reduced_vector"] = float(np.abs(pair.vector - self.reduced_vector).max())
-        else:
-            out["reduced_vector"] = float("inf")
-        full = _lift_full(ext, pair.vector)
-        if full.shape == self.full_vector.shape:
-            out["full_vector"] = float(np.abs(full - self.full_vector).max())
-        else:
-            out["full_vector"] = float("inf")
-        return out
+
+        def gap(new: np.ndarray, old: np.ndarray) -> float:
+            return float(np.abs(new - old).max()) if new.shape == old.shape else float("inf")
+
+        return {"structural": 0.0,
+                "extended": gap(fresh.extended.entries, self.extended.entries),
+                "reduced_vector": gap(fresh.reduced_vector, self.reduced_vector),
+                "full_vector": gap(fresh.full_vector, self.full_vector)}
 
 
 def _lift_full(ext: ExtendedReducedMatrix, u_s: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from isoreduce import (GraphDelta, DeltaOp, GraphFormatError, StoredState,
-                       WeightedDigraph, random_delta, random_stochastic_graph)
+from isoreduce import (DeltaError, GraphDelta, DeltaOp, GraphFormatError, StoredState,
+                       WeightedDigraph, random_delta, random_stochastic_graph,
+                       run_update)
 from isoreduce import io as iio
 from isoreduce.cli import main
 
@@ -208,14 +209,51 @@ def test_state_directory_holds_no_branch_list(tmp_path):
     assert iio.load_state(path).branches.branches
 
 
-def test_load_state_rejects_extended_of_other_size(tmp_path):
+def test_state_directory_holds_only_what_cannot_be_recomputed(tmp_path):
     path = _saved_state(tmp_path)
-    _rewrite(path, "extended.json", lambda d: d.update(n=d["n"] + 1))
-    with pytest.raises(GraphFormatError):
-        iio.load_state(path)
-    for change in (lambda d: d["rows"].pop(), lambda d: d["rows"][0].pop()):
+    assert sorted(p.name for p in (tmp_path / "st").iterdir()) == [
+        "full_vector.json", "graph.json", "meta.json", "reduced_vector.json",
+        "structural.json"]
+    assert json.loads((tmp_path / "st" / "structural.json").read_text()).keys() == {"members"}
+
+
+def test_load_state_rebuilds_extended_after_vertex_removal(tmp_path):
+    g = random_stochastic_graph(10, 2.5, np.random.default_rng(73))
+    state = StoredState.from_graph(g)
+    for v in g.vertices():
+        try:
+            state2, _ = run_update(state, GraphDelta((DeltaOp.remove_vertex(v),)))
+            break
+        except DeltaError:
+            continue
+    assert state2.graph.removed
+    path = str(tmp_path / "st")
+    iio.save_state(state2, path)
+    back = iio.load_state(path)
+    assert np.array_equal(back.extended.entries, state2.extended.entries)
+    assert back.extended.members == state2.extended.members
+    assert back.structural.depth_of == state2.structural.depth_of
+    assert np.array_equal(back.reduced_vector, state2.reduced_vector)
+    assert np.array_equal(back.full_vector, state2.full_vector)
+
+
+def test_load_state_ignores_extended_and_lambda_of_older_saves(tmp_path):
+    state = StoredState.from_graph(random_stochastic_graph(8, 2.5, np.random.default_rng(72)))
+    path = str(tmp_path / "st")
+    iio.save_state(state, path)
+    with open(f"{path}/extended.json", "w", encoding="utf-8") as fh:
+        fh.write(iio.dumps({"n": 9, "members": [], "rows": [[7.0]]}))
+    _rewrite(path, "structural.json", lambda d: d.update({"lambda": [2.0, 0.0]}))
+    back = iio.load_state(path)
+    assert back.structural.lam == 1.0
+    assert np.array_equal(back.extended.entries, state.extended.entries)
+
+
+def test_load_state_rejects_missing_or_non_integer_members(tmp_path):
+    for change in (lambda d: d.pop("members"), lambda d: d.update(members=[1.5]),
+                   lambda d: d.update(members=["x"]), lambda d: d.update(members=3)):
         path = _saved_state(tmp_path)
-        _rewrite(path, "extended.json", change)
+        _rewrite(path, "structural.json", change)
         with pytest.raises(GraphFormatError):
             iio.load_state(path)
 

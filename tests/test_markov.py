@@ -9,6 +9,7 @@ from isoreduce import (AmbiguousStationaryError, MarkovChain, SimulationError,
                        stationary_distribution, taboo_matrix, taboo_probability,
                        total_variation_summary, verify_return_identity,
                        verify_stationary_restriction, within_sigma_fraction)
+from isoreduce.markov import _taboo_steps
 from oracles import stationary_bruteforce, taboo_bruteforce
 
 
@@ -68,6 +69,21 @@ def test_taboo_matches_bruteforce():
                 for j in (1, 2, 4):
                     want = taboo_bruteforce(chain.transition, members, i, j, n)
                     assert tb[i - 1, j - 1] == pytest.approx(want, abs=1e-12)
+
+
+def test_taboo_probability_matrix_and_steps_agree():
+    rng = np.random.default_rng(47)
+    for members in ([1, 4], [2], [1, 2, 3, 4, 5]):
+        chain = MarkovChain.from_stochastic_graph(random_stochastic_graph(5, 2.0, rng))
+        steps = _taboo_steps(chain, members)
+        for n in range(1, 7):
+            tb = next(steps)
+            assert np.array_equal(taboo_matrix(chain, members, n), tb)
+            for i in range(1, 6):
+                for j in range(1, 6):
+                    assert taboo_probability(chain, members, i, j, n) == tb[i - 1, j - 1]
+    with pytest.raises(ValueError):
+        taboo_matrix(flip_chain(), [1], 0)
 
 
 def test_return_identity_small_fixtures(two_cycle, three_cycle):
