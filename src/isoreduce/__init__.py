@@ -27,7 +27,7 @@ from .reduction import (Branch, BranchSet, ExtendedReducedMatrix, ReducedMatrix,
                         extended_reduced_matrix, reduced_matrices_by_length,
                         reduced_matrix, reduced_matrix_by_length)
 from .spectral import (EigenPair, is_primitive, lift_eigenvector, power_iteration,
-                       reduced_eigen_co_iteration, verify_restriction)
+                       reduced_eigen_co_iteration, stationary_vector, verify_restriction)
 from .update import (CostReport, DeltaOp, GraphDelta, StoredState, UpdateSession,
                      apply_ops, promotion_rule, run_update, simplex_bound)
 from .bench import (ExperimentSummary, TrialResult, VerificationReport,
@@ -49,10 +49,10 @@ __all__ = [
     "is_irreducible", "is_primitive", "lift_eigenvector", "nilpotency_index",
     "power_iteration", "promotion_candidates", "promotion_rule", "random_delta",
     "random_stochastic_graph", "reduced_eigen_co_iteration", "reduced_matrices_by_length",
-    "reduced_matrix",
-    "reduced_matrix_by_length", "reduced_matrix_of_chain", "run_experiment",
+    "reduced_matrix", "reduced_matrix_by_length", "reduced_matrix_of_chain", "run_experiment",
     "run_update", "scratch_equivalent", "simplex_bound", "simulate_stopped_chain",
-    "stationary_distribution", "taboo_matrix", "taboo_probability", "total_variation_summary",
+    "stationary_distribution", "stationary_vector", "taboo_matrix", "taboo_probability",
+    "total_variation_summary",
     "validate_structural", "verify_return_identity", "verify_stationary_restriction",
     "verify_suite", "verify_restriction", "within_sigma_fraction",
 ]

@@ -13,7 +13,7 @@ from .graph import WeightedDigraph, compute_depths, find_structural_set
 from .markov import (MarkovChain, simulate_stopped_chain, verify_return_identity,
                      verify_stationary_restriction, within_sigma_fraction)
 from .reduction import reduced_matrix
-from .spectral import lift_eigenvector, power_iteration, verify_restriction
+from .spectral import lift_eigenvector, stationary_vector, verify_restriction
 from .update import CostReport, StoredState, run_update, simplex_bound
 
 
@@ -98,8 +98,8 @@ def scratch_equivalent(state: StoredState, tol: float = 1e-12) -> bool:
     return dev["structural"] == 0 and dev.get("extended", float("inf")) <= tol
 
 
-def run_experiment(config: ExperimentConfig, *, check_equivalence: bool | None = None,
-                   build_ell: int = 500) -> ExperimentSummary:
+def run_experiment(config: ExperimentConfig, *,
+                   check_equivalence: bool | None = None) -> ExperimentSummary:
     """Generate graphs, apply random deltas, and collect cost reports.
 
     Per-trial failures (rejected deltas, generation retries exhausted) are
@@ -112,7 +112,7 @@ def run_experiment(config: ExperimentConfig, *, check_equivalence: bool | None =
         rng = np.random.default_rng([config.seed, t])
         try:
             g = random_stochastic_graph(config.n, config.avg_degree, rng)
-            state = StoredState.from_graph(g, ell=build_ell, tol=1e-12)
+            state = StoredState.from_graph(g)
             delta = random_delta(g, rng, config.p)
             new_state, report = run_update(state, delta, ell=config.ell,
                                            meas_ratio=config.ratio)
@@ -179,7 +179,7 @@ def _check_roundtrip(seed: int, rounds: int) -> CheckResult:
         g = random_stochastic_graph(8, 2.5, rng)
         ss = find_structural_set(g, 1.0)
         mat, ids = g.active_matrix()
-        pair = power_iteration(mat.real, 5000, 1e-14, assume_primitive=True, lazy=True)
+        pair = stationary_vector(mat.real)
         res = verify_restriction(g, ss, pair)
         worst_res = max(worst_res, res)
         u_s = np.array([pair.vector[ids.index(v)] for v in ss.members])
@@ -239,9 +239,9 @@ def _check_incremental(seed: int, rounds: int) -> CheckResult:
         rng = np.random.default_rng([seed, 23, r])
         try:
             g = random_stochastic_graph(12, 2.5, rng)
-            state = StoredState.from_graph(g, ell=500, tol=1e-12)
+            state = StoredState.from_graph(g)
             delta = random_delta(g, rng, 2)
-            new_state, _ = run_update(state, delta, ell=500)
+            new_state, _ = run_update(state, delta)
         except IsoreduceError as exc:
             return CheckResult("incremental-vs-scratch", False,
                                f"round {r}: {type(exc).__name__}: {exc}")

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("update", "apply a delta to a stored state")
     p.add_argument("--state", required=True, help="state directory")
     p.add_argument("--delta", required=True, help="delta JSON file")
-    p.add_argument("--ell", type=int, default=200, help="power-iteration cap")
+    p.add_argument("--ell", type=int, default=200, help="iterations the cost model charges")
     p.add_argument("--ratio", type=float, default=0.1, help="much-less-than ratio")
     p.add_argument("--save", help="directory for the updated state")
     p.set_defaults(func=cmd_update)
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--avg-degree", type=float, default=2.5)
     p.add_argument("--p", type=int, default=3)
-    p.add_argument("--ell", type=int, default=10)
+    p.add_argument("--ell", type=int, default=10, help="iterations the cost model charges")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--ratio", type=float, default=0.1)
     p.add_argument("--csv", help="write per-trial savings as CSV")

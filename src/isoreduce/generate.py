@@ -34,7 +34,7 @@ class ExperimentConfig:
         if self.p < 0:
             raise ValueError("delta size must be non-negative")
         if self.ell < 1:
-            raise ValueError("iteration cap must be positive")
+            raise ValueError("modelled iteration count ell must be positive")
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must lie in (0, 1]")
 

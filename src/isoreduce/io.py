@@ -80,21 +80,20 @@ def graph_to_dict(graph: WeightedDigraph) -> dict:
 def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDigraph:
     try:
         n = int(data["n"])
-        raw = data["edges"]
+        weights = {}
+        for entry in data["edges"]:
+            if len(entry) not in (3, 4):
+                raise GraphFormatError(f"bad edge entry {entry!r}")
+            i, j = int(entry[0]), int(entry[1])
+            re = float(entry[2])
+            im = float(entry[3]) if len(entry) == 4 else 0.0
+            if (i, j) in weights:
+                raise GraphFormatError(f"duplicate edge ({i},{j})")
+            weights[(i, j)] = _edge_weight(re, im)
+        removed = frozenset(int(v) for v in data.get("removed", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph object: {exc}") from exc
-    weights = {}
-    for entry in raw:
-        if len(entry) not in (3, 4):
-            raise GraphFormatError(f"bad edge entry {entry!r}")
-        i, j = int(entry[0]), int(entry[1])
-        re = float(entry[2])
-        im = float(entry[3]) if len(entry) == 4 else 0.0
-        if (i, j) in weights:
-            raise GraphFormatError(f"duplicate edge ({i},{j})")
-        weights[(i, j)] = _edge_weight(re, im)
     flag = bool(data.get("stochastic", False)) if stochastic is None else stochastic
-    removed = frozenset(int(v) for v in data.get("removed", ()))
     return WeightedDigraph(n, weights, stochastic=flag, removed=removed)
 
 

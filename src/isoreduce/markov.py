@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import AmbiguousStationaryError, SimulationError, StructuralSetError
 from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths
 from .reduction import reduced_matrices_by_length, reduced_matrix
-from .spectral import strongly_connected
+from .spectral import stationary_vector, strongly_connected
 
 #: Row-sum tolerance for transition matrices.
 ROW_SUM_TOL = 1e-12
@@ -192,7 +192,7 @@ def is_irreducible(chain: MarkovChain) -> bool:
 
 
 def stationary_distribution(chain: MarkovChain) -> np.ndarray:
-    """Unique stationary distribution, by dense linear solve.
+    """Unique stationary distribution, by the package's one exact solve.
 
     Raises:
         AmbiguousStationaryError: the chain is reducible, so uniqueness fails.
@@ -200,13 +200,7 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     if not is_irreducible(chain):
         raise AmbiguousStationaryError(
             "chain is reducible; stationary distribution is not unique")
-    n = chain.n_states
-    a = chain.transition.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    q = np.linalg.solve(a, b)
-    return q
+    return stationary_vector(chain.transition.T).vector
 
 
 def verify_stationary_restriction(chain: MarkovChain, members, *,

@@ -7,7 +7,7 @@ the matrix is edited and affected columns renormalized, and the structural
 set grows by the promotion rule when a new edge closes a cycle outside it,
 found by a search that does not enter the set.  The extended matrix ``E``
 is then recomputed in closed form by one depth-order sweep and the dominant
-eigenvector recomputed on the reduced block ``E[S, S]``.  ``E`` already
+eigenvector solved exactly on the reduced block ``E[S, S]``.  ``E`` already
 holds the lift: the complement takes ``u_C = E[C, S] u_S``, one product
 and no second sweep.  An itemized cost report compares the work against
 full re-iteration of the big matrix.  No branch is listed on the way: the
@@ -27,7 +27,7 @@ from .graph import (StructuralSet, WeightedDigraph, compute_depths,
                     find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_reduced_matrix)
-from .spectral import is_primitive, power_iteration
+from .spectral import is_primitive, stationary_vector
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,10 @@ class StoredState:
 
     @classmethod
     def from_graph(cls, graph: WeightedDigraph, *, structural=None,
-                   ell: int = 2000, tol: float = 1e-13,
+                   ell: int | None = None, tol: float = 1e-13,
                    assume_primitive: bool = False) -> "StoredState":
-        """Compute every stored field from scratch for a stochastic graph."""
+        """Compute every stored field from scratch for a stochastic graph;
+        ``tol`` bounds the committed residual, and ``ell`` is unused."""
         if not graph.stochastic:
             raise NonStochasticError("stored state requires a stochastic graph")
         mat, _ = graph.active_matrix()
@@ -110,12 +111,16 @@ class StoredState:
             ss = compute_depths(graph, structural.members, 1.0)
         else:
             ss = compute_depths(graph, structural, 1.0)
-        ext = extended_reduced_matrix(graph, ss)
-        idx = [v - 1 for v in ss.members]
-        pair = power_iteration(ext.entries[np.ix_(idx, idx)], ell, tol,
-                               assume_primitive=True, lazy=True)
-        full = _lift_full(ext, pair.vector)
-        return cls(graph, ss, ext, pair.vector, full, pair.converged)
+        return cls._solved(graph, ss, extended_reduced_matrix(graph, ss), tol)
+
+    @classmethod
+    def _solved(cls, graph, structural, extended, tol: float) -> "StoredState":
+        """The state whose reduced vector is the exact stationary vector of
+        ``E[S, S]``, lifted by ``E``."""
+        idx = [v - 1 for v in structural.members]
+        pair = stationary_vector(extended.entries[np.ix_(idx, idx)], tol)
+        return cls(graph, structural, extended, pair.vector,
+                   _lift_full(extended, pair.vector), pair.converged)
 
     @cached_property
     def branches(self) -> BranchSet:
@@ -128,7 +133,7 @@ class StoredState:
         """The cost model's branch statistic, counted without listing branches."""
         return branch_counts(self.graph, self.structural)[1]
 
-    def consistency_report(self, *, ell: int = 2000, tol: float = 1e-13) -> dict[str, float]:
+    def consistency_report(self) -> dict[str, float]:
         """Deviation of every stored field from a from-scratch build over the
         stored members.
 
@@ -138,7 +143,7 @@ class StoredState:
         """
         try:
             fresh = StoredState.from_graph(self.graph, structural=self.structural.members,
-                                           ell=ell, tol=tol, assume_primitive=True)
+                                           assume_primitive=True)
         except StructuralSetError:
             return {"structural": float("inf")}
 
@@ -175,12 +180,12 @@ class CostReport:
 
     Step costs follow the update algorithm's own estimates: branch and
     matrix patching are charged the per-object bound, the reduced eigenvector
-    solve is charged cubically in the new structural size, and the lift is
-    charged by the depth-layer recursion.  The measured counterparts count
-    what the update changed in the extended matrix: ``touched_branches`` the
-    rows (start vertices whose branch sums moved) and ``weight_updates`` the
-    entries, against the base state's matrix padded with zeros for new
-    vertices.
+    solve ``ell * s'^3`` for the paper's ``ell`` iterations (the solve itself
+    is exact), and the lift the depth-layer recursion.  The measured
+    counterparts count what the update changed in the extended matrix:
+    ``touched_branches`` the rows (start vertices whose branch sums moved)
+    and ``weight_updates`` the entries, against the base state's matrix
+    padded with zeros for new vertices.
     """
 
     n: int
@@ -465,9 +470,7 @@ class UpdateSession:
         self._graph2: WeightedDigraph | None = None
         self._structural2: StructuralSet | None = None
         self._ext: ExtendedReducedMatrix | None = None
-        self._reduced: np.ndarray | None = None
-        self._full: np.ndarray | None = None
-        self._converged = True
+        self._state: StoredState | None = None
         self._ell_used = 0
 
     # -- steps 1-4 ------------------------------------------------------
@@ -513,31 +516,19 @@ class UpdateSession:
     # -- steps 5-6 ------------------------------------------------------
 
     def refresh(self, ell: int = 200, tol: float = 1e-13) -> None:
-        """Recompute the reduced dominant eigenvector and lift it (steps 5-6)."""
+        """Solve the reduced block exactly and lift the result (steps 5-6);
+        ``ell`` is only recorded for the cost model's step-5 charge."""
         if self._graph2 is None:
             raise RuntimeError("apply a delta before refreshing eigenvectors")
-        members = self._structural2.members
-        idx = [v - 1 for v in members]
-        block = self._ext.entries[np.ix_(idx, idx)]
-        prev = self._base.full_vector
-        init = np.array([prev[v - 1] if v - 1 < prev.shape[0] else 0.0 for v in members])
-        if init.sum() <= 0:
-            init = None
-        pair = power_iteration(block, ell, tol, assume_primitive=True,
-                               lazy=True, init=init)
-        self._reduced = pair.vector
-        self._converged = pair.converged
-        self._full = _lift_full(self._ext, pair.vector)
+        self._state = StoredState._solved(self._graph2, self._structural2, self._ext, tol)
         self._ell_used = ell
 
     # -- commit ----------------------------------------------------------
 
     def commit(self, *, meas_ratio: float = 0.1) -> tuple[StoredState, CostReport]:
-        if self._graph2 is None or self._reduced is None:
+        if self._state is None:
             raise RuntimeError("apply and refresh before committing")
-        state = StoredState(self._graph2, self._structural2, self._ext,
-                            self._reduced, self._full, self._converged)
-        return state, self._report(meas_ratio)
+        return self._state, self._report(meas_ratio)
 
     def _report(self, meas_ratio: float) -> CostReport:
         base = self._base
@@ -569,7 +560,8 @@ def run_update(state: StoredState, delta: GraphDelta, *, ell: int = 200,
                tol: float = 1e-13, meas_ratio: float = 0.1,
                max_ops: int | None = None,
                assume_primitive: bool = False) -> tuple[StoredState, CostReport]:
-    """Apply a delta end to end and return the new state with its cost report."""
+    """Apply a delta end to end and return the new state with its cost report;
+    ``ell`` feeds only the cost model, ``tol`` bounds the committed residual."""
     session = UpdateSession(state)
     session.apply(delta, max_ops=max_ops, assume_primitive=assume_primitive)
     session.refresh(ell, tol)

@@ -235,3 +235,30 @@ def from_matrix_loop(m, *, stochastic: bool = False) -> WeightedDigraph:
                 w = complex(m[i, j])
                 weights[(i + 1, j + 1)] = w.real if w.imag == 0 else w
     return WeightedDigraph(n, weights, stochastic=stochastic)
+
+
+def apply_ops_dense(matrix: np.ndarray, delta) -> np.ndarray:
+    """A delta's edits on a dense column-stochastic matrix, by numpy alone.
+
+    ``add_vertex`` appends an empty row and column, ``remove_vertex`` zeroes
+    the vertex's row and column (its id stays as a tombstone), and every
+    column an op touches is renormalized to unit sum (an emptied column
+    stays empty).  Validity is the caller's concern.
+    """
+    m = np.array(matrix, dtype=float)
+    for op in delta.ops:
+        if op.kind == "add_vertex":
+            m = np.pad(m, ((0, 1), (0, 1)))
+            continue
+        if op.kind == "remove_vertex":
+            cols = np.flatnonzero(m[op.v - 1, :])
+            m[op.v - 1, :] = 0.0
+            m[:, op.v - 1] = 0.0
+        else:
+            m[op.i - 1, op.j - 1] = op.w if op.kind == "add_edge" else 0.0
+            cols = [op.j - 1]
+        for c in cols:
+            total = m[:, c].sum()
+            if total > 0:
+                m[:, c] /= total
+    return m

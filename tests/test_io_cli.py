@@ -277,3 +277,31 @@ def test_load_state_rejects_inactive_member(tmp_path):
     _rewrite(path, "structural.json", lambda d: d["members"].append(99))
     with pytest.raises(GraphFormatError):
         iio.load_state(path)
+
+
+#: Malformed graph.json contents a load must report as format errors: a
+#: non-numeric weight, an edge entry that is not a list, a non-integer tombstone.
+BAD_GRAPH_EDITS = (
+    lambda d: d["edges"][0].__setitem__(2, "x"),
+    lambda d: d["edges"].append(5),
+    lambda d: d.update(removed=["a"]),
+)
+
+
+def test_load_state_rejects_malformed_graph_entries(tmp_path):
+    for change in BAD_GRAPH_EDITS:
+        path = _saved_state(tmp_path)
+        _rewrite(path, "graph.json", change)
+        with pytest.raises(GraphFormatError):
+            iio.load_state(path)
+
+
+def test_cli_verify_reports_malformed_graph_as_failed_check(tmp_path, capsys):
+    for change in BAD_GRAPH_EDITS:
+        path = _saved_state(tmp_path)
+        _rewrite(path, "graph.json", change)
+        assert main(["verify", "--rounds", "1", "--state", path]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["stored-state-consistency"]["passed"] is False
+        assert all(c["passed"] for name, c in checks.items()
+                   if name != "stored-state-consistency")

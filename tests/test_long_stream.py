@@ -1,0 +1,108 @@
+"""A long size-stable update stream checked against scratch builds of a
+graph the test edits itself.
+
+Sixty 3-op deltas mix all four op kinds on a graph of about 40 vertices;
+the active count stays within ``MAX_DEV`` of the start and removed vertices
+stay as tombstones.  Every ``CHECK_EVERY`` updates the committed state is
+compared with ``StoredState.from_graph`` over the same members on the
+test's own dense copy of the graph, to the suite's 1e-12 bounds.
+"""
+
+import numpy as np
+
+from isoreduce import DeltaOp, GraphDelta, StoredState, WeightedDigraph, run_update
+from oracles import apply_ops_dense, primitive_wielandt
+
+N0, UPDATES, CHECK_EVERY, MAX_DEV = 40, 60, 5, 3
+TOL = 1e-12
+
+
+def base_matrix(rng) -> np.ndarray:
+    """Loop-free primitive column-stochastic matrix with about 2.5 out-edges per vertex."""
+    while True:
+        mask = rng.random((N0, N0)) < 2.5 / (N0 - 1)
+        np.fill_diagonal(mask, False)
+        if primitive_wielandt(mask):
+            w = rng.uniform(0.05, 1.0, (N0, N0)) * mask
+            return w / w.sum(axis=0)
+
+
+def edge_op(m, active, rng) -> DeltaOp:
+    """Add a missing edge or remove an existing one between active vertices."""
+    ids = np.array(sorted(active))
+    if rng.random() < 0.5:
+        i, j = rng.choice(ids, 2, replace=False)
+        if m[i - 1, j - 1] == 0:
+            return DeltaOp.add_edge(int(i), int(j), float(rng.uniform(0.2, 1.0)))
+    rows, cols = np.nonzero(m)
+    t = int(rng.integers(rows.size))
+    return DeltaOp.remove_edge(int(rows[t]) + 1, int(cols[t]) + 1)
+
+
+def candidate(m, active, members, rng) -> GraphDelta:
+    ops = []
+    size = len(active)
+    r = rng.random()
+    if r < 0.2 and size < N0 + MAX_DEV:
+        new = m.shape[0] + 1
+        src, dst = rng.choice(sorted(active), 2, replace=False)
+        ops = [DeltaOp.add_vertex(), DeltaOp.add_edge(int(src), new, 0.5),
+               DeltaOp.add_edge(new, int(dst), 0.5)]
+    elif r < 0.4 and size > N0 - MAX_DEV:
+        v = int(rng.choice(sorted(active)))
+        if set(members) - {v}:
+            ops = [DeltaOp.remove_vertex(v)]
+    while len(ops) < 3:
+        own = apply_ops_dense(m, GraphDelta(ops))
+        live = active - {op.v for op in ops if op.kind == "remove_vertex"}
+        op = edge_op(own, live, rng)
+        if op not in ops:
+            ops.append(op)
+    return GraphDelta(ops)
+
+
+def next_delta(m, active, members, rng):
+    """A valid delta: the edited graph stays primitive on its active vertices."""
+    for _ in range(500):
+        delta = candidate(m, active, members, rng)
+        m2 = apply_ops_dense(m, delta)
+        active2 = (active | set(range(m.shape[0] + 1, m2.shape[0] + 1))) - {
+            op.v for op in delta.ops if op.kind == "remove_vertex"}
+        idx = [v - 1 for v in sorted(active2)]
+        if primitive_wielandt(m2[np.ix_(idx, idx)]):
+            return delta, m2, active2
+    raise AssertionError("no valid delta in 500 draws")
+
+
+def own_graph(m, active) -> WeightedDigraph:
+    rows, cols = np.nonzero(m)
+    edges = [(int(i) + 1, int(j) + 1, float(m[i, j])) for i, j in zip(rows, cols)]
+    removed = set(range(1, m.shape[0] + 1)) - active
+    return WeightedDigraph.from_edges(m.shape[0], edges, stochastic=True, removed=removed)
+
+
+def test_long_stream_stays_equal_to_scratch_builds():
+    rng = np.random.default_rng(83)
+    m = base_matrix(rng)
+    active = set(range(1, N0 + 1))
+    state = StoredState.from_graph(own_graph(m, active))
+    kinds, checks = set(), 0
+    for u in range(1, UPDATES + 1):
+        delta, m, active = next_delta(m, active, state.structural.members, rng)
+        kinds |= {op.kind for op in delta.ops}
+        state, _ = run_update(state, delta)
+        assert abs(len(active) - N0) <= MAX_DEV
+        assert state.graph.vertices() == tuple(sorted(active))
+        if u % CHECK_EVERY:
+            continue
+        checks += 1
+        assert np.abs(state.graph.matrix().real - m).max() <= TOL
+        fresh = StoredState.from_graph(own_graph(m, active),
+                                       structural=state.structural.members)
+        assert np.abs(state.extended.entries - fresh.extended.entries).max() <= TOL
+        assert np.abs(state.reduced_vector - fresh.reduced_vector).max() <= TOL
+        assert np.abs(state.full_vector - fresh.full_vector).max() <= TOL
+        assert state.eig_converged
+    assert checks == UPDATES // CHECK_EVERY
+    assert kinds == set(DeltaOp.KINDS)
+    assert state.graph.removed

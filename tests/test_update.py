@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, StoredState,
-                       UpdateSession, WeightedDigraph, apply_ops, compute_depths,
+from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitiveError,
+                       StoredState, UpdateSession, WeightedDigraph, apply_ops, compute_depths,
                        enumerate_branches, extended_reduced_matrix, find_structural_set,
                        promotion_candidates, promotion_rule, random_delta,
                        random_stochastic_graph, run_update, scratch_equivalent,
@@ -249,10 +249,34 @@ def test_session_requires_apply_before_refresh():
 
 def test_stored_state_consistency_report():
     state = cycle_state(ell=3000, tol=1e-15)
-    dev = state.consistency_report(ell=3000, tol=1e-15)
+    dev = state.consistency_report()
     assert dev["structural"] == 0.0
     assert dev["extended"] == 0.0
     assert dev["full_vector"] < 1e-12
+
+
+def test_committed_vectors_meet_residual_gate_at_paper_settings():
+    # the paper's experiment: n=60, degree 2.5, p=3, ell=10; ell charges the
+    # model only, so every committed vector is a converged exact solve
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 61])
+        g = random_stochastic_graph(60, 2.5, rng)
+        state = StoredState.from_graph(g)
+        new_state, _ = run_update(state, random_delta(g, rng, 3), ell=10)
+        for st in (state, new_state):
+            assert st.eig_converged
+            m, ids = st.graph.active_matrix()
+            full = st.full_vector[[v - 1 for v in ids]]
+            assert np.abs(m.real @ full - full).sum() <= 1e-14
+
+
+def test_reducible_reduced_block_raises_not_primitive():
+    # two disjoint 2-cycles: E[S, S] is the 2x2 identity, with no unique
+    # stationary vector
+    g = WeightedDigraph.from_edges(
+        4, [(1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0)], stochastic=True)
+    with pytest.raises(NotPrimitiveError):
+        StoredState.from_graph(g, assume_primitive=True)
 
 
 # -- cost model ----------------------------------------------------------------
