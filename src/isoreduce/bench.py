@@ -91,11 +91,20 @@ class ExperimentSummary:
         return "\n".join(lines) + "\n"
 
 
-def scratch_equivalent(state: StoredState, tol: float = 1e-12) -> bool:
-    """Whether the stored structural set and extended matrix match a fresh
-    recomputation."""
-    dev = state.consistency_report()
-    return dev["structural"] == 0 and dev.get("extended", float("inf")) <= tol
+#: Largest deviation from a scratch build, per field of
+#: :meth:`StoredState.consistency_report`, at which a stored state still
+#: counts as equal to it.
+SCRATCH_BOUNDS = {"structural": 0.0, "extended": 1e-12,
+                  "reduced_vector": 1e-6, "full_vector": 1e-6}
+
+
+def _within_scratch_bounds(dev: dict[str, float]) -> bool:
+    return all(dev.get(name, math.inf) <= bound for name, bound in SCRATCH_BOUNDS.items())
+
+
+def scratch_equivalent(state: StoredState) -> bool:
+    """Whether every stored field matches a fresh build within ``SCRATCH_BOUNDS``."""
+    return _within_scratch_bounds(state.consistency_report())
 
 
 def run_experiment(config: ExperimentConfig, *,
@@ -272,11 +281,9 @@ def _check_state_dir(state_dir: str) -> CheckResult:
     except IsoreduceError as exc:
         return CheckResult("stored-state-consistency", False, str(exc))
     dev = state.consistency_report()
-    ok = (dev.get("structural", 1) == 0.0 and dev.get("extended", 1) <= 1e-12
-          and dev.get("reduced_vector", 1) <= 1e-6 and dev.get("full_vector", 1) <= 1e-6)
     detail = ", ".join(f"{k}={v:.2e}" if math.isfinite(v) else f"{k}=inf"
                        for k, v in dev.items())
-    return CheckResult("stored-state-consistency", ok, detail)
+    return CheckResult("stored-state-consistency", _within_scratch_bounds(dev), detail)
 
 
 def _check_graph_file(path: str) -> CheckResult:

@@ -119,11 +119,7 @@ def cmd_update(args) -> int:
 def cmd_simulate(args) -> int:
     graph = io.read_graph(args.graph, stochastic=True)
     chain = MarkovChain.from_stochastic_graph(graph)
-    cg = chain.graph()
-    if args.structural:
-        ss = compute_depths(cg, args.structural, 1.0, args.tol)
-    else:
-        ss = find_structural_set(cg, 1.0, args.tol)
+    ss = _structural_for(chain.graph(), args, 1.0)
     sample = simulate_stopped_chain(chain, ss.members, args.steps, args.seed)
     expected = reduced_matrix_of_chain(chain, ss.members)
     payload = {

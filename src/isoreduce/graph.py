@@ -319,16 +319,21 @@ def _peel(adjacency: np.ndarray, comp: np.ndarray) -> np.ndarray | None:
     return depth if placed == len(comp) else None
 
 
-def _structure(graph: WeightedDigraph, members: set[int], lam: complex,
-               tol: float) -> tuple[ValidationResult, np.ndarray, np.ndarray | None]:
-    """Validate ``members`` at ``lam`` and peel the complement.
+def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
+                   tol: float = DEFAULT_TOL) -> StructuralSet:
+    """Validate ``members`` as a structural set at ``lam`` and assign depths.
 
-    Returns the validation result, the complement ids and their depths
-    (None when the set is not structural).
+    Condition one: every non-loop cycle of the graph meets the set.
+    Condition two: no complement vertex has loop weight within ``tol``
+    of ``lam``.  One peel of the complement checks the first and gives
+    the depths.
 
     Raises:
         ValueError: empty set or members outside the active vertex range.
+        StructuralSetError: the set is not structural; carries the witness.
     """
+    member_set = set(members)
+    members = tuple(sorted(member_set))
     if not members:
         raise ValueError("structural set must be nonempty")
     for v in members:
@@ -341,46 +346,34 @@ def _structure(graph: WeightedDigraph, members: set[int], lam: complex,
     loops = graph.adjacency.diagonal()[comp - 1]
     bad = np.flatnonzero(np.abs(loops - lam) <= tol)
     if bad.size:
-        return ValidationResult(False, vertex=int(comp[bad[0]])), comp, None
+        vertex = int(comp[bad[0]])
+        raise StructuralSetError(
+            f"set {members} is not structural at {lam}: vertex {vertex} has "
+            "loop weight equal to the parameter", vertex=vertex)
     depth = _peel(graph.adjacency, comp - 1)
     if depth is None:
-        return ValidationResult(False, cycle=_cycles(graph, members)[0]), comp, None
-    return ValidationResult(True), comp, depth
+        cycle = _cycles(graph, member_set)[0]
+        raise StructuralSetError(
+            f"set {members} is not structural at {lam}: cycle {cycle} avoids it",
+            cycle=cycle)
+    depth_of = dict.fromkeys(graph.vertices(), 0)
+    depth_of.update(zip(comp.tolist(), depth.tolist()))
+    return StructuralSet(members, lam, depth_of, int(depth.max(initial=0)))
 
 
 def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: complex,
                         tol: float = DEFAULT_TOL) -> ValidationResult:
-    """Check the two structural-set conditions for ``members`` at ``lam``.
-
-    Condition one: every non-loop cycle of the graph meets the set.
-    Condition two: no complement vertex has loop weight within ``tol``
-    of ``lam``.  On failure the result carries a witness cycle or vertex.
+    """Check the structural-set conditions of :func:`compute_depths`; falsy on
+    failure, carrying the witness cycle or vertex.
 
     Raises:
         ValueError: empty set or members outside the active vertex range.
     """
-    return _structure(graph, set(members), lam, tol)[0]
-
-
-def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
-                   tol: float = DEFAULT_TOL) -> StructuralSet:
-    """Assign recursion depths over a validated structural set.
-
-    Raises:
-        StructuralSetError: the set is not structural; carries the witness.
-    """
-    member_set = set(members)
-    members = tuple(sorted(member_set))
-    result, comp, depth = _structure(graph, member_set, lam, tol)
-    if not result:
-        raise StructuralSetError(
-            f"set {members} is not structural at {lam}: "
-            + (f"cycle {result.cycle} avoids it" if result.cycle
-               else f"vertex {result.vertex} has loop weight equal to the parameter"),
-            cycle=result.cycle, vertex=result.vertex)
-    depth_of = dict.fromkeys(graph.vertices(), 0)
-    depth_of.update(zip(comp.tolist(), depth.tolist()))
-    return StructuralSet(members, lam, depth_of, int(depth.max(initial=0)))
+    try:
+        compute_depths(graph, members, lam, tol)
+    except StructuralSetError as exc:
+        return ValidationResult(False, cycle=exc.cycle, vertex=exc.vertex)
+    return ValidationResult(True)
 
 
 def find_structural_set(graph: WeightedDigraph, lam: complex,

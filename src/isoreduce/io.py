@@ -77,7 +77,18 @@ def graph_to_dict(graph: WeightedDigraph) -> dict:
     return out
 
 
+def _read_json(path: str):
+    """Open and decode one JSON file; invalid JSON is a format error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDigraph:
+    """Build a graph from its JSON object; any fault, including one the
+    graph's own construction finds, is a format error."""
     try:
         n = int(data["n"])
         weights = {}
@@ -91,23 +102,20 @@ def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDi
                 raise GraphFormatError(f"duplicate edge ({i},{j})")
             weights[(i, j)] = _edge_weight(re, im)
         removed = frozenset(int(v) for v in data.get("removed", ()))
+        flag = bool(data.get("stochastic", False)) if stochastic is None else stochastic
+        return WeightedDigraph(n, weights, stochastic=flag, removed=removed)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph object: {exc}") from exc
-    flag = bool(data.get("stochastic", False)) if stochastic is None else stochastic
-    return WeightedDigraph(n, weights, stochastic=flag, removed=removed)
 
 
 def read_graph(path: str, *, stochastic: bool | None = None) -> WeightedDigraph:
     """Load a graph from an edge-list or JSON file (by extension)."""
+    if path.endswith(".json"):
+        return graph_from_dict(_read_json(path), stochastic=stochastic)
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        n, weights = parse_edgelist(fh.read())
     try:
-        if path.endswith(".json"):
-            return graph_from_dict(json.loads(text), stochastic=stochastic)
-        n, weights = parse_edgelist(text)
         return WeightedDigraph(n, weights, stochastic=bool(stochastic))
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
 
@@ -121,47 +129,28 @@ def write_graph(graph: WeightedDigraph, path: str) -> None:
 
 
 def delta_to_dict(delta: GraphDelta) -> dict:
-    ops = []
-    for op in delta.ops:
-        if op.kind == "add_edge":
-            ops.append({"op": "add_edge", "i": op.i, "j": op.j, "w": op.w})
-        elif op.kind == "remove_edge":
-            ops.append({"op": "remove_edge", "i": op.i, "j": op.j})
-        elif op.kind == "add_vertex":
-            ops.append({"op": "add_vertex"})
-        else:
-            ops.append({"op": "remove_vertex", "v": op.v})
-    return {"ops": ops}
+    """Each op as ``{"op": kind}`` plus its ``DeltaOp.FIELDS``."""
+    return {"ops": [{"op": op.kind, **{name: getattr(op, name) for name in op.FIELDS[op.kind]}}
+                    for op in delta.ops]}
 
 
 def delta_from_dict(data) -> GraphDelta:
-    raw = data["ops"] if isinstance(data, dict) else data
-    ops = []
+    """Parse ``{"ops": [...]}`` (or the bare list); ``w`` is read as a float and
+    every other field as an int."""
     try:
-        for entry in raw:
+        ops = []
+        for entry in (data["ops"] if isinstance(data, dict) else data):
             kind = entry["op"]
-            if kind == "add_edge":
-                ops.append(DeltaOp.add_edge(int(entry["i"]), int(entry["j"]),
-                                            float(entry["w"])))
-            elif kind == "remove_edge":
-                ops.append(DeltaOp.remove_edge(int(entry["i"]), int(entry["j"])))
-            elif kind == "add_vertex":
-                ops.append(DeltaOp.add_vertex())
-            elif kind == "remove_vertex":
-                ops.append(DeltaOp.remove_vertex(int(entry["v"])))
-            else:
-                raise GraphFormatError(f"unknown delta op {kind!r}")
+            ops.append(DeltaOp(kind, **{
+                name: (float if name == "w" else int)(entry[name])
+                for name in DeltaOp.FIELDS.get(kind, ())}))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad delta object: {exc}") from exc
     return GraphDelta(tuple(ops))
 
 
 def read_delta(path: str) -> GraphDelta:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return delta_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return delta_from_dict(_read_json(path))
 
 
 def write_delta(delta: GraphDelta, path: str) -> None:
@@ -192,11 +181,7 @@ def vector_from_dict(data: dict) -> tuple[list[int], np.ndarray, str, complex | 
 
 
 def read_vector(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return vector_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return vector_from_dict(_read_json(path))
 
 
 def save_state(state: StoredState, dirpath: str) -> None:
@@ -231,44 +216,34 @@ def load_state(dirpath: str) -> StoredState:
 
     Raises:
         GraphFormatError: a file is missing or malformed, the structural
-            members are missing or not integers, a member is not an active
-            vertex, or a vector has the wrong length.
+            members are missing, empty or not integers, a member is not an
+            active vertex, ``meta.json`` is not an object, or a vector has the
+            wrong length.
     """
     def get(name):
-        p = os.path.join(dirpath, name)
         try:
-            with open(p, encoding="utf-8") as fh:
-                return json.load(fh)
+            return _read_json(os.path.join(dirpath, name))
         except FileNotFoundError as exc:
             raise GraphFormatError(f"state directory misses {name}") from exc
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{p}: invalid JSON: {exc}") from exc
     graph = graph_from_dict(get("graph.json"), stochastic=True)
+    _, reduced, _, _ = vector_from_dict(get("reduced_vector.json"))
     try:
         members = list(get("structural.json")["members"])
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError(f"structural.json has no member list: {exc!r}") from exc
-    if not all(type(v) is int for v in members):
-        raise GraphFormatError(f"structural members {members} are not all integers")
-    inactive = [v for v in members if not graph.is_active(v)]
-    if inactive:
-        raise GraphFormatError(f"structural members {inactive} are not active vertices")
-    structural = compute_depths(graph, members, 1.0)
-    extended = extended_reduced_matrix(graph, structural)
-    n = graph.n_vertices
-    try:
+        if not all(type(v) is int for v in members):
+            raise GraphFormatError(f"structural members {members} are not all integers")
+        structural = compute_depths(graph, members, 1.0)
         full = np.array(get("full_vector.json")["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"bad full vector: {exc}") from exc
-    _, reduced, _, _ = vector_from_dict(get("reduced_vector.json"))
+        converged = bool(get("meta.json").get("eig_converged", True))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"{dirpath}: bad state file: {exc!r}") from exc
     if reduced.shape != (len(structural.members),):
         raise GraphFormatError(f"reduced vector has {reduced.size} entries, "
                                f"the structural set {len(structural.members)}")
+    n = graph.n_vertices
     if full.shape != (n,):
         raise GraphFormatError(f"full vector has {full.size} entries, the graph {n}")
-    meta = get("meta.json")
-    return StoredState(graph, structural, extended, reduced.real, full,
-                       bool(meta.get("eig_converged", True)))
+    return StoredState(graph, structural, extended_reduced_matrix(graph, structural),
+                       reduced.real, full, converged)
 
 
 def dumps(obj) -> str:

@@ -44,11 +44,20 @@ class DeltaOp:
     w: float = 0.0
     v: int = 0
 
-    KINDS = ("add_edge", "remove_edge", "add_vertex", "remove_vertex")
+    #: Each kind's fields, in the order its editor method takes them; the
+    #: delta file format is built from this table.
+    FIELDS = {"add_edge": ("i", "j", "w"), "remove_edge": ("i", "j"),
+              "add_vertex": (), "remove_vertex": ("v",)}
+    KINDS = tuple(FIELDS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown delta op kind {self.kind!r}")
+
+    @property
+    def args(self) -> tuple:
+        """The values of this kind's fields, in ``FIELDS`` order."""
+        return tuple(getattr(self, name) for name in self.FIELDS[self.kind])
 
     @classmethod
     def add_edge(cls, i: int, j: int, w: float) -> "DeltaOp":
@@ -98,7 +107,8 @@ class StoredState:
     def from_graph(cls, graph: WeightedDigraph, *, structural=None,
                    ell: int | None = None, tol: float = 1e-13,
                    assume_primitive: bool = False) -> "StoredState":
-        """Compute every stored field from scratch for a stochastic graph;
+        """Compute every stored field from scratch for a stochastic graph over
+        ``structural`` (a structural set or its members; searched when None);
         ``tol`` bounds the committed residual, and ``ell`` is unused."""
         if not graph.stochastic:
             raise NonStochasticError("stored state requires a stochastic graph")
@@ -107,10 +117,8 @@ class StoredState:
             raise NotPrimitiveError("adjacency matrix is not primitive")
         if structural is None:
             ss = find_structural_set(graph, 1.0)
-        elif isinstance(structural, StructuralSet):
-            ss = compute_depths(graph, structural.members, 1.0)
         else:
-            ss = compute_depths(graph, structural, 1.0)
+            ss = compute_depths(graph, getattr(structural, "members", structural), 1.0)
         return cls._solved(graph, ss, extended_reduced_matrix(graph, ss), tol)
 
     @classmethod
@@ -341,14 +349,7 @@ class _Editor:
 
     def apply(self, op: DeltaOp) -> None:
         """Apply one delta operation; every edit check lives here."""
-        if op.kind == "add_edge":
-            self.add_edge(op.i, op.j, op.w)
-        elif op.kind == "remove_edge":
-            self.remove_edge(op.i, op.j)
-        elif op.kind == "add_vertex":
-            self.add_vertex()
-        else:
-            self.remove_vertex(op.v)
+        getattr(self, op.kind)(*op.args)
 
     def add_edge(self, i: int, j: int, w: float) -> None:
         if not self.active(i) or not self.active(j):

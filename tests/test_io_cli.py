@@ -50,6 +50,52 @@ def test_delta_roundtrip(tmp_path):
     assert iio.read_delta(path) == delta
 
 
+#: The README's delta example as ``write_delta`` renders it.
+DELTA_FILE = """\
+{
+  "ops": [
+    {
+      "i": 3,
+      "j": 2,
+      "op": "add_edge",
+      "w": 0.5
+    },
+    {
+      "op": "add_vertex"
+    },
+    {
+      "op": "remove_vertex",
+      "v": 4
+    },
+    {
+      "i": 1,
+      "j": 2,
+      "op": "remove_edge"
+    }
+  ]
+}
+"""
+
+
+def test_delta_file_format_is_pinned():
+    delta = GraphDelta((DeltaOp.add_edge(3, 2, 0.5), DeltaOp.add_vertex(),
+                        DeltaOp.remove_vertex(4), DeltaOp.remove_edge(1, 2)))
+    assert iio.dumps(iio.delta_to_dict(delta)) == DELTA_FILE
+    assert iio.delta_from_dict(json.loads(DELTA_FILE)) == delta
+
+
+def test_read_delta_rejects_malformed_files(tmp_path, capsys):
+    for text in ('{}', '{"ops": 5}', '{"ops": [{"op": "flip"}]}',
+                 '{"ops": [{"op": "add_edge", "i": 1, "j": 2}]}',
+                 '{"ops": [{"op": "add_edge", "i": 1, "j": 2, "w": "x"}]}'):
+        with pytest.raises(GraphFormatError):
+            iio.read_delta(write(tmp_path, "d.json", text))
+    code = main(["update", "--state", _saved_state(tmp_path),
+                 "--delta", write(tmp_path, "d.json", "{}")])
+    assert code == 2
+    capsys.readouterr()
+
+
 def test_vector_roundtrip(tmp_path):
     payload = iio.vector_to_dict([1, 3, 5], np.array([1.0, 0.5j, -2.0]),
                                  "L2-unit", 2.5 + 1j)
@@ -251,7 +297,8 @@ def test_load_state_ignores_extended_and_lambda_of_older_saves(tmp_path):
 
 def test_load_state_rejects_missing_or_non_integer_members(tmp_path):
     for change in (lambda d: d.pop("members"), lambda d: d.update(members=[1.5]),
-                   lambda d: d.update(members=["x"]), lambda d: d.update(members=3)):
+                   lambda d: d.update(members=["x"]), lambda d: d.update(members=3),
+                   lambda d: d.update(members=[])):
         path = _saved_state(tmp_path)
         _rewrite(path, "structural.json", change)
         with pytest.raises(GraphFormatError):
@@ -280,11 +327,16 @@ def test_load_state_rejects_inactive_member(tmp_path):
 
 
 #: Malformed graph.json contents a load must report as format errors: a
-#: non-numeric weight, an edge entry that is not a list, a non-integer tombstone.
+#: non-numeric weight, an edge entry that is not a list, a non-integer
+#: tombstone, and three that parse but build no graph: a zero weight, an edge
+#: into a tombstone, a negative vertex count.
 BAD_GRAPH_EDITS = (
     lambda d: d["edges"][0].__setitem__(2, "x"),
     lambda d: d["edges"].append(5),
     lambda d: d.update(removed=["a"]),
+    lambda d: d["edges"][0].__setitem__(2, 0.0),
+    lambda d: d.update(removed=[d["edges"][0][1]]),
+    lambda d: d.update(n=-1),
 )
 
 
@@ -305,3 +357,15 @@ def test_cli_verify_reports_malformed_graph_as_failed_check(tmp_path, capsys):
         assert checks["stored-state-consistency"]["passed"] is False
         assert all(c["passed"] for name, c in checks.items()
                    if name != "stored-state-consistency")
+
+
+def test_malformed_meta_file_is_a_format_error(tmp_path, capsys):
+    for content in (b"[]", b"\xff"):
+        path = _saved_state(tmp_path)
+        with open(f"{path}/meta.json", "wb") as fh:
+            fh.write(content)
+        with pytest.raises(GraphFormatError):
+            iio.load_state(path)
+        assert main(["verify", "--rounds", "1", "--state", path]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["stored-state-consistency"]["passed"] is False
