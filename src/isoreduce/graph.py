@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,7 +67,8 @@ class WeightedDigraph:
         active = np.zeros(n + 1, dtype=bool)
         active[1:] = True
         active[[v for v in self.removed if 1 <= v <= n]] = False
-        edges = np.array(list(self.weights), dtype=np.int64).reshape(-1, 2)
+        edges = np.fromiter(chain.from_iterable(self.weights), np.int64,
+                            2 * len(self.weights)).reshape(-1, 2)
         w = np.array(list(self.weights.values()), dtype=complex)
         inside = ((edges >= 1) & (edges <= n)).all(axis=1)
         inside[inside] = active[edges[inside]].all(axis=1)
@@ -117,7 +119,8 @@ class WeightedDigraph:
         return cls(n, weights, stochastic=stochastic, removed=frozenset(removed))
 
     @classmethod
-    def from_matrix(cls, m, *, stochastic: bool = False) -> "WeightedDigraph":
+    def from_matrix(cls, m, *, stochastic: bool = False,
+                    removed: Iterable[int] = ()) -> "WeightedDigraph":
         """Build a graph from a square matrix; nonzero entry (i, j) is edge i->j.
 
         Edges are keyed in row-major order; a weight with zero imaginary part
@@ -126,11 +129,13 @@ class WeightedDigraph:
         m = np.asarray(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        rows, cols = np.nonzero(m)
+        rows, cols = np.nonzero(m != 0)
         w = m[rows, cols].astype(complex)
-        weights = {(i + 1, j + 1): (re if im == 0 else z) for i, j, z, re, im in zip(
-            rows.tolist(), cols.tolist(), w.tolist(), w.real.tolist(), w.imag.tolist())}
-        return cls(m.shape[0], weights, stochastic=stochastic)
+        vals = w.real.tolist()
+        if w.imag.any():
+            vals = [re if im == 0 else z for re, im, z in zip(vals, w.imag.tolist(), w.tolist())]
+        weights = dict(zip(zip((rows + 1).tolist(), (cols + 1).tolist()), vals))
+        return cls(m.shape[0], weights, stochastic=stochastic, removed=frozenset(removed))
 
     # -- queries ------------------------------------------------------
 
@@ -329,7 +334,8 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     the depths.
 
     Raises:
-        ValueError: empty set or members outside the active vertex range.
+        ValueError: empty set, or members that are not integers in the
+            active vertex range.
         StructuralSetError: the set is not structural; carries the witness.
     """
     member_set = set(members)
@@ -337,7 +343,7 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     if not members:
         raise ValueError("structural set must be nonempty")
     for v in members:
-        if not graph.is_active(v):
+        if not (isinstance(v, (int, np.integer)) and graph.is_active(v)):
             raise ValueError(f"structural member {v} is not an active vertex")
     ids = np.array(graph.vertices(), dtype=np.int64)
     in_set = np.zeros(graph.n_vertices + 1, dtype=bool)
@@ -367,7 +373,8 @@ def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: com
     failure, carrying the witness cycle or vertex.
 
     Raises:
-        ValueError: empty set or members outside the active vertex range.
+        ValueError: empty set, or members that are not integers in the
+            active vertex range.
     """
     try:
         compute_depths(graph, members, lam, tol)

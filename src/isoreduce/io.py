@@ -77,13 +77,21 @@ def graph_to_dict(graph: WeightedDigraph) -> dict:
     return out
 
 
-def _read_json(path: str):
-    """Open and decode one JSON file; invalid JSON is a format error."""
+def _read_text(path: str) -> str:
+    """Read one UTF-8 text file; bytes that do not decode are a format error."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path: str):
+    """Read and decode one JSON file; invalid JSON is a format error."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDigraph:
@@ -112,8 +120,7 @@ def read_graph(path: str, *, stochastic: bool | None = None) -> WeightedDigraph:
     """Load a graph from an edge-list or JSON file (by extension)."""
     if path.endswith(".json"):
         return graph_from_dict(_read_json(path), stochastic=stochastic)
-    with open(path, encoding="utf-8") as fh:
-        n, weights = parse_edgelist(fh.read())
+    n, weights = parse_edgelist(_read_text(path))
     try:
         return WeightedDigraph(n, weights, stochastic=bool(stochastic))
     except ValueError as exc:

@@ -38,11 +38,12 @@ class EigenPair:
         return self.vector[self.vertices.index(v)]
 
 
-def _bfs_levels(support: np.ndarray) -> np.ndarray:
-    """Breadth-first levels from vertex 0 on a boolean adjacency matrix, one
-    frontier product per level; -1 marks a vertex that 0 does not reach."""
+def _bfs_levels(support: np.ndarray, start: int = 0) -> np.ndarray:
+    """Breadth-first levels from index ``start`` on a boolean adjacency
+    matrix, one frontier product per level; -1 marks an index that ``start``
+    does not reach."""
     level = np.full(support.shape[0], -1, dtype=np.int64)
-    level[0] = 0
+    level[start] = 0
     frontier = level == 0
     d = 0
     while frontier.any():

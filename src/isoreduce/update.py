@@ -2,16 +2,19 @@
 
 A stored state bundles a stochastic graph with its structural set,
 extended reduced matrix, and dominant eigenvectors.  A delta (a short list
-of vertex/edge insertions and removals) is applied one operation at a time:
-the matrix is edited and affected columns renormalized, and the structural
-set grows by the promotion rule when a new edge closes a cycle outside it,
-found by a search that does not enter the set.  The extended matrix ``E``
-is then recomputed in closed form by one depth-order sweep and the dominant
-eigenvector solved exactly on the reduced block ``E[S, S]``.  ``E`` already
-holds the lift: the complement takes ``u_C = E[C, S] u_S``, one product
-and no second sweep.  An itemized cost report compares the work against
-full re-iteration of the big matrix.  No branch is listed on the way: the
-cost model's branch statistic is counted by the same sweep.
+of vertex/edge insertions and removals) is applied one operation at a time
+to a writable copy of the graph's adjacency array: the entry is set and
+the touched columns renormalized, and the structural set grows by the
+promotion rule when a new edge closes a cycle outside it, found by the
+package's one breadth-first search with the set's columns masked off.  The
+edited array becomes the new graph through ``WeightedDigraph.from_matrix``.
+The extended matrix ``E`` is then recomputed in closed form by one
+depth-order sweep and the dominant eigenvector solved exactly on the
+reduced block ``E[S, S]``.  ``E`` already holds the lift: the complement
+takes ``u_C = E[C, S] u_S``, one product and no second sweep.  An itemized
+cost report compares the work against full re-iteration of the big
+matrix.  No branch is listed on the way: the cost model's branch statistic
+is counted by the same sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .graph import (StructuralSet, WeightedDigraph, compute_depths,
                     find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_reduced_matrix)
-from .spectral import is_primitive, stationary_vector
+from .spectral import _bfs_levels, is_primitive, stationary_vector
 
 
 @dataclass(frozen=True)
@@ -324,28 +327,28 @@ def simplex_bound(x) -> tuple[float, float]:
 
 
 class _Editor:
-    """Mutable weight table with column renormalization; step-1 bookkeeping."""
+    """Step 1 on a writable float copy of the graph's adjacency.
+
+    An edit sets entries of the array and renormalizes each touched column
+    to unit sum with one numpy sum; tombstones are kept beside it.  Every
+    edit check lives here, and an id is checked active before it indexes
+    the array, so that 0 or -1 cannot wrap around to its last rows.
+    """
 
     def __init__(self, graph: WeightedDigraph):
-        self.n = graph.n_vertices
+        self.a = graph.adjacency.real.copy()
         self.removed = set(graph.removed)
-        self.w: dict[tuple[int, int], float] = {
-            e: complex(val).real for e, val in graph.weights.items()}
-        self.out: dict[int, set[int]] = {v: set() for v in graph.vertices()}
-        self.into: dict[int, set[int]] = {v: set() for v in graph.vertices()}
-        for (i, j) in self.w:
-            self.out[i].add(j)
-            self.into[j].add(i)
 
-    def active(self, v: int) -> bool:
-        return 1 <= v <= self.n and v not in self.removed
+    def active(self, v) -> bool:
+        """Whether ``v`` is an integer id of a live vertex."""
+        return (isinstance(v, (int, np.integer))
+                and 1 <= v <= self.a.shape[0] and v not in self.removed)
 
     def _renorm(self, j: int) -> None:
-        total = sum(self.w[(x, j)] for x in self.into[j])
-        if total <= 0:
-            return
-        for x in self.into[j]:
-            self.w[(x, j)] /= total
+        col = self.a[:, j - 1]
+        total = col.sum()
+        if total > 0:
+            col /= total
 
     def apply(self, op: DeltaOp) -> None:
         """Apply one delta operation; every edit check lives here."""
@@ -356,57 +359,38 @@ class _Editor:
             raise DeltaError(f"add_edge({i},{j}) references an inactive vertex")
         if i == j:
             raise DeltaError(f"loop ({i},{i}) is not allowed")
-        if (i, j) in self.w:
+        if self.a[i - 1, j - 1]:
             raise DeltaError(f"edge ({i},{j}) already exists")
         if not (np.isfinite(w) and w > 0):
             raise DeltaError(f"edge weight must be positive, got {w}")
-        self.w[(i, j)] = float(w)
-        self.out[i].add(j)
-        self.into[j].add(i)
+        self.a[i - 1, j - 1] = w
         self._renorm(j)
 
     def remove_edge(self, i: int, j: int) -> None:
-        if (i, j) not in self.w:
+        if not (self.active(i) and self.active(j) and self.a[i - 1, j - 1]):
             raise DeltaError(f"edge ({i},{j}) does not exist")
-        del self.w[(i, j)]
-        self.out[i].discard(j)
-        self.into[j].discard(i)
+        self.a[i - 1, j - 1] = 0.0
         self._renorm(j)
 
     def add_vertex(self) -> None:
-        self.n += 1
-        self.out[self.n] = set()
-        self.into[self.n] = set()
+        self.a = np.pad(self.a, ((0, 1), (0, 1)))
 
     def remove_vertex(self, v: int) -> None:
         if not self.active(v):
             raise DeltaError(f"remove_vertex({v}) references an inactive vertex")
-        targets = set(self.out[v])
-        for y in targets:
-            del self.w[(v, y)]
-            self.into[y].discard(v)
-        for x in set(self.into[v]):
-            del self.w[(x, v)]
-            self.out[x].discard(v)
-        del self.out[v]
-        del self.into[v]
+        targets = np.flatnonzero(self.a[v - 1]) + 1
+        self.a[v - 1, :] = 0.0
+        self.a[:, v - 1] = 0.0
         self.removed.add(v)
-        for y in targets:
+        for y in targets.tolist():
             self._renorm(y)
 
     def reaches(self, start: int, goal: int, avoid: set[int]) -> bool:
-        """Whether a path leads from ``start`` to ``goal`` without entering ``avoid``."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v == goal:
-                return True
-            for u in self.out[v]:
-                if u not in seen and u not in avoid:
-                    seen.add(u)
-                    stack.append(u)
-        return False
+        """Whether a path leads from ``start`` to ``goal`` without entering
+        ``avoid``: the shared BFS with the columns of ``avoid`` masked off."""
+        support = self.a != 0
+        support[:, [v - 1 for v in avoid]] = False
+        return bool(_bfs_levels(support, start - 1)[goal - 1] >= 0)
 
     def graph(self) -> WeightedDigraph:
         """The edited graph, validated stochastic.
@@ -415,8 +399,7 @@ class _Editor:
             DeltaError: the edits leave the graph non-stochastic.
         """
         try:
-            return WeightedDigraph(self.n, dict(self.w), stochastic=True,
-                                   removed=frozenset(self.removed))
+            return WeightedDigraph.from_matrix(self.a, stochastic=True, removed=self.removed)
         except NonStochasticError as exc:
             raise DeltaError(f"delta leaves the graph non-stochastic: {exc}") from exc
 
@@ -455,7 +438,7 @@ def promotion_rule(members, branches, i: int, j: int) -> int | None:
 class UpdateSession:
     """Single-writer update of a stored state; readers keep the old snapshot.
 
-    The session carries the edited weight table and the structural set:
+    The session carries the edited adjacency array and the structural set:
     :meth:`apply` runs steps 1-2 per operation and then recomputes the
     extended matrix (steps 3-4) in closed form; :meth:`refresh` runs steps
     5-6; :meth:`commit` returns the new state and the cost report.  Any
@@ -476,8 +459,7 @@ class UpdateSession:
 
     # -- steps 1-4 ------------------------------------------------------
 
-    def apply(self, delta: GraphDelta, *, max_ops: int | None = None,
-              assume_primitive: bool = False) -> None:
+    def apply(self, delta: GraphDelta, *, assume_primitive: bool = False) -> None:
         """Edit the graph and structural set per operation, then recompute.
 
         A new edge (i, j) with both ends outside the set promotes ``i`` when
@@ -486,8 +468,6 @@ class UpdateSession:
         """
         if self._graph2 is not None:
             raise RuntimeError("session already applied a delta")
-        if max_ops is not None and delta.size > max_ops:
-            raise DeltaError(f"delta has {delta.size} ops, limit is {max_ops}")
         self._p = delta.size
         for op in delta.ops:
             self._ed.apply(op)
@@ -559,11 +539,10 @@ class UpdateSession:
 
 def run_update(state: StoredState, delta: GraphDelta, *, ell: int = 200,
                tol: float = 1e-13, meas_ratio: float = 0.1,
-               max_ops: int | None = None,
                assume_primitive: bool = False) -> tuple[StoredState, CostReport]:
     """Apply a delta end to end and return the new state with its cost report;
     ``ell`` feeds only the cost model, ``tol`` bounds the committed residual."""
     session = UpdateSession(state)
-    session.apply(delta, max_ops=max_ops, assume_primitive=assume_primitive)
+    session.apply(delta, assume_primitive=assume_primitive)
     session.refresh(ell, tol)
     return session.commit(meas_ratio=meas_ratio)

@@ -117,6 +117,8 @@ def test_compute_depths_rejects_invalid(three_cycle):
     with pytest.raises(StructuralSetError) as info:
         compute_depths(g, [1], 1.0)
     assert info.value.vertex == 2
+    with pytest.raises(ValueError):
+        compute_depths(three_cycle, [1.5], 1.0)
 
 
 def test_nilpotency_examples(three_cycle):

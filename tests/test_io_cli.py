@@ -369,3 +369,14 @@ def test_malformed_meta_file_is_a_format_error(tmp_path, capsys):
         assert main(["verify", "--rounds", "1", "--state", path]) == 1
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert checks["stored-state-consistency"]["passed"] is False
+
+
+def test_non_utf8_edge_list_is_a_failed_graph_check(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"N 3\n1 2 1.0\xff")
+    with pytest.raises(GraphFormatError):
+        iio.read_graph(str(path))
+    assert main(["verify", "--rounds", "1", "--graphs", str(path)]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks[f"graph-file:{path}"]["passed"] is False
+    assert all(c["passed"] for name, c in checks.items() if not name.startswith("graph-file"))

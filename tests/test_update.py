@@ -51,14 +51,31 @@ def test_apply_ops_vertex_add_is_atomic(three_cycle):
 
 
 def test_apply_ops_reference_errors(three_cycle):
-    for delta in (GraphDelta((DeltaOp.remove_edge(1, 3),)),
-                  GraphDelta((DeltaOp.add_edge(1, 2, 0.5),)),
-                  GraphDelta((DeltaOp.add_edge(1, 9, 0.5),)),
-                  GraphDelta((DeltaOp.add_edge(2, 2, 0.5),)),
-                  GraphDelta((DeltaOp.add_edge(1, 3, -0.5),)),
-                  GraphDelta((DeltaOp.remove_vertex(9),))):
-        with pytest.raises(DeltaError):
-            apply_ops(three_cycle, delta)
+    # the 3-cycle again with a tombstone at 4, so that 5 is n + 1
+    tombstoned = WeightedDigraph(4, three_cycle.weights, stochastic=True, removed={4})
+    ops = [DeltaOp.remove_edge(1, 3), DeltaOp.add_edge(1, 2, 0.5),
+           DeltaOp.add_edge(1, 9, 0.5), DeltaOp.add_edge(2, 2, 0.5),
+           DeltaOp.add_edge(1, 3, -0.5), DeltaOp.remove_vertex(9)]
+    # below the range, wrapping around to the last rows, past the end, a
+    # tombstone, not an integer
+    for bad in (0, -1, 5, 4, 1.5):
+        ops += [DeltaOp.add_edge(bad, 1, 0.5), DeltaOp.add_edge(1, bad, 0.5),
+                DeltaOp.remove_edge(bad, 1), DeltaOp.remove_edge(1, bad),
+                DeltaOp.remove_vertex(bad)]
+    for graph in (three_cycle, tombstoned):
+        weights, adjacency = dict(graph.weights), graph.matrix()
+        for op in ops:
+            with pytest.raises(DeltaError):
+                apply_ops(graph, GraphDelta((op,)))
+            assert graph.weights == weights and np.array_equal(graph.adjacency, adjacency)
+
+
+def test_apply_ops_accepts_numpy_integer_ids(three_cycle):
+    ops = (DeltaOp.add_edge(3, 2, 0.5), DeltaOp.add_edge(2, 1, 0.5),
+           DeltaOp.remove_edge(3, 1))
+    as_numpy = tuple(DeltaOp(op.kind, *map(np.int64, (op.i, op.j)), w=op.w) for op in ops)
+    assert apply_ops(three_cycle, GraphDelta(as_numpy)) == apply_ops(three_cycle, GraphDelta(ops))
+    assert compute_depths(three_cycle, [np.int64(1)], 1.0) == compute_depths(three_cycle, [1], 1.0)
 
 
 def test_remove_vertex_renormalizes_former_targets():
@@ -149,13 +166,6 @@ def test_rejected_delta_leaves_state_untouched():
                                       DeltaOp.remove_edge(9, 9))))
     assert state.graph is graph_before
     assert np.array_equal(state.extended.entries, ext_before)
-
-
-def test_run_update_respects_op_cap():
-    state = cycle_state()
-    delta = GraphDelta((DeltaOp.add_edge(3, 2, 0.5), DeltaOp.add_edge(1, 3, 0.5)))
-    with pytest.raises(DeltaError):
-        run_update(state, delta, max_ops=1)
 
 
 def test_primitivity_break_rejected():
