@@ -24,7 +24,8 @@ from .markov import (MarkovChain, StoppedChainSample, is_irreducible,
                      verify_stationary_restriction, within_sigma_fraction)
 from .reduction import (Branch, BranchSet, ExtendedReducedMatrix, ReducedMatrix,
                         branch_counts, branch_weight, enumerate_branches,
-                        extended_reduced_matrix, reduced_matrices_by_length,
+                        extended_columns, extended_reduced_matrix,
+                        reduced_matrices_by_length,
                         reduced_matrix, reduced_matrix_by_length)
 from .spectral import (EigenPair, is_primitive, lift_eigenvector, power_iteration,
                        reduced_eigen_co_iteration, stationary_vector, verify_restriction)
@@ -45,7 +46,8 @@ __all__ = [
     "StoredState", "StructuralSet", "StructuralSetError", "TrialResult",
     "UpdateSession", "ValidationResult", "VerificationReport", "WeightedDigraph",
     "apply_ops", "branch_counts", "branch_weight", "check_assumptions", "compute_depths",
-    "enumerate_branches", "extended_reduced_matrix", "find_structural_set",
+    "enumerate_branches", "extended_columns", "extended_reduced_matrix",
+    "find_structural_set",
     "is_irreducible", "is_primitive", "lift_eigenvector", "nilpotency_index",
     "power_iteration", "promotion_candidates", "promotion_rule", "random_delta",
     "random_stochastic_graph", "reduced_eigen_co_iteration", "reduced_matrices_by_length",

@@ -93,7 +93,7 @@ class ExperimentSummary:
 
 #: Largest deviation from a scratch build, per field of
 #: :meth:`StoredState.consistency_report`, at which a stored state still
-#: counts as equal to it.
+#: counts as equal to it; ``extended`` bounds the stored columns ``E[:, S]``.
 SCRATCH_BOUNDS = {"structural": 0.0, "extended": 1e-12,
                   "reduced_vector": 1e-6, "full_vector": 1e-6}
 

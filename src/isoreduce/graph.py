@@ -147,11 +147,13 @@ class WeightedDigraph:
     def n_active(self) -> int:
         return self.n_vertices - len(self.removed)
 
-    def is_active(self, v: int) -> bool:
-        return 1 <= v <= self.n_vertices and v not in self.removed
+    def is_active(self, v) -> bool:
+        """Whether ``v`` is the integer id (Python or numpy) of a live vertex."""
+        return (isinstance(v, (int, np.integer))
+                and 1 <= v <= self.n_vertices and v not in self.removed)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.weights
+    def has_edge(self, i, j) -> bool:
+        return self.is_active(i) and self.is_active(j) and (i, j) in self.weights
 
     def weight(self, i: int, j: int) -> complex:
         return self.weights.get((i, j), 0)
@@ -343,7 +345,7 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     if not members:
         raise ValueError("structural set must be nonempty")
     for v in members:
-        if not (isinstance(v, (int, np.integer)) and graph.is_active(v)):
+        if not graph.is_active(v):
             raise ValueError(f"structural member {v} is not an active vertex")
     ids = np.array(graph.vertices(), dtype=np.int64)
     in_set = np.zeros(graph.n_vertices + 1, dtype=bool)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import GraphFormatError
 from .graph import WeightedDigraph, compute_depths
-from .reduction import extended_reduced_matrix
+from .reduction import extended_columns
 from .update import DeltaOp, GraphDelta, StoredState
 
 
@@ -195,9 +195,9 @@ def save_state(state: StoredState, dirpath: str) -> None:
     """Persist a stored state as a directory of JSON artifacts.
 
     Only what cannot be recomputed is written: the graph, the structural
-    members, the two eigenvectors and the convergence flag.  The extended
-    matrix is fixed by the graph and the set, and a stored state always sits
-    at parameter 1, so :func:`load_state` rebuilds both.
+    members, the two eigenvectors and the convergence flag.  The member
+    columns ``E[:, S]`` are fixed by the graph and the set, and a stored
+    state always sits at parameter 1, so :func:`load_state` rebuilds both.
     """
     os.makedirs(dirpath, exist_ok=True)
     def put(name, obj):
@@ -217,9 +217,10 @@ def load_state(dirpath: str) -> StoredState:
     """Read a state directory back, rejecting parts that do not fit its graph.
 
     The graph is read as stochastic, the depths are taken over the stored
-    members at parameter 1, and the extended matrix is recomputed by the
-    same sweep that built it, so it comes back bit-identical.  An
-    ``extended.json`` or a ``lambda`` key left by an older save is ignored.
+    members at parameter 1, and the member columns ``E[:, S]`` are
+    recomputed by the same sweep that built them, so they come back
+    bit-identical.  An ``extended.json`` or a ``lambda`` key left by an
+    older save is ignored.
 
     Raises:
         GraphFormatError: a file is missing or malformed, the structural
@@ -249,7 +250,7 @@ def load_state(dirpath: str) -> StoredState:
     n = graph.n_vertices
     if full.shape != (n,):
         raise GraphFormatError(f"full vector has {full.size} entries, the graph {n}")
-    return StoredState(graph, structural, extended_reduced_matrix(graph, structural),
+    return StoredState(graph, structural, extended_columns(graph, structural),
                        reduced.real, full, converged)
 
 

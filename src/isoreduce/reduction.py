@@ -8,8 +8,9 @@ fixed spectral parameter, and computed in closed form,
 of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
 complement.  The complement carries no non-loop cycle, so the solve is one
 sweep over the complement in increasing depth, the same recursion that
-lifts an eigenvector.  ``branch_counts`` runs that sweep on the 0/1
-support to count branches for the update cost model;
+lifts an eigenvector.  ``extended_columns`` runs it with member
+terminals for the update path's ``E[:, S]``; ``branch_counts`` runs it on
+the 0/1 support to count branches for the update cost model;
 ``enumerate_branches`` lists the paths themselves, as a reference.
 """
 
@@ -277,22 +278,45 @@ def reduced_matrix_by_length(graph: WeightedDigraph, structural: StructuralSet,
     return reduced_matrices_by_length(graph, structural, lam, tol=tol)[p - 1]
 
 
+def _stochastic_sweep(graph: WeightedDigraph, structural: StructuralSet,
+                      terminal: np.ndarray, tol: float) -> np.ndarray:
+    """``A X`` for the parameter-1 sweep ``X`` of a stochastic graph: the
+    columns of ``E`` whose terminal rows ``terminal`` holds."""
+    if not graph.stochastic:
+        raise NonStochasticError("extended reduced matrix requires a stochastic graph")
+    if abs(structural.lam - 1) > tol:
+        raise ValueError("extended reduced matrix is evaluated at parameter 1")
+    a = graph.adjacency.real
+    return a @ _depth_sweep(a, structural, 1.0, terminal, tol=tol)
+
+
 def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *,
                             tol: float = DEFAULT_TOL) -> ExtendedReducedMatrix:
     """Branch-weight sums between every vertex pair, at parameter 1.
 
     Only defined for stochastic graphs (real weights, no loops, unit column
     sums); rows and columns of removed vertices are zero.  Every vertex is
-    a terminal of the sweep, so each branch is counted at its own end.
+    a terminal of the sweep, so each branch is counted at its own end.  The
+    update path needs only the member columns, :func:`extended_columns`.
     """
-    if not graph.stochastic:
-        raise NonStochasticError("extended reduced matrix requires a stochastic graph")
-    if abs(structural.lam - 1) > tol:
-        raise ValueError("extended reduced matrix is evaluated at parameter 1")
-    n = graph.n_vertices
-    a = graph.adjacency.real
-    x = _depth_sweep(a, structural, 1.0, np.eye(n), tol=tol)
-    return ExtendedReducedMatrix(structural.members, a @ x)
+    return ExtendedReducedMatrix(
+        structural.members,
+        _stochastic_sweep(graph, structural, np.eye(graph.n_vertices), tol))
+
+
+def extended_columns(graph: WeightedDigraph, structural: StructuralSet, *,
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The member columns ``E[:, S]`` of the extended matrix, n x s in member
+    order, from the sweep with member terminals that :func:`reduced_matrix`
+    runs.
+
+    They hold all a stationary solve needs: ``E[S, S]`` is the stochastic
+    complement and ``E[C, S]`` the lift.  They agree with
+    ``extended_reduced_matrix(graph, structural).entries[:, idx]`` to
+    roundoff, not bit for bit, since the products are shaped differently.
+    """
+    return _stochastic_sweep(graph, structural,
+                             _member_rows(graph.n_vertices, structural.members), tol)
 
 
 def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[int, int]:

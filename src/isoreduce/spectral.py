@@ -38,15 +38,17 @@ class EigenPair:
         return self.vector[self.vertices.index(v)]
 
 
-def _bfs_levels(support: np.ndarray, start: int = 0) -> np.ndarray:
+def _bfs_levels(support: np.ndarray, start: int = 0,
+                goal: int | None = None) -> np.ndarray:
     """Breadth-first levels from index ``start`` on a boolean adjacency
     matrix, one frontier product per level; -1 marks an index that ``start``
-    does not reach."""
+    does not reach.  With a ``goal`` index the search stops once the goal has
+    a level, leaving later levels at -1."""
     level = np.full(support.shape[0], -1, dtype=np.int64)
     level[start] = 0
     frontier = level == 0
     d = 0
-    while frontier.any():
+    while frontier.any() and (goal is None or level[goal] < 0):
         d += 1
         frontier = support[frontier].any(axis=0) & (level < 0)
         level[frontier] = d

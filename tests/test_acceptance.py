@@ -162,10 +162,11 @@ def test_incremental_equals_scratch():
         fresh = enumerate_branches(new_state.graph, ss)
         assert {b.vertices for b in fresh.branches} == \
             {b.vertices for b in new_state.branches.branches}
-        # matrices to 1e-12
+        # the columns E[:, S] the update stored, against a fresh full matrix, to 1e-12
         ext = extended_reduced_matrix(new_state.graph, ss)
-        worst_ext = max(worst_ext, float(np.abs(ext.entries -
-                                                new_state.extended.entries).max()))
+        idx = [v - 1 for v in ss.members]
+        worst_ext = max(worst_ext, float(np.abs(ext.entries[:, idx] -
+                                                new_state.columns).max()))
         # lifted eigenvector against the dense oracle
         m, ids = new_state.graph.active_matrix()
         oracle = dominant_unit_vector(m.real)

@@ -19,6 +19,17 @@ def test_graph_construction_and_queries(three_cycle):
     assert m[0, 1] == 1.0 and m[1, 0] == 0
 
 
+def test_vertex_queries_accept_only_integer_ids(three_cycle):
+    assert not three_cycle.is_active(1.5)
+    assert not three_cycle.is_active(2.0)
+    assert not three_cycle.has_edge(1.0, 2)
+    assert not three_cycle.has_edge(1, 2.0)
+    assert three_cycle.is_active(np.int64(2))
+    assert three_cycle.has_edge(np.int64(1), np.int32(2))
+    tombstoned = WeightedDigraph(4, three_cycle.weights, removed={4})
+    assert not tombstoned.is_active(4) and not tombstoned.is_active(0)
+
+
 def test_zero_weight_and_bad_vertex_rejected():
     with pytest.raises(ValueError):
         WeightedDigraph.from_edges(2, [(1, 2, 0.0)])

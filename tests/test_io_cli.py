@@ -115,7 +115,7 @@ def test_state_roundtrip(tmp_path):
     assert back.graph.weights == state.graph.weights
     assert back.structural.members == state.structural.members
     assert back.branches.branches == state.branches.branches
-    assert np.array_equal(back.extended.entries, state.extended.entries)
+    assert np.array_equal(back.columns, state.columns)
     assert np.array_equal(back.full_vector, state.full_vector)
 
 
@@ -276,8 +276,8 @@ def test_load_state_rebuilds_extended_after_vertex_removal(tmp_path):
     path = str(tmp_path / "st")
     iio.save_state(state2, path)
     back = iio.load_state(path)
-    assert np.array_equal(back.extended.entries, state2.extended.entries)
-    assert back.extended.members == state2.extended.members
+    assert np.array_equal(back.columns, state2.columns)
+    assert back.structural.members == state2.structural.members
     assert back.structural.depth_of == state2.structural.depth_of
     assert np.array_equal(back.reduced_vector, state2.reduced_vector)
     assert np.array_equal(back.full_vector, state2.full_vector)
@@ -292,7 +292,7 @@ def test_load_state_ignores_extended_and_lambda_of_older_saves(tmp_path):
     _rewrite(path, "structural.json", lambda d: d.update({"lambda": [2.0, 0.0]}))
     back = iio.load_state(path)
     assert back.structural.lam == 1.0
-    assert np.array_equal(back.extended.entries, state.extended.entries)
+    assert np.array_equal(back.columns, state.columns)
 
 
 def test_load_state_rejects_missing_or_non_integer_members(tmp_path):

@@ -5,12 +5,17 @@ Sixty 3-op deltas mix all four op kinds on a graph of about 40 vertices;
 the active count stays within ``MAX_DEV`` of the start and removed vertices
 stay as tombstones.  Every ``CHECK_EVERY`` updates the committed state is
 compared with ``StoredState.from_graph`` over the same members on the
-test's own dense copy of the graph, to the suite's 1e-12 bounds.
+test's own dense copy of the graph, to the suite's 1e-12 bounds; the
+stored columns ``E[:, S]`` are compared, since they are what the update
+computed.  A second stream also forces structural fallbacks and checks the
+stored columns against the full extended matrix and a save/load round trip.
 """
 
 import numpy as np
 
 from isoreduce import DeltaOp, GraphDelta, StoredState, WeightedDigraph, run_update
+from isoreduce.io import load_state, save_state
+from isoreduce.update import _Editor
 from oracles import apply_ops_dense, primitive_wielandt
 
 N0, UPDATES, CHECK_EVERY, MAX_DEV = 40, 60, 5, 3
@@ -99,10 +104,40 @@ def test_long_stream_stays_equal_to_scratch_builds():
         assert np.abs(state.graph.matrix().real - m).max() <= TOL
         fresh = StoredState.from_graph(own_graph(m, active),
                                        structural=state.structural.members)
-        assert np.abs(state.extended.entries - fresh.extended.entries).max() <= TOL
+        assert np.abs(state.columns - fresh.columns).max() <= TOL
         assert np.abs(state.reduced_vector - fresh.reduced_vector).max() <= TOL
         assert np.abs(state.full_vector - fresh.full_vector).max() <= TOL
         assert state.eig_converged
     assert checks == UPDATES // CHECK_EVERY
     assert kinds == set(DeltaOp.KINDS)
+    assert state.graph.removed
+
+
+def test_stored_columns_match_extended_through_promotions_fallbacks_and_tombstones(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(89)
+    m = base_matrix(rng)
+    active = set(range(1, N0 + 1))
+    state = StoredState.from_graph(own_graph(m, active))
+    promotions = fallbacks = 0
+    for u in range(1, 41):
+        delta, m, active = next_delta(m, active, state.structural.members, rng)
+        with monkeypatch.context() as mp:
+            if u % 2:
+                # with the promotion search off, an edge that closes a cycle
+                # outside the set forces a fresh structural-set search
+                mp.setattr(_Editor, "reaches", lambda self, start, goal, avoid: False)
+            new, report = run_update(state, delta)
+        grew = set(new.structural.members) - set(state.structural.members)
+        fallbacks += report.structural_fallback
+        promotions += bool(grew) and not report.structural_fallback
+        state = new
+        idx = [v - 1 for v in state.structural.members]
+        assert state.columns.shape == (state.graph.n_vertices, len(idx))
+        assert np.abs(state.columns - state.extended.entries[:, idx]).max() <= TOL
+        if u % CHECK_EVERY == 0:
+            path = str(tmp_path / f"state{u}")
+            save_state(state, path)
+            assert np.array_equal(load_state(path).columns, state.columns)
+    assert promotions >= 1 and fallbacks >= 1
     assert state.graph.removed

@@ -1,14 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitiveError,
-                       StoredState, UpdateSession, WeightedDigraph, apply_ops, compute_depths,
-                       enumerate_branches, extended_reduced_matrix, find_structural_set,
-                       promotion_candidates, promotion_rule, random_delta,
-                       random_stochastic_graph, run_update, scratch_equivalent,
-                       simplex_bound)
+                       StoredState, UpdateSession, WeightedDigraph, apply_ops, branch_counts,
+                       compute_depths, enumerate_branches, extended_columns,
+                       find_structural_set, promotion_candidates, promotion_rule,
+                       random_delta, random_stochastic_graph, run_update,
+                       scratch_equivalent, simplex_bound)
+from isoreduce.io import load_state, save_state
 from isoreduce.update import _lift_full
 from oracles import dominant_unit_vector, lift_full_embedded
 
@@ -117,8 +120,12 @@ def test_promotion_update_matches_hand_computation():
                          [0.0, 0.0, 1.0],
                          [1.0, 1 / 3, 1 / 3]])
     assert np.abs(new_state.extended.entries - expected).max() < 1e-15
+    assert np.abs(new_state.columns - expected[:, [0, 2]]).max() < 1e-15
     assert scratch_equivalent(new_state)
     assert not report.structural_fallback
+    # E[:, 1] moves from (1, 1, 1) in rows 1 and 2; the promoted E[:, 3]
+    # is new in all three rows
+    assert (report.touched_branches, report.weight_updates) == (3, 5)
 
 
 def test_plain_edge_addition_from_structural_vertex():
@@ -151,21 +158,22 @@ def test_empty_delta_is_identity():
                                    assume_primitive=True)
     assert new_state.structural.members == state.structural.members
     assert new_state.branches.branches == state.branches.branches
-    assert np.abs(new_state.extended.entries - state.extended.entries).max() == 0
+    assert np.array_equal(new_state.columns, state.columns)
     assert np.abs(new_state.full_vector - state.full_vector).max() < 1e-12
     assert report.p == 0
     assert report.step3_cost == 0 and report.step4_cost == 0
+    assert report.touched_branches == report.weight_updates == 0
 
 
 def test_rejected_delta_leaves_state_untouched():
     state = cycle_state()
     graph_before = state.graph
-    ext_before = state.extended.entries.copy()
+    cols_before = state.columns.copy()
     with pytest.raises(DeltaError):
         run_update(state, GraphDelta((DeltaOp.add_edge(3, 2, 0.5),
                                       DeltaOp.remove_edge(9, 9))))
     assert state.graph is graph_before
-    assert np.array_equal(state.extended.entries, ext_before)
+    assert np.array_equal(state.columns, cols_before)
 
 
 def test_primitivity_break_rejected():
@@ -238,9 +246,8 @@ def test_lift_from_extended_matrix_matches_embedded_lift():
                 continue
         removed += len(g.removed)
         ss = find_structural_set(g, 1.0)
-        ext = extended_reduced_matrix(g, ss)
         u_s = rng.uniform(0.1, 1.0, len(ss.members))
-        got = _lift_full(ext, u_s)
+        got = _lift_full(ss.members, extended_columns(g, ss), u_s)
         want = lift_full_embedded(g, ss, u_s)
         assert np.abs(got - want).max() <= 1e-12
         assert not got[[v - 1 for v in g.removed]].any()
@@ -308,11 +315,56 @@ def test_cost_report_from_reported_instance_measurements():
 
 
 def test_cost_report_validate_catches_violations():
-    report = CostReport(n=10, s=2, s_new=2, k=1, k_new=1, m=5, ell=10, p=1,
-                        step3_cost=1e6, step4_cost=0.0, step5_cost=80.0,
-                        step6_cost=0.0)
-    with pytest.raises(ValueError):
-        report.validate()
+    # step 5 must be ell*s'^3 = 80 and step 6 at most k'*N^2/2 = 50
+    for step5, step6 in ((1e6, 0.0), (80.0, 1e6)):
+        report = CostReport(n=10, s=2, s_new=2, k=1, k_new=1, ell=10, p=1,
+                            step5_cost=step5, step6_cost=step6, count_m=lambda: 5)
+        with pytest.raises(ValueError):
+            report.validate()
+        assert report.step3_cost == report.step4_cost == 1 * 2 * 5
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record each call of the package function ``name``, wherever a module
+    of the package binds it."""
+    calls = []
+    for mod_name, mod in list(sys.modules.items()):
+        fn = getattr(mod, name, None)
+        if mod_name.split(".")[0] == "isoreduce" and callable(fn):
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_update_path_defers_branch_count_and_full_sweep(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, "branch_counts")
+    sweeps = count_calls(monkeypatch, "extended_reduced_matrix")
+    rng = np.random.default_rng(58)
+    state = StoredState.from_graph(random_stochastic_graph(30, 2.5, rng))
+    updates, promotions = [], 0
+    while len(updates) < 12:
+        try:
+            new_state, report = run_update(state, random_delta(state.graph, rng, 3))
+        except DeltaError:
+            continue
+        promotions += len(new_state.structural.members) > len(state.structural.members)
+        updates.append((state, report))
+        state = new_state
+    save_state(state, str(tmp_path / "st"))
+    back = load_state(str(tmp_path / "st"))
+    assert counts == [] and sweeps == []
+    assert promotions >= 1
+    # the test's own binding of branch_counts was imported before the patch
+    for base, report in updates:
+        assert report.m == branch_counts(base.graph, base.structural)[1]
+        assert report.step3_cost == report.step4_cost == report.p * (report.k + 1) * report.m
+        assert report.to_dict()["measurements"]["m"] == report.m
+    assert len(counts) == len(updates)
+    assert np.abs(back.extended.entries[:, [v - 1 for v in back.structural.members]]
+                  - back.columns).max() <= 1e-12
+    assert sweeps == ["extended_reduced_matrix"]
 
 
 def test_full_structural_set_report_has_zero_lift_cost():
