@@ -48,10 +48,8 @@ def check_assumptions(graph: WeightedDigraph) -> None:
     Raises:
         NonStochasticError, NotPrimitiveError.
     """
-    WeightedDigraph(graph.n_vertices, dict(graph.weights), stochastic=True,
-                    removed=graph.removed)
-    mat, _ = graph.active_matrix()
-    if not is_primitive(mat):
+    WeightedDigraph.from_matrix(graph.adjacency, stochastic=True, removed=graph.removed)
+    if not is_primitive(graph.active_support()):
         raise NotPrimitiveError("adjacency matrix is not primitive")
 
 
@@ -101,8 +99,7 @@ def _op_stays_valid(graph: WeightedDigraph, ops: list[DeltaOp]) -> WeightedDigra
         g2 = apply_ops(graph, GraphDelta(tuple(ops)))
     except DeltaError:
         return None
-    mat, _ = g2.active_matrix()
-    if not is_primitive(mat):
+    if not is_primitive(g2.active_support()):
         return None
     return g2
 

@@ -2,9 +2,12 @@
 
 Vertices are the integers ``1..n_vertices``; removed vertices leave
 tombstones so that identifiers stay stable across incremental updates.
-Each graph builds one dense, read-only adjacency matrix when it is
-constructed, and the passes over the graph are array passes over it: one
-peel of the complement's non-loop support gives the depths, the
+Each graph stores one dense, read-only adjacency array, float64 when
+every weight is real and complex128 otherwise, checked by one validator
+whichever way the graph is built.  ``from_matrix`` keeps a copy of the
+array it is given, and every graph derives its weight map from the array
+when the map is first read.  The passes over the graph are array passes
+over it: one peel of the complement's non-loop support gives the depths, the
 structural check and the nilpotency index.  The one depth-first search,
 ``_cycles``, runs only for a witness cycle once the peel has stalled and
 for the cycle counts of the structural-set search.
@@ -12,7 +15,7 @@ for the cycle counts of the structural-set search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
@@ -38,72 +41,130 @@ def _neighbor_tuples(adjacency: np.ndarray, ids: tuple[int, ...]) -> dict[int, t
     return {v: tuple(cols[a:b]) for v, a, b in zip(ids, lo, hi)}
 
 
-@dataclass(frozen=True)
+def edge_arrays(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of an adjacency array in row-major order, as three arrays:
+    tail ids ``i``, head ids ``j`` (both 1-based) and weights ``w``."""
+    rows, cols = np.nonzero(adjacency)
+    return rows + 1, cols + 1, adjacency[rows, cols]
+
+
+def _weights_of(adjacency: np.ndarray) -> dict[tuple[int, int], complex]:
+    """The ``{(i, j): weight}`` map of an adjacency array, keyed in row-major
+    order; a weight with zero imaginary part is a float."""
+    i, j, w = edge_arrays(adjacency)
+    vals = w.real.tolist()
+    if w.imag.any():
+        vals = [re if im == 0 else z for re, im, z in zip(vals, w.imag.tolist(), w.tolist())]
+    return dict(zip(zip(i.tolist(), j.tolist()), vals))
+
+
+def _check_adjacency(adj: np.ndarray, active: np.ndarray, stochastic: bool) -> None:
+    """Reject an adjacency array that no graph may hold; ``active`` flags the
+    live vertex slots.
+
+    The first faulty entry in row-major order is named, with its first
+    fault: it touches a tombstone or is not finite, and on a stochastic
+    graph it is non-real, outside (0, 1] or a loop.  A stochastic graph's
+    active columns must then sum to 1.
+
+    Raises:
+        ValueError: an edge at a tombstone or with a non-finite weight.
+        NonStochasticError: a stochastic condition fails.
+    """
+    tails, heads, w = edge_arrays(adj)
+    faults = [~(active[tails - 1] & active[heads - 1]), ~np.isfinite(w)]
+    if stochastic:
+        faults += [w.imag != 0, ~((w.real > 0) & (w.real <= 1)), tails == heads]
+    faults = np.stack(faults)
+    bad = np.flatnonzero(faults.any(axis=0))
+    if bad.size:
+        t = bad[0]
+        i, j, wt = int(tails[t]), int(heads[t]), w[t].item()
+        kind, message = [
+            (ValueError, f"edge ({i},{j}) touches an inactive vertex"),
+            (ValueError, f"edge ({i},{j}) has non-finite weight {wt}"),
+            (NonStochasticError, f"edge ({i},{j}) has non-real weight {wt}"),
+            (NonStochasticError, f"edge ({i},{j}) weight {wt.real} outside (0, 1]"),
+            (NonStochasticError, f"stochastic graph may not contain loop ({i},{i})"),
+        ][int(np.argmax(faults[:, t]))]
+        raise kind(message)
+    if stochastic:
+        sums = adj.real.sum(axis=0)
+        off = np.flatnonzero(active & (np.abs(sums - 1.0) > STOCHASTIC_TOL))
+        if off.size:
+            raise NonStochasticError(
+                f"column {off[0] + 1} sums to {sums[off[0]]}, expected 1")
+
+
 class WeightedDigraph:
     """Directed graph with complex edge weights.
 
-    ``weights`` maps ordered pairs ``(i, j)`` (an edge from i to j) to a
-    nonzero weight; absent pairs read as weight 0.  With ``stochastic`` set,
-    weights must be real in (0, 1], the graph must be loop-free, and every
-    active column of the adjacency matrix must sum to 1.
+    ``adjacency`` is the graph's one stored form: the dense n x n weighted
+    adjacency matrix, read-only, with zero rows and columns at tombstones,
+    float64 when every weight has zero imaginary part and complex128
+    otherwise.  Every pass over the graph reads it.
 
-    ``adjacency`` is the dense n x n weighted adjacency matrix, built once
-    and read-only (zero rows and columns at tombstones); every pass over the
-    graph reads it.
+    ``weights`` maps ordered pairs ``(i, j)`` (an edge from i to j) to a
+    finite nonzero weight; absent pairs read as weight 0.  It is derived
+    from ``adjacency`` on first read, however the graph was built: keyed in
+    row-major order, with a float for each weight whose imaginary part is
+    zero.  With
+    ``stochastic`` set, weights must be real in (0, 1], the graph must be
+    loop-free, and every active column must sum to 1.
+
+    Graphs are immutable, and two are equal when their vertex counts, flags,
+    tombstones and adjacency arrays are, which is when their weights are.
     """
 
-    n_vertices: int
-    weights: Mapping[tuple[int, int], complex]
-    stochastic: bool = False
-    removed: frozenset[int] = frozenset()
-    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
-    _ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.n_vertices
-        if n < 0:
+    def __init__(self, n_vertices: int, weights: Mapping[tuple[int, int], complex],
+                 stochastic: bool = False, removed: Iterable[int] = frozenset()):
+        if n_vertices < 0:
             raise ValueError("n_vertices must be non-negative")
-        object.__setattr__(self, "removed", frozenset(self.removed))
-        active = np.zeros(n + 1, dtype=bool)
-        active[1:] = True
-        active[[v for v in self.removed if 1 <= v <= n]] = False
-        edges = np.fromiter(chain.from_iterable(self.weights), np.int64,
-                            2 * len(self.weights)).reshape(-1, 2)
-        w = np.array(list(self.weights.values()), dtype=complex)
-        inside = ((edges >= 1) & (edges <= n)).all(axis=1)
-        inside[inside] = active[edges[inside]].all(axis=1)
-        bad = np.flatnonzero(~inside | (w == 0))
+        edges = np.fromiter(chain.from_iterable(weights), np.int64,
+                            2 * len(weights)).reshape(-1, 2)
+        w = np.array(list(weights.values()), dtype=complex)
+        outside = ((edges < 1) | (edges > n_vertices)).any(axis=1)
+        bad = np.flatnonzero(outside | (w == 0))
         if bad.size:
             i, j = edges[bad[0]].tolist()
-            if not inside[bad[0]]:
+            if outside[bad[0]]:
                 raise ValueError(f"edge ({i},{j}) touches an inactive vertex")
             raise ValueError(f"edge ({i},{j}) stored with zero weight")
-        adj = np.zeros((n, n), dtype=complex)
+        if not w.imag.any():
+            w = w.real
+        adj = np.zeros((n_vertices, n_vertices), dtype=w.dtype)
         adj[edges[:, 0] - 1, edges[:, 1] - 1] = w
-        adj.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "_ids", tuple(np.flatnonzero(active).tolist()))
-        if self.stochastic:
-            self._validate_stochastic(edges, w)
+        self._keep(adj, stochastic, removed)
 
-    def _validate_stochastic(self, edges: np.ndarray, w: np.ndarray):
-        faults = np.stack([np.abs(w.imag) > 0, ~((w.real > 0) & (w.real <= 1)),
-                           edges[:, 0] == edges[:, 1]])
-        bad = np.flatnonzero(faults.any(axis=0))
-        if bad.size:
-            t = bad[0]
-            (i, j), wt = edges[t].tolist(), complex(w[t])
-            if faults[0, t]:
-                raise NonStochasticError(f"edge ({i},{j}) has non-real weight {wt}")
-            if faults[1, t]:
-                raise NonStochasticError(f"edge ({i},{j}) weight {wt.real} outside (0, 1]")
-            raise NonStochasticError(f"stochastic graph may not contain loop ({i},{i})")
-        ids = np.array(self._ids, dtype=np.int64) - 1
-        sums = self.adjacency.real[:, ids].sum(axis=0)
-        off = np.flatnonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)
-        if off.size:
-            raise NonStochasticError(
-                f"column {ids[off[0]] + 1} sums to {sums[off[0]]}, expected 1")
+    def _keep(self, adj: np.ndarray, stochastic: bool, removed: Iterable[int]) -> None:
+        """Validate ``adj`` and make it, read-only, this graph's adjacency."""
+        n = adj.shape[0]
+        removed = frozenset(removed)
+        active = np.ones(n, dtype=bool)
+        active[[v - 1 for v in removed if 1 <= v <= n]] = False
+        _check_adjacency(adj, active, stochastic)
+        adj.flags.writeable = False
+        vars(self).update(n_vertices=n, stochastic=stochastic, removed=removed,
+                          adjacency=adj, _ids=tuple((np.flatnonzero(active) + 1).tolist()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_vertices == other.n_vertices and self.stochastic == other.stochastic
+                and self.removed == other.removed
+                and np.array_equal(self.adjacency, other.adjacency))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"WeightedDigraph(n_vertices={self.n_vertices}, weights={self.weights!r}, "
+                f"stochastic={self.stochastic!r}, removed={self.removed!r})")
 
     # -- construction -------------------------------------------------
 
@@ -123,21 +184,26 @@ class WeightedDigraph:
                     removed: Iterable[int] = ()) -> "WeightedDigraph":
         """Build a graph from a square matrix; nonzero entry (i, j) is edge i->j.
 
-        Edges are keyed in row-major order; a weight with zero imaginary part
-        is stored as a float.
+        A copy of the matrix is validated and kept as ``adjacency``; no
+        weight map is built until ``weights`` is read.  Its edges are then
+        keyed in row-major order, and a weight with zero imaginary part is
+        stored as a float.
         """
         m = np.asarray(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        rows, cols = np.nonzero(m != 0)
-        w = m[rows, cols].astype(complex)
-        vals = w.real.tolist()
-        if w.imag.any():
-            vals = [re if im == 0 else z for re, im, z in zip(vals, w.imag.tolist(), w.tolist())]
-        weights = dict(zip(zip((rows + 1).tolist(), (cols + 1).tolist()), vals))
-        return cls(m.shape[0], weights, stochastic=stochastic, removed=frozenset(removed))
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = m.real
+        graph = cls.__new__(cls)
+        graph._keep(m.astype(complex if np.iscomplexobj(m) else float), stochastic, removed)
+        return graph
 
     # -- queries ------------------------------------------------------
+
+    @cached_property
+    def weights(self) -> Mapping[tuple[int, int], complex]:
+        """Edge weights by ``(i, j)``, derived from ``adjacency`` on first read."""
+        return _weights_of(self.adjacency)
 
     def vertices(self) -> tuple[int, ...]:
         """Active vertex ids, ascending."""
@@ -185,14 +251,23 @@ class WeightedDigraph:
         idx = np.array(self._ids, dtype=np.int64) - 1
         return self.adjacency[np.ix_(idx, idx)], self._ids
 
+    def active_support(self) -> np.ndarray:
+        """Boolean support of :meth:`active_matrix`'s block, without copying
+        the weights; the whole support when there is no tombstone."""
+        support = self.adjacency != 0
+        if len(self._ids) == self.n_vertices:
+            return support
+        idx = np.array(self._ids, dtype=np.int64) - 1
+        return support[np.ix_(idx, idx)]
+
     def compact(self) -> tuple["WeightedDigraph", dict[int, int]]:
         """Renumber active vertices densely as 1..n_active.
 
         Returns the compacted graph and the old-id -> new-id mapping.
         """
-        mapping = {v: t + 1 for t, v in enumerate(self.vertices())}
-        weights = {(mapping[i], mapping[j]): w for (i, j), w in self.weights.items()}
-        return WeightedDigraph(len(mapping), weights, stochastic=self.stochastic), mapping
+        mat, ids = self.active_matrix()
+        mapping = {v: t + 1 for t, v in enumerate(ids)}
+        return WeightedDigraph.from_matrix(mat, stochastic=self.stochastic), mapping
 
 
 @dataclass(frozen=True)

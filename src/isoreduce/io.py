@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from typing import Iterable
 
 import numpy as np
 
 from .exceptions import GraphFormatError
-from .graph import WeightedDigraph, compute_depths
+from .graph import WeightedDigraph, compute_depths, edge_arrays
 from .reduction import extended_columns
 from .update import DeltaOp, GraphDelta, StoredState
 
@@ -53,23 +54,25 @@ def parse_edgelist(text: str) -> tuple[int, dict]:
     return n, weights
 
 
+def _edge_rows(graph: WeightedDigraph) -> list[tuple[int, int, float, float]]:
+    """``(i, j, re, im)`` for every edge in ``(i, j)`` order, read off the
+    adjacency array without building the weight map."""
+    i, j, w = edge_arrays(graph.adjacency)
+    return list(zip(i.tolist(), j.tolist(), w.real.tolist(), w.imag.tolist()))
+
+
 def render_edgelist(graph: WeightedDigraph) -> str:
     lines = [f"N {graph.n_vertices}"]
-    for (i, j) in graph.edges():
-        w = complex(graph.weight(i, j))
-        if w.imag:
-            lines.append(f"{i} {j} {w.real!r} {w.imag!r}")
+    for i, j, re, im in _edge_rows(graph):
+        if im:
+            lines.append(f"{i} {j} {re!r} {im!r}")
         else:
-            lines.append(f"{i} {j} {w.real!r}")
+            lines.append(f"{i} {j} {re!r}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_dict(graph: WeightedDigraph) -> dict:
-    edges = []
-    for (i, j) in graph.edges():
-        w = complex(graph.weight(i, j))
-        edges.append([i, j, w.real, w.imag])
-    out = {"n": graph.n_vertices, "edges": edges}
+    out = {"n": graph.n_vertices, "edges": [list(row) for row in _edge_rows(graph)]}
     if graph.stochastic:
         out["stochastic"] = True
     if graph.removed:
@@ -161,8 +164,7 @@ def read_delta(path: str) -> GraphDelta:
 
 
 def write_delta(delta: GraphDelta, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(delta_to_dict(delta)))
+    _write_json(path, delta_to_dict(delta))
 
 
 def vector_to_dict(vertices: Iterable[int], values, normalization: str,
@@ -191,6 +193,17 @@ def read_vector(path: str):
     return vector_from_dict(_read_json(path))
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(obj))
+
+
+#: The files a state directory may hold: the five :func:`save_state` writes
+#: and the two that older saves also wrote.
+STATE_FILES = frozenset({"graph.json", "structural.json", "reduced_vector.json",
+                         "full_vector.json", "meta.json", "branches.json", "extended.json"})
+
+
 def save_state(state: StoredState, dirpath: str) -> None:
     """Persist a stored state as a directory of JSON artifacts.
 
@@ -198,19 +211,49 @@ def save_state(state: StoredState, dirpath: str) -> None:
     members, the two eigenvectors and the convergence flag.  The member
     columns ``E[:, S]`` are fixed by the graph and the set, and a stored
     state always sits at parameter 1, so :func:`load_state` rebuilds both.
+
+    The files are written into a new hidden sibling directory of ``dirpath``
+    (with symbolic links resolved), so the parent directory must be
+    writable.  That directory then replaces ``dirpath`` by two renames: an
+    existing ``dirpath`` is moved aside, the new one moved in, and the old
+    one deleted.  A save that raises moves the old directory back, so it
+    leaves ``dirpath``, or its absence, as it was.  The files are not synced
+    to disk, and a process killed between the two renames leaves ``dirpath``
+    missing, with the old state in a hidden ``.<name>.<hex>.old`` sibling.
+
+    Raises:
+        FileExistsError: ``dirpath`` exists and is not a directory that holds
+            nothing but state files (:data:`STATE_FILES`); it is left alone.
     """
-    os.makedirs(dirpath, exist_ok=True)
-    def put(name, obj):
-        with open(os.path.join(dirpath, name), "w", encoding="utf-8") as fh:
-            fh.write(dumps(obj))
-    put("graph.json", graph_to_dict(state.graph))
-    put("structural.json", {"members": list(state.structural.members)})
-    put("reduced_vector.json", vector_to_dict(state.structural.members,
-                                              state.reduced_vector, "L1-positive", 1.0))
-    put("full_vector.json", {"n": state.graph.n_vertices,
-                             "values": state.full_vector.tolist(),
-                             "normalization": "L1-positive"})
-    put("meta.json", {"eig_converged": state.eig_converged})
+    target = os.path.realpath(dirpath)
+    if os.path.exists(target) and not (
+            os.path.isdir(target) and set(os.listdir(target)) <= STATE_FILES):
+        raise FileExistsError(f"{dirpath} is not a state directory; not overwriting it")
+    parent = os.path.dirname(target)
+    os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f".{os.path.basename(target)}.{os.urandom(8).hex()}")
+    old = tmp + ".old"
+    os.mkdir(tmp)
+    try:
+        for name, obj in (
+                ("graph.json", graph_to_dict(state.graph)),
+                ("structural.json", {"members": list(state.structural.members)}),
+                ("reduced_vector.json", vector_to_dict(
+                    state.structural.members, state.reduced_vector, "L1-positive", 1.0)),
+                ("full_vector.json", {"n": state.graph.n_vertices,
+                                      "values": state.full_vector.tolist(),
+                                      "normalization": "L1-positive"}),
+                ("meta.json", {"eig_converged": state.eig_converged})):
+            _write_json(os.path.join(tmp, name), obj)
+        if os.path.isdir(target):
+            os.replace(target, old)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.isdir(old):
+            os.replace(old, target)
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_state(dirpath: str) -> StoredState:

@@ -8,7 +8,11 @@ fixed spectral parameter, and computed in closed form,
 of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
 complement.  The complement carries no non-loop cycle, so the solve is one
 sweep over the complement in increasing depth, the same recursion that
-lifts an eigenvector.  ``extended_columns`` runs it with member
+lifts an eigenvector.  The sweep reads the graph's adjacency as stored,
+so a real graph at a real parameter gives real results; it takes its
+layers from one sort of the depths, checks every denominator before the
+first layer, and copies the adjacency only to drop a nonzero diagonal.
+``extended_columns`` runs it with member
 terminals for the update path's ``E[:, S]``; ``branch_counts`` runs it on
 the 0/1 support to count branches for the update cost model;
 ``enumerate_branches`` lists the paths themselves, as a reference.
@@ -185,8 +189,10 @@ def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
     vertex slot (row ``v - 1`` for vertex ``v``).  Members keep their
     terminal row; complement vertices, in increasing depth, take
     ``x_v = t_v + sum_{j != v} a_vj x_j / (lam - a_vv)``.  A vertex only
-    points at shallower ones, so each depth layer is one matrix product and
-    ``lam I - A_CC`` is never formed.
+    points at shallower ones, so each depth layer is one matrix product, a
+    divide and an add, and ``lam I - A_CC`` is never formed.  One sort of
+    the depths gives the layers, every denominator is checked before the
+    first layer, and ``a`` is copied only to drop a nonzero diagonal.
 
     With ``by_length`` the result is stacked by path length: slice ``q``
     holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
@@ -195,27 +201,30 @@ def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
     Raises:
         SingularWeightError: a complement denominator is within ``tol`` of zero.
     """
-    off = a.copy()
-    loops = off.diagonal().copy()
-    np.fill_diagonal(off, 0)
-    layers: list[list[int]] = [[] for _ in range(structural.max_depth)]
-    for v, d in structural.depth_of.items():
-        if d > 0:
-            layers[d - 1].append(v - 1)
-    depth = structural.max_depth + 1 if by_length else 1
-    x = np.zeros((depth,) + terminal.shape, dtype=np.result_type(a, terminal, lam))
+    ids = np.fromiter(structural.depth_of, np.int64, len(structural.depth_of))
+    depth = np.fromiter(structural.depth_of.values(), np.int64, len(ids))
+    # slots by depth, ascending within a layer; layer d is comp[cut[d-1]:cut[d]]
+    slots = ids[np.lexsort((ids, depth))] - 1
+    cut = np.cumsum(np.bincount(depth, minlength=structural.max_depth + 1))
+    comp = slots[cut[0]:]
+    cut = (cut - cut[0]).tolist()
+    den = (lam - a.diagonal()[comp])[:, None]
+    bad = np.flatnonzero(np.abs(den) <= tol)
+    if bad.size:
+        raise SingularWeightError(
+            f"complement vertex {comp[bad[0]] + 1} has loop weight within {tol} of {lam}")
+    if a.diagonal().any():
+        a = a.copy()
+        np.fill_diagonal(a, 0)
+    x = np.zeros((structural.max_depth + 1 if by_length else 1,) + terminal.shape,
+                 dtype=np.result_type(a, terminal, lam))
     x[0] = terminal
-    for d, layer in enumerate(layers, 1):
-        rows = np.array(sorted(layer), dtype=int)
-        den = lam - loops[rows]
-        bad = np.flatnonzero(np.abs(den) <= tol)
-        if bad.size:
-            raise SingularWeightError(
-                f"complement vertex {rows[bad[0]] + 1} has loop weight within {tol} of {lam}")
+    for d in range(1, structural.max_depth + 1):
+        rows, dd = comp[cut[d - 1]:cut[d]], den[cut[d - 1]:cut[d]]
         if by_length:
-            x[1:d + 1, rows] = (off[rows] @ x[:d]) / den[:, None]
+            x[1:d + 1, rows] = (a[rows] @ x[:d]) / dd
         else:
-            x[0, rows] += (off[rows] @ x[0]) / den[:, None]
+            x[0, rows] += (a[rows] @ x[0]) / dd
     return x if by_length else x[0]
 
 
@@ -286,7 +295,7 @@ def _stochastic_sweep(graph: WeightedDigraph, structural: StructuralSet,
         raise NonStochasticError("extended reduced matrix requires a stochastic graph")
     if abs(structural.lam - 1) > tol:
         raise ValueError("extended reduced matrix is evaluated at parameter 1")
-    a = graph.adjacency.real
+    a = graph.adjacency
     return a @ _depth_sweep(a, structural, 1.0, terminal, tol=tol)
 
 

@@ -69,12 +69,12 @@ def is_primitive(matrix) -> bool:
     the BFS levels from vertex 0, which is the period.
     """
     m = np.asarray(matrix)
+    support = m != 0
     n = m.shape[0]
     if n == 0:
         return False
     if n == 1:
-        return m[0, 0] != 0
-    support = m != 0
+        return bool(support[0, 0])
     level = _bfs_levels(support)
     if (level < 0).any() or (_bfs_levels(support.T) < 0).any():
         return False

@@ -9,7 +9,9 @@ renormalized, and the structural set grows by the promotion rule when a
 new edge closes a cycle outside it, found by the package's one
 breadth-first search with the set's columns masked off, stopped once it
 reaches the edge's source.  The edited array becomes the new graph through
-``WeightedDigraph.from_matrix``.
+``WeightedDigraph.from_matrix``, which validates and keeps it as the
+graph's float64 adjacency without building a weight map, and primitivity
+is read off its boolean support.
 The columns ``E[:, S]`` are then recomputed in closed form by one
 depth-order sweep with member terminals, and the dominant eigenvector
 solved exactly on the reduced block ``E[S, S]``.  The columns already hold
@@ -126,8 +128,7 @@ class StoredState:
         ``tol`` bounds the committed residual, and ``ell`` is unused."""
         if not graph.stochastic:
             raise NonStochasticError("stored state requires a stochastic graph")
-        mat, _ = graph.active_matrix()
-        if not assume_primitive and not is_primitive(mat):
+        if not assume_primitive and not is_primitive(graph.active_support()):
             raise NotPrimitiveError("adjacency matrix is not primitive")
         if structural is None:
             ss = find_structural_set(graph, 1.0)
@@ -520,10 +521,8 @@ class UpdateSession:
         g2 = self._ed.graph()
         if not self._S:
             raise DeltaError("delta emptied the structural set")
-        if not assume_primitive:
-            mat, _ = g2.active_matrix()
-            if not is_primitive(mat):
-                raise DeltaError("delta breaks primitivity of the adjacency matrix")
+        if not assume_primitive and not is_primitive(g2.active_support()):
+            raise DeltaError("delta breaks primitivity of the adjacency matrix")
         try:
             ss = compute_depths(g2, self._S, 1.0)
         except StructuralSetError:

@@ -223,9 +223,9 @@ def lift_full_embedded(graph: WeightedDigraph, structural, u_s) -> np.ndarray:
     return full / full.sum()
 
 
-def from_matrix_loop(m, *, stochastic: bool = False) -> WeightedDigraph:
-    """Graph of a square matrix, entry by entry in row-major order; a weight
-    with zero imaginary part is stored as a float."""
+def weights_loop(m) -> dict[tuple[int, int], complex]:
+    """Weight map of a square matrix, entry by entry in row-major order; a
+    weight with zero imaginary part is stored as a float."""
     m = np.asarray(m)
     n = m.shape[0]
     weights = {}
@@ -234,7 +234,12 @@ def from_matrix_loop(m, *, stochastic: bool = False) -> WeightedDigraph:
             if m[i, j] != 0:
                 w = complex(m[i, j])
                 weights[(i + 1, j + 1)] = w.real if w.imag == 0 else w
-    return WeightedDigraph(n, weights, stochastic=stochastic)
+    return weights
+
+
+def from_matrix_loop(m, *, stochastic: bool = False) -> WeightedDigraph:
+    """Graph of a square matrix, built from its entry-by-entry weight map."""
+    return WeightedDigraph(np.asarray(m).shape[0], weights_loop(m), stochastic=stochastic)
 
 
 def apply_ops_dense(matrix: np.ndarray, delta) -> np.ndarray:

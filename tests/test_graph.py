@@ -5,7 +5,8 @@ from isoreduce import (NonStochasticError, StructuralSetError, WeightedDigraph,
                        compute_depths, find_structural_set, nilpotency_index,
                        validate_structural)
 from oracles import (cycles_listed, depths_recursive, from_matrix_loop,
-                     greedy_structural_members, nilpotency_dfs, random_complex_graph)
+                     greedy_structural_members, nilpotency_dfs, random_complex_graph,
+                     weights_loop)
 
 
 def test_graph_construction_and_queries(three_cycle):
@@ -211,10 +212,87 @@ def test_from_matrix_matches_entry_loop():
         mats += [real, real + 1j * rng.normal(size=(n, n)) * mask * (rng.random((n, n)) < 0.5)]
     for m in mats:
         got, want = WeightedDigraph.from_matrix(m), from_matrix_loop(m)
-        assert list(got.weights) == list(want.weights)
-        for key, w in want.weights.items():
+        assert list(got.weights) == list(weights_loop(m))
+        for key, w in weights_loop(m).items():
             assert type(got.weights[key]) is type(w) and got.weights[key] == w
         assert np.array_equal(got.matrix(), want.matrix())
+
+
+def test_adjacency_dtype_follows_weights():
+    real = [(1, 2, 0.5), (2, 1, 1.0), (1, 1, 2.0)]
+    for g in (WeightedDigraph.from_edges(2, real),
+              WeightedDigraph(2, {(1, 2): 1 + 0j, (2, 1): 3}),
+              WeightedDigraph.from_matrix(np.array([[0, 1 + 0j], [2, 0]])),
+              WeightedDigraph.from_matrix(np.eye(2, dtype=bool)),
+              WeightedDigraph.from_matrix(np.arange(4).reshape(2, 2))):
+        assert g.adjacency.dtype == np.float64
+    for g in (WeightedDigraph.from_edges(2, real + [(2, 2, 1j)]),
+              WeightedDigraph.from_matrix(np.array([[0, 1], [1e-300j, 0]]))):
+        assert g.adjacency.dtype == np.complex128
+    g = WeightedDigraph.from_edges(4, [(1, 2, 0.5), (2, 4, 1.0), (4, 1, 1.0), (4, 2, 0.5)],
+                                   stochastic=True, removed=[3])
+    assert np.array_equal(g.active_support(), g.active_matrix()[0] != 0)
+
+
+def _row_major_edges(m: np.ndarray) -> list[tuple]:
+    """Nonzero entries of ``m`` as ``(i, j, w)``, row-major, w a float when real."""
+    return [(i + 1, j + 1, complex(m[i, j]) if complex(m[i, j]).imag else float(m[i, j].real))
+            for i, j in zip(*np.nonzero(m))]
+
+
+def test_from_matrix_and_from_edges_agree():
+    rng = np.random.default_rng(18)
+    outcomes = set()
+    for t in range(300):
+        n = int(rng.integers(1, 7))
+        m = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+        stochastic = t % 2 == 0
+        if stochastic:
+            np.fill_diagonal(m, 0)
+            m /= np.maximum(m.sum(axis=0), 1e-300)
+        removed = [v for v in range(1, n + 1) if rng.random() < 0.2]
+        if t % 3 == 0 and removed:
+            m[:, np.array(removed) - 1] = 0
+            m[np.array(removed) - 1, :] = 0
+        fault = int(rng.integers(0, 8))
+        i, j = rng.integers(0, n, 2)
+        if fault == 1:
+            m[i, j] = [np.nan, np.inf, -np.inf][t % 3]
+        elif fault == 2:
+            m = m + 1j * (rng.random((n, n)) < 0.2) * (m != 0)
+        elif fault == 3:
+            m[i, j] = 1.5
+        elif fault == 4:
+            m[i, i] = 0.5
+        got, want = {}, {}
+        for build, out in ((lambda: WeightedDigraph.from_matrix(
+                                m, stochastic=stochastic, removed=removed), got),
+                           (lambda: WeightedDigraph.from_edges(
+                                n, _row_major_edges(m), stochastic=stochastic,
+                                removed=removed), want)):
+            try:
+                g = build()
+            except (ValueError, NonStochasticError) as exc:
+                out["error"] = (type(exc), str(exc))
+                continue
+            out["weights"] = [(k, type(w), w) for k, w in g.weights.items()]
+            out["adjacency"] = (g.adjacency.dtype, g.adjacency.tobytes())
+        assert got == want
+        kinds = ("inactive", "non-finite", "non-real", "outside", "loop", "sums")
+        outcomes.add(next((k for k in kinds if k in got["error"][1]), None)
+                     if "error" in got else got["adjacency"][0])
+    assert outcomes == {*kinds, np.dtype(float), np.dtype(complex)}
+
+
+def test_non_finite_weights_are_rejected():
+    with pytest.raises(ValueError, match=r"edge \(1,2\) has non-finite weight nan"):
+        WeightedDigraph.from_edges(2, [(1, 2, float("nan")), (2, 1, float("inf"))])
+    with pytest.raises(ValueError, match=r"edge \(2,1\) has non-finite weight inf"):
+        WeightedDigraph.from_edges(2, [(1, 2, 1.0), (2, 1, float("inf"))], stochastic=True)
+    with pytest.raises(ValueError, match=r"edge \(1,2\) has non-finite weight"):
+        WeightedDigraph.from_matrix([[0, np.nan], [1, 0]])
+    with pytest.raises(ValueError, match=r"edge \(2,1\) has non-finite weight"):
+        WeightedDigraph.from_matrix(np.array([[0, 1], [complex(1, np.inf), 0]]))
 
 
 def test_graph_errors_name_their_fault():

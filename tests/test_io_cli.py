@@ -34,6 +34,16 @@ def test_json_roundtrip_preserves_flags(tmp_path):
     assert back.weights == g.weights
 
 
+def test_non_finite_weight_fails_to_load(tmp_path):
+    for text in ("N 2\n1 2 nan\n2 1 1.0\n", "N 2\n1 2 1.0\n2 1 inf\n",
+                 "N 2\n1 2 1.0 nan\n2 1 1.0\n"):
+        with pytest.raises(GraphFormatError, match="non-finite weight"):
+            iio.read_graph(write(tmp_path, "bad.txt", text))
+    with pytest.raises(GraphFormatError, match="non-finite weight"):
+        iio.read_graph(write(tmp_path, "bad.json",
+                             json.dumps({"n": 2, "edges": [[1, 2, "nan"], [2, 1, 1.0]]})))
+
+
 def test_edgelist_format_errors(tmp_path):
     for text in ("", "3\n1 2 1.0\n", "N x\n", "N 3\n1 2\n", "N 3\n1 2 1.0\n1 2 2.0\n"):
         with pytest.raises(GraphFormatError):
@@ -281,6 +291,78 @@ def test_load_state_rebuilds_extended_after_vertex_removal(tmp_path):
     assert back.structural.depth_of == state2.structural.depth_of
     assert np.array_equal(back.reduced_vector, state2.reduced_vector)
     assert np.array_equal(back.full_vector, state2.full_vector)
+
+
+def test_failed_save_leaves_the_previous_directory(tmp_path, monkeypatch):
+    rng = np.random.default_rng(74)
+    state = StoredState.from_graph(random_stochastic_graph(8, 2.5, rng))
+    other = StoredState.from_graph(random_stochastic_graph(9, 2.5, rng))
+    path = tmp_path / "st"
+    iio.save_state(state, str(path))
+    before = {f.name: f.read_bytes() for f in path.iterdir()}
+    write_json = iio._write_json
+    calls = []
+
+    def failing(where, obj):
+        calls.append(where)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_json(where, obj)
+
+    monkeypatch.setattr(iio, "_write_json", failing)
+    for target in (path, tmp_path / "absent"):
+        calls.clear()
+        with pytest.raises(OSError, match="disk full"):
+            iio.save_state(other, str(target))
+    assert {f.name: f.read_bytes() for f in path.iterdir()} == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["st"]
+    monkeypatch.setattr(iio, "_write_json", write_json)
+    iio.save_state(other, str(path))
+    back = iio.load_state(str(path))
+    assert back.graph == other.graph and np.array_equal(back.full_vector, other.full_vector)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["st"]
+
+
+def test_save_state_overwrites_only_state_directories(tmp_path, capsys):
+    rng = np.random.default_rng(75)
+    state = StoredState.from_graph(random_stochastic_graph(8, 2.5, rng))
+    notes = tmp_path / "results"
+    notes.mkdir()
+    (notes / "notes.txt").write_text("keep me")
+    loose = write(tmp_path, "loose.txt", "keep me too")
+    for target in (notes, loose):
+        with pytest.raises(FileExistsError, match="not a state directory"):
+            iio.save_state(state, str(target))
+    assert [f.name for f in notes.iterdir()] == ["notes.txt"]
+    assert (notes / "notes.txt").read_text() == "keep me"
+    assert open(loose, encoding="utf-8").read() == "keep me too"
+    # The CLI reports the refusal and still leaves the directory alone.
+    g = random_stochastic_graph(9, 2.5, rng)
+    state_dir = str(tmp_path / "st")
+    iio.save_state(StoredState.from_graph(g), state_dir)
+    delta_path = str(tmp_path / "d.json")
+    iio.write_delta(random_delta(g, rng, 2), delta_path)
+    code = main(["update", "--state", state_dir, "--delta", delta_path, "--save", str(notes)])
+    assert code == 2 and "not a state directory" in capsys.readouterr().err
+    assert [f.name for f in notes.iterdir()] == ["notes.txt"]
+    # An older save's extra files and an empty directory may be overwritten,
+    # and a link to a state directory is saved through.
+    older = tmp_path / "older"
+    older.mkdir()
+    (older / "extended.json").write_text("{}")
+    (older / "branches.json").write_text("{}")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "link").symlink_to(older)
+    for target in ("older", "empty", "link"):
+        iio.save_state(state, str(tmp_path / target))
+        back = iio.load_state(str(tmp_path / target))
+        assert back.graph == state.graph
+        assert np.array_equal(back.full_vector, state.full_vector)
+    assert sorted(f.name for f in older.iterdir()) == sorted(
+        ["graph.json", "structural.json", "reduced_vector.json", "full_vector.json",
+         "meta.json"])
+    assert (tmp_path / "link").is_symlink()
+    assert not [f.name for f in tmp_path.iterdir() if f.name.startswith(".")]
 
 
 def test_load_state_ignores_extended_and_lambda_of_older_saves(tmp_path):

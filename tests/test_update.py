@@ -13,7 +13,7 @@ from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitive
                        scratch_equivalent, simplex_bound)
 from isoreduce.io import load_state, save_state
 from isoreduce.update import _lift_full
-from oracles import dominant_unit_vector, lift_full_embedded
+from oracles import dominant_unit_vector, lift_full_embedded, weights_loop
 
 
 def cycle_state(**kw) -> StoredState:
@@ -365,6 +365,33 @@ def test_update_path_defers_branch_count_and_full_sweep(tmp_path, monkeypatch):
     assert np.abs(back.extended.entries[:, [v - 1 for v in back.structural.members]]
                   - back.columns).max() <= 1e-12
     assert sweeps == ["extended_reduced_matrix"]
+
+
+def test_update_path_never_builds_the_weight_map(tmp_path, monkeypatch):
+    maps = count_calls(monkeypatch, "_weights_of")
+    rng = np.random.default_rng(59)
+    state = StoredState.from_graph(random_stochastic_graph(30, 2.5, rng))
+    assert maps == []
+    updates = promotions = 0
+    while updates < 12:
+        delta = random_delta(state.graph, rng, 3)
+        maps.clear()  # the delta generator reads the weights; the update may not
+        try:
+            new_state, _ = run_update(state, delta)
+        except DeltaError:
+            continue
+        assert maps == []
+        promotions += len(new_state.structural.members) > len(state.structural.members)
+        updates += 1
+        state = new_state
+    save_state(state, str(tmp_path / "st"))
+    back = load_state(str(tmp_path / "st"))
+    assert maps == [] and promotions >= 1
+    assert state.graph.adjacency.dtype == np.float64
+    want = weights_loop(state.graph.adjacency)
+    assert list(state.graph.weights.items()) == list(want.items())
+    assert maps == ["_weights_of"]
+    assert back.graph.weights == want and back.graph == state.graph
 
 
 def test_full_structural_set_report_has_zero_lift_cost():
