@@ -5,12 +5,14 @@ tombstones so that identifiers stay stable across incremental updates.
 Each graph stores one dense, read-only adjacency array, float64 when
 every weight is real and complex128 otherwise, checked by one validator
 whichever way the graph is built.  ``from_matrix`` keeps a copy of the
-array it is given, and every graph derives its weight map from the array
-when the map is first read.  The passes over the graph are array passes
-over it: one peel of the complement's non-loop support gives the depths, the
-structural check and the nilpotency index.  The one depth-first search,
-``_cycles``, runs only for a witness cycle once the peel has stalled and
-for the cycle counts of the structural-set search.
+array it is given.  The validator's row-major scan of the array is kept
+beside it as ``edge_arrays``, and the weight map and neighbour lists are
+derived from those edges when first read.  One counting pass over the
+complement's kept edges (Kahn's topological sort, run from the sinks)
+gives the depths, the structural check and the nilpotency index in
+O(n + nnz).  The one depth-first search, ``_cycles``, runs only for a
+witness cycle once that pass has stalled and for the cycle counts of the
+structural-set search.
 """
 
 from __future__ import annotations
@@ -31,36 +33,43 @@ DEFAULT_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
 
 
-def _neighbor_tuples(adjacency: np.ndarray, ids: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Per active vertex, the ascending ids its row of ``adjacency`` points at."""
-    rows, cols = np.nonzero(adjacency)
-    idx = np.array(ids, dtype=np.int64) - 1
-    lo = np.searchsorted(rows, idx, side="left").tolist()
-    hi = np.searchsorted(rows, idx, side="right").tolist()
-    cols = (cols + 1).tolist()
-    return {v: tuple(cols[a:b]) for v, a, b in zip(ids, lo, hi)}
+def _nonzero_slots(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a 2-D array's nonzero entries in row-major
+    order, as ``np.nonzero`` gives them; one flat scan of the boolean
+    support is several times faster than ``np.nonzero`` on a 2-D array."""
+    return np.divmod(np.flatnonzero(matrix != 0), matrix.shape[1])
 
 
-def edge_arrays(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges of an adjacency array in row-major order, as three arrays:
-    tail ids ``i``, head ids ``j`` (both 1-based) and weights ``w``."""
-    rows, cols = np.nonzero(adjacency)
-    return rows + 1, cols + 1, adjacency[rows, cols]
+def _edge_lists(n: int, tails: np.ndarray,
+                heads: np.ndarray) -> tuple[list[int], list[int]]:
+    """Edge lists over indices ``0..n-1`` from edges sorted by tail: the
+    heads of index ``v``'s edges are ``heads[ptr[v]:ptr[v + 1]]``."""
+    return np.searchsorted(tails, np.arange(n + 1)).tolist(), heads.tolist()
 
 
-def _weights_of(adjacency: np.ndarray) -> dict[tuple[int, int], complex]:
-    """The ``{(i, j): weight}`` map of an adjacency array, keyed in row-major
-    order; a weight with zero imaginary part is a float."""
-    i, j, w = edge_arrays(adjacency)
+def _neighbor_tuples(n: int, tails: np.ndarray, heads: np.ndarray,
+                     ids: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Per active vertex id, the head ids of its edges, from edges sorted by
+    tail id."""
+    ptr, heads = _edge_lists(n + 1, tails, heads)
+    return {v: tuple(heads[ptr[v]:ptr[v + 1]]) for v in ids}
+
+
+def _weights_of(i: np.ndarray, j: np.ndarray,
+                w: np.ndarray) -> dict[tuple[int, int], complex]:
+    """The ``{(i, j): weight}`` map of edge arrays, in their order; a weight
+    with zero imaginary part is a float."""
     vals = w.real.tolist()
     if w.imag.any():
         vals = [re if im == 0 else z for re, im, z in zip(vals, w.imag.tolist(), w.tolist())]
     return dict(zip(zip(i.tolist(), j.tolist()), vals))
 
 
-def _check_adjacency(adj: np.ndarray, active: np.ndarray, stochastic: bool) -> None:
+def _check_adjacency(adj: np.ndarray, active: np.ndarray,
+                     stochastic: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reject an adjacency array that no graph may hold; ``active`` flags the
-    live vertex slots.
+    live vertex slots.  Returns the edges the check scanned, in row-major
+    order: tail ids ``i``, head ids ``j`` (both 1-based) and weights ``w``.
 
     The first faulty entry in row-major order is named, with its first
     fault: it touches a tombstone or is not finite, and on a stochastic
@@ -71,7 +80,8 @@ def _check_adjacency(adj: np.ndarray, active: np.ndarray, stochastic: bool) -> N
         ValueError: an edge at a tombstone or with a non-finite weight.
         NonStochasticError: a stochastic condition fails.
     """
-    tails, heads, w = edge_arrays(adj)
+    rows, cols = _nonzero_slots(adj)
+    tails, heads, w = rows + 1, cols + 1, adj[rows, cols]
     faults = [~(active[tails - 1] & active[heads - 1]), ~np.isfinite(w)]
     if stochastic:
         faults += [w.imag != 0, ~((w.real > 0) & (w.real <= 1)), tails == heads]
@@ -94,6 +104,7 @@ def _check_adjacency(adj: np.ndarray, active: np.ndarray, stochastic: bool) -> N
         if off.size:
             raise NonStochasticError(
                 f"column {off[0] + 1} sums to {sums[off[0]]}, expected 1")
+    return tails, heads, w
 
 
 class WeightedDigraph:
@@ -102,13 +113,16 @@ class WeightedDigraph:
     ``adjacency`` is the graph's one stored form: the dense n x n weighted
     adjacency matrix, read-only, with zero rows and columns at tombstones,
     float64 when every weight has zero imaginary part and complex128
-    otherwise.  Every pass over the graph reads it.
+    otherwise.  ``edge_arrays`` keeps the validator's row-major scan of it:
+    read-only arrays of tail ids ``i``, head ids ``j`` and weights ``w``,
+    one entry per edge.  Passes that follow edges read these arrays, and
+    matrix products read ``adjacency``.
 
     ``weights`` maps ordered pairs ``(i, j)`` (an edge from i to j) to a
     finite nonzero weight; absent pairs read as weight 0.  It is derived
-    from ``adjacency`` on first read, however the graph was built: keyed in
-    row-major order, with a float for each weight whose imaginary part is
-    zero.  With
+    from ``edge_arrays`` on first read, however the graph was built: keyed
+    in row-major order, with a float for each weight whose imaginary part
+    is zero.  With
     ``stochastic`` set, weights must be real in (0, 1], the graph must be
     loop-free, and every active column must sum to 1.
 
@@ -142,10 +156,12 @@ class WeightedDigraph:
         removed = frozenset(removed)
         active = np.ones(n, dtype=bool)
         active[[v - 1 for v in removed if 1 <= v <= n]] = False
-        _check_adjacency(adj, active, stochastic)
-        adj.flags.writeable = False
+        edges = _check_adjacency(adj, active, stochastic)
+        for array in (adj, *edges):
+            array.flags.writeable = False
         vars(self).update(n_vertices=n, stochastic=stochastic, removed=removed,
-                          adjacency=adj, _ids=tuple((np.flatnonzero(active) + 1).tolist()))
+                          adjacency=adj, edge_arrays=edges,
+                          _ids=tuple((np.flatnonzero(active) + 1).tolist()))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -202,8 +218,8 @@ class WeightedDigraph:
 
     @cached_property
     def weights(self) -> Mapping[tuple[int, int], complex]:
-        """Edge weights by ``(i, j)``, derived from ``adjacency`` on first read."""
-        return _weights_of(self.adjacency)
+        """Edge weights by ``(i, j)``, derived from ``edge_arrays`` on first read."""
+        return _weights_of(*self.edge_arrays)
 
     def vertices(self) -> tuple[int, ...]:
         """Active vertex ids, ascending."""
@@ -226,11 +242,14 @@ class WeightedDigraph:
 
     @cached_property
     def _out(self) -> dict[int, tuple[int, ...]]:
-        return _neighbor_tuples(self.adjacency, self._ids)
+        i, j, _ = self.edge_arrays
+        return _neighbor_tuples(self.n_vertices, i, j, self._ids)
 
     @cached_property
     def _in(self) -> dict[int, tuple[int, ...]]:
-        return _neighbor_tuples(self.adjacency.T, self._ids)
+        i, j, _ = self.edge_arrays
+        by_head = np.argsort(j, kind="stable")
+        return _neighbor_tuples(self.n_vertices, j[by_head], i[by_head], self._ids)
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         return self._out[i]
@@ -377,28 +396,37 @@ def _cycles(graph: WeightedDigraph,
     return first, hits
 
 
-def _peel(adjacency: np.ndarray, comp: np.ndarray) -> np.ndarray | None:
-    """Depths of the complement positions ``comp`` (0-based), or None.
+def _count_depths(graph: WeightedDigraph, in_comp: np.ndarray) -> list[int] | None:
+    """Depths by vertex id over the complement that ``in_comp`` flags
+    (indexed by id), or None when it carries a non-loop cycle.
 
-    Level d holds the complement vertices whose complement out-neighbours,
-    loops aside, all lie on levels below d, so a vertex sits one level above
-    its deepest complement out-neighbour.  A peel that stalls before every
-    vertex has a level means the complement carries a non-loop cycle.
+    Kahn's in-degree counting, run on the complement's kept edges with
+    loops dropped and turned around: each vertex counts its complement
+    out-edges, and a vertex whose count reaches zero takes one level above
+    its deepest out-neighbour and releases its predecessors.  It is one
+    O(n + nnz) pass; a pass that places fewer vertices than the complement
+    holds has stalled on a cycle.  Entries outside the complement read 0.
     """
-    sub = adjacency[np.ix_(comp, comp)] != 0
-    np.fill_diagonal(sub, False)
-    pending = sub.sum(axis=1)
-    depth = np.zeros(len(comp), dtype=np.int64)
-    level = np.flatnonzero(pending == 0)
-    d = placed = 0
-    while level.size:
-        d += 1
-        depth[level] = d
-        placed += level.size
-        pending -= sub[:, level].sum(axis=1)
-        pending[level] = -1
-        level = np.flatnonzero(pending == 0)
-    return depth if placed == len(comp) else None
+    i, j, _ = graph.edge_arrays
+    keep = in_comp[i] & in_comp[j] & (i != j)
+    tails, heads = i[keep], j[keep]
+    by_head = np.argsort(heads, kind="stable")
+    ptr, preds = _edge_lists(graph.n_vertices + 1, heads[by_head], tails[by_head])
+    pending = np.bincount(tails, minlength=graph.n_vertices + 1).tolist()
+    comp = np.flatnonzero(in_comp).tolist()
+    depth = [0] * (graph.n_vertices + 1)
+    placed = [v for v in comp if not pending[v]]
+    for v in placed:
+        depth[v] = 1
+    for v in placed:
+        d = depth[v] + 1
+        for u in preds[ptr[v]:ptr[v + 1]]:
+            if depth[u] < d:
+                depth[u] = d
+            pending[u] -= 1
+            if not pending[u]:
+                placed.append(u)
+    return depth if len(placed) == len(comp) else None
 
 
 def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -407,8 +435,9 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
 
     Condition one: every non-loop cycle of the graph meets the set.
     Condition two: no complement vertex has loop weight within ``tol``
-    of ``lam``.  One peel of the complement checks the first and gives
-    the depths.
+    of ``lam``.  One counting pass over the complement's edges checks the
+    first and gives the depths; only when it stalls does a depth-first
+    search look for the witness cycle.
 
     Raises:
         ValueError: empty set, or members that are not integers in the
@@ -422,10 +451,10 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     for v in members:
         if not graph.is_active(v):
             raise ValueError(f"structural member {v} is not an active vertex")
-    ids = np.array(graph.vertices(), dtype=np.int64)
-    in_set = np.zeros(graph.n_vertices + 1, dtype=bool)
-    in_set[list(members)] = True
-    comp = ids[~in_set[ids]]
+    in_comp = np.zeros(graph.n_vertices + 1, dtype=bool)
+    in_comp[list(graph.vertices())] = True
+    in_comp[list(members)] = False
+    comp = np.flatnonzero(in_comp)
     loops = graph.adjacency.diagonal()[comp - 1]
     bad = np.flatnonzero(np.abs(loops - lam) <= tol)
     if bad.size:
@@ -433,15 +462,14 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: vertex {vertex} has "
             "loop weight equal to the parameter", vertex=vertex)
-    depth = _peel(graph.adjacency, comp - 1)
+    depth = _count_depths(graph, in_comp)
     if depth is None:
         cycle = _cycles(graph, member_set)[0]
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: cycle {cycle} avoids it",
             cycle=cycle)
-    depth_of = dict.fromkeys(graph.vertices(), 0)
-    depth_of.update(zip(comp.tolist(), depth.tolist()))
-    return StructuralSet(members, lam, depth_of, int(depth.max(initial=0)))
+    depth_of = {v: depth[v] for v in graph.vertices()}
+    return StructuralSet(members, lam, depth_of, max(depth))
 
 
 def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -491,8 +519,10 @@ def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | No
     cycle or loop, in which case no power of the restriction vanishes.
     """
     ids = np.array(graph.vertices(), dtype=np.int64)
-    comp = ids[~np.isin(ids, list(set(members)))] - 1
-    if graph.adjacency.diagonal()[comp].any():
+    comp = ids[~np.isin(ids, list(set(members)))]
+    if graph.adjacency.diagonal()[comp - 1].any():
         return None
-    depth = _peel(graph.adjacency, comp)
-    return None if depth is None else int(depth.max(initial=0))
+    in_comp = np.zeros(graph.n_vertices + 1, dtype=bool)
+    in_comp[comp] = True
+    depth = _count_depths(graph, in_comp)
+    return None if depth is None else max(depth)

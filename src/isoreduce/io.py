@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .exceptions import GraphFormatError
-from .graph import WeightedDigraph, compute_depths, edge_arrays
+from .exceptions import GraphFormatError, StructuralSetError
+from .graph import WeightedDigraph, compute_depths
 from .reduction import extended_columns
 from .update import DeltaOp, GraphDelta, StoredState
 
@@ -56,8 +56,8 @@ def parse_edgelist(text: str) -> tuple[int, dict]:
 
 def _edge_rows(graph: WeightedDigraph) -> list[tuple[int, int, float, float]]:
     """``(i, j, re, im)`` for every edge in ``(i, j)`` order, read off the
-    adjacency array without building the weight map."""
-    i, j, w = edge_arrays(graph.adjacency)
+    graph's kept edge arrays without building the weight map."""
+    i, j, w = graph.edge_arrays
     return list(zip(i.tolist(), j.tolist(), w.real.tolist(), w.imag.tolist()))
 
 
@@ -268,8 +268,9 @@ def load_state(dirpath: str) -> StoredState:
     Raises:
         GraphFormatError: a file is missing or malformed, the structural
             members are missing, empty or not integers, a member is not an
-            active vertex, ``meta.json`` is not an object, or a vector has the
-            wrong length.
+            active vertex, the members are not structural for the graph (the
+            message names a cycle that avoids them), ``meta.json`` is not an
+            object, or a vector has the wrong length.
     """
     def get(name):
         try:
@@ -287,6 +288,8 @@ def load_state(dirpath: str) -> StoredState:
         converged = bool(get("meta.json").get("eig_converged", True))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{dirpath}: bad state file: {exc!r}") from exc
+    except StructuralSetError as exc:
+        raise GraphFormatError(f"{dirpath}: stored members do not fit the graph: {exc}") from exc
     if reduced.shape != (len(structural.members),):
         raise GraphFormatError(f"reduced vector has {reduced.size} entries, "
                                f"the structural set {len(structural.members)}")

@@ -9,9 +9,10 @@ of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
 complement.  The complement carries no non-loop cycle, so the solve is one
 sweep over the complement in increasing depth, the same recursion that
 lifts an eigenvector.  The sweep reads the graph's adjacency as stored,
-so a real graph at a real parameter gives real results; it takes its
-layers from one sort of the depths, checks every denominator before the
-first layer, and copies the adjacency only to drop a nonzero diagonal.
+so a real graph at a real parameter gives real results.  It checks every
+denominator first, then scatters the adjacency once into depth order,
+members first and loops dropped, so that each depth layer is one product
+of a contiguous block with the rows already solved.
 ``extended_columns`` runs it with member
 terminals for the update path's ``E[:, S]``; ``branch_counts`` runs it on
 the 0/1 support to count branches for the update cost model;
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NonStochasticError, SingularWeightError
-from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
+from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph, _nonzero_slots
 
 
 @dataclass(frozen=True, order=True)
@@ -188,11 +189,14 @@ def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
     ``a`` is the n x n adjacency matrix and ``terminal`` holds one row per
     vertex slot (row ``v - 1`` for vertex ``v``).  Members keep their
     terminal row; complement vertices, in increasing depth, take
-    ``x_v = t_v + sum_{j != v} a_vj x_j / (lam - a_vv)``.  A vertex only
-    points at shallower ones, so each depth layer is one matrix product, a
-    divide and an add, and ``lam I - A_CC`` is never formed.  One sort of
-    the depths gives the layers, every denominator is checked before the
-    first layer, and ``a`` is copied only to drop a nonzero diagonal.
+    ``x_v = t_v + sum_{j != v} (a_vj / (lam - a_vv)) x_j``.  Every
+    denominator is checked first.  One scan of ``a`` then scatters the
+    complement rows' off-diagonal entries, each divided by its row's
+    denominator, into ``ap``: the active block permuted into depth order,
+    members first, then each depth layer by ascending id.  A vertex only
+    points at shallower ones, so the layer in positions ``lo:hi`` is one
+    product of the contiguous block ``ap[lo:hi, :lo]`` with the rows
+    already solved and one add, and ``lam I - A_CC`` is never formed.
 
     With ``by_length`` the result is stacked by path length: slice ``q``
     holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
@@ -203,29 +207,42 @@ def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
     """
     ids = np.fromiter(structural.depth_of, np.int64, len(structural.depth_of))
     depth = np.fromiter(structural.depth_of.values(), np.int64, len(ids))
-    # slots by depth, ascending within a layer; layer d is comp[cut[d-1]:cut[d]]
-    slots = ids[np.lexsort((ids, depth))] - 1
-    cut = np.cumsum(np.bincount(depth, minlength=structural.max_depth + 1))
-    comp = slots[cut[0]:]
-    cut = (cut - cut[0]).tolist()
-    den = (lam - a.diagonal()[comp])[:, None]
+    # depth order; layer d sits in positions cut[d-1]:cut[d], the members in :cut[0]
+    order = ids[np.lexsort((ids, depth))]
+    cut = np.cumsum(np.bincount(depth, minlength=structural.max_depth + 1)).tolist()
+    s = cut[0]
+    slots = order - 1
+    den = (lam - a.diagonal()[slots[s:]])[:, None]
     bad = np.flatnonzero(np.abs(den) <= tol)
     if bad.size:
         raise SingularWeightError(
-            f"complement vertex {comp[bad[0]] + 1} has loop weight within {tol} of {lam}")
-    if a.diagonal().any():
-        a = a.copy()
-        np.fill_diagonal(a, 0)
-    x = np.zeros((structural.max_depth + 1 if by_length else 1,) + terminal.shape,
-                 dtype=np.result_type(a, terminal, lam))
-    x[0] = terminal
+            f"complement vertex {order[s + bad[0]]} has loop weight within {tol} of {lam}")
+    pos = np.zeros(len(a), dtype=np.int64)
+    pos[slots] = np.arange(len(slots))
+    rows, cols = _nonzero_slots(a)
+    at = pos[rows]
+    step = (at >= s) & (rows != cols)
+    rows, cols, at = rows[step], cols[step], at[step]
+    ap = np.zeros((len(slots), len(slots)), dtype=np.result_type(a, den))
+    ap[at, pos[cols]] = a[rows, cols] / den[at - s, 0]
+    dtype = np.result_type(ap, terminal)
+    if by_length:
+        x = np.zeros((structural.max_depth + 1, len(order), terminal.shape[1]), dtype)
+        x[0] = terminal[slots]
+        for d in range(1, structural.max_depth + 1):
+            lo, hi = cut[d - 1], cut[d]
+            x[1:d + 1, lo:hi] = ap[lo:hi, :lo] @ x[:d, :lo]
+        out = np.zeros((len(x),) + terminal.shape, dtype)
+        out[0] = terminal
+        out[:, slots] = x
+        return out
+    x = terminal[slots].astype(dtype)
     for d in range(1, structural.max_depth + 1):
-        rows, dd = comp[cut[d - 1]:cut[d]], den[cut[d - 1]:cut[d]]
-        if by_length:
-            x[1:d + 1, rows] = (a[rows] @ x[:d]) / dd
-        else:
-            x[0, rows] += (a[rows] @ x[0]) / dd
-    return x if by_length else x[0]
+        lo, hi = cut[d - 1], cut[d]
+        x[lo:hi] += ap[lo:hi, :lo] @ x[:lo]
+    out = terminal.astype(dtype)
+    out[slots] = x
+    return out
 
 
 def _member_rows(n: int, members: tuple[int, ...]) -> np.ndarray:

@@ -3,6 +3,8 @@
 Every stationary vector the package commits or checks comes from one exact
 solve, :func:`stationary_vector`; power iteration and a damped co-iteration
 on reduced matrices remain, and dense eigensolvers are left to test oracles.
+The primitivity test, strong connectivity and the update's promotion search
+share one breadth-first search over edge lists, :func:`_bfs_levels`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .exceptions import (DegenerateRestrictionError, IterationError,
                          NotPrimitiveError, SingularWeightError)
-from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
+from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph, _edge_lists, _nonzero_slots
 from .reduction import _depth_sweep, reduced_matrix
 
 
@@ -38,27 +40,43 @@ class EigenPair:
         return self.vector[self.vertices.index(v)]
 
 
-def _bfs_levels(support: np.ndarray, start: int = 0,
+def _bfs_levels(ptr: list[int], heads: list[int], start: int,
                 goal: int | None = None) -> np.ndarray:
-    """Breadth-first levels from index ``start`` on a boolean adjacency
-    matrix, one frontier product per level; -1 marks an index that ``start``
-    does not reach.  With a ``goal`` index the search stops once the goal has
+    """Breadth-first levels from slot ``start`` over the edge lists
+    ``(ptr, heads)`` of :func:`_edge_lists`; -1 marks a slot that ``start``
+    does not reach.  With a ``goal`` slot the search stops once the goal has
     a level, leaving later levels at -1."""
-    level = np.full(support.shape[0], -1, dtype=np.int64)
+    level = [-1] * (len(ptr) - 1)
     level[start] = 0
-    frontier = level == 0
+    frontier = [start]
     d = 0
-    while frontier.any() and (goal is None or level[goal] < 0):
+    while frontier and (goal is None or level[goal] < 0):
         d += 1
-        frontier = support[frontier].any(axis=0) & (level < 0)
-        level[frontier] = d
-    return level
+        reached = []
+        for v in frontier:
+            for u in heads[ptr[v]:ptr[v + 1]]:
+                if level[u] < 0:
+                    level[u] = d
+                    reached.append(u)
+        frontier = reached
+    return np.array(level, dtype=np.int64)
+
+
+def _levels_both_ways(support: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The edges of a boolean adjacency matrix, as row and column arrays, and
+    the breadth-first levels from vertex 0 along them and against them."""
+    n = support.shape[0]
+    rows, cols = _nonzero_slots(support)
+    back = np.argsort(cols, kind="stable")
+    return (rows, cols, _bfs_levels(*_edge_lists(n, rows, cols), 0),
+            _bfs_levels(*_edge_lists(n, cols[back], rows[back]), 0))
 
 
 def strongly_connected(support: np.ndarray) -> bool:
     """Whether the digraph with boolean adjacency matrix ``support`` is
     strongly connected: vertex 0 reaches every vertex and is reached by all."""
-    return bool((_bfs_levels(support) >= 0).all() and (_bfs_levels(support.T) >= 0).all())
+    _, _, forward, backward = _levels_both_ways(support)
+    return bool((forward >= 0).all() and (backward >= 0).all())
 
 
 def is_primitive(matrix) -> bool:
@@ -75,10 +93,9 @@ def is_primitive(matrix) -> bool:
         return False
     if n == 1:
         return bool(support[0, 0])
-    level = _bfs_levels(support)
-    if (level < 0).any() or (_bfs_levels(support.T) < 0).any():
+    rows, cols, level, backward = _levels_both_ways(support)
+    if (level < 0).any() or (backward < 0).any():
         return False
-    rows, cols = np.nonzero(support)
     return int(np.gcd.reduce(level[rows] + 1 - level[cols])) == 1
 
 

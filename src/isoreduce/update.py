@@ -7,11 +7,12 @@ removals) is applied one operation at a time to a writable copy of the
 graph's adjacency array: the entry is set and the touched columns
 renormalized, and the structural set grows by the promotion rule when a
 new edge closes a cycle outside it, found by the package's one
-breadth-first search with the set's columns masked off, stopped once it
-reaches the edge's source.  The edited array becomes the new graph through
-``WeightedDigraph.from_matrix``, which validates and keeps it as the
-graph's float64 adjacency without building a weight map, and primitivity
-is read off its boolean support.
+breadth-first search over edge lists, on the edges that do not enter the
+set, stopped once it reaches the edge's source.  The edited array becomes
+the new graph through ``WeightedDigraph.from_matrix``, which validates and
+keeps it as the graph's float64 adjacency, with its edge arrays, without
+building a weight map, and primitivity is read off its boolean support.
+The depths come from one counting pass over the complement's edges.
 The columns ``E[:, S]`` are then recomputed in closed form by one
 depth-order sweep with member terminals, and the dominant eigenvector
 solved exactly on the reduced block ``E[S, S]``.  The columns already hold
@@ -33,8 +34,8 @@ import numpy as np
 
 from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
                          StructuralSetError)
-from .graph import (StructuralSet, WeightedDigraph, compute_depths,
-                    find_structural_set)
+from .graph import (StructuralSet, WeightedDigraph, _edge_lists, _nonzero_slots,
+                    compute_depths, find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_columns,
                         extended_reduced_matrix)
@@ -428,10 +429,11 @@ class _Editor:
 
     def reaches(self, start: int, goal: int, avoid: set[int]) -> bool:
         """Whether a path leads from ``start`` to ``goal`` without entering
-        ``avoid``: the shared BFS with the columns of ``avoid`` masked off."""
+        ``avoid``: the shared BFS over the edges that do not enter ``avoid``."""
         support = self.a != 0
         support[:, [v - 1 for v in avoid]] = False
-        return bool(_bfs_levels(support, start - 1, goal - 1)[goal - 1] >= 0)
+        lists = _edge_lists(self.n_vertices, *_nonzero_slots(support))
+        return bool(_bfs_levels(*lists, start - 1, goal - 1)[goal - 1] >= 0)
 
     def graph(self) -> WeightedDigraph:
         """The edited graph, validated stochastic.
@@ -559,8 +561,10 @@ class UpdateSession:
         new = self._cols
         # the base column of each kept member; both member tuples are sorted
         was, now = base.structural.members, self._structural2.members
+        kept = set(was) & set(now)
         old = np.zeros_like(new)
-        old[:base.columns.shape[0], np.isin(now, was)] = base.columns[:, np.isin(was, now)]
+        old[:base.columns.shape[0], [v in kept for v in now]] = \
+            base.columns[:, [v in kept for v in was]]
         changed = new != old
         return CostReport(
             n=self._graph2.n_active, s=len(base.structural.members), s_new=s_new,

@@ -99,6 +99,37 @@ def random_complex_graph(rng: np.random.Generator, n: int, density: float = 0.35
     return WeightedDigraph.from_matrix(w)
 
 
+def chain_graph(rng: np.random.Generator, n: int, *, tombstones: int = 0, chords: int = 2,
+                ups: int = 1, stochastic: bool = False) -> WeightedDigraph:
+    """A digraph on slots 1..n whose live vertices, in a random order
+    ``c_0, c_1, ...``, form one long chain: each ``c_k`` points at
+    ``c_(k-1)``, ``chords`` random edges jump further down, ``c_0`` points
+    back at the top and at one random vertex, and ``ups`` random edges point
+    up the chain.  A structural set holding ``c_0`` can leave a complement
+    almost as deep as the chain is long.  ``tombstones`` slots strictly
+    between the first and the last are removed, so that they sit between
+    live ones.  Weights are complex with a loop on every live vertex, or,
+    with ``stochastic``, positive without loops and normalized to unit
+    column sums."""
+    removed = set(rng.choice(np.arange(2, n), tombstones, replace=False).tolist())
+    c = rng.permutation([v - 1 for v in range(1, n + 1) if v not in removed])
+    mask = np.zeros((n, n), dtype=bool)
+    mask[c[1:], c[:-1]] = True
+    mask[c[0], c[-1]] = mask[c[0], c[rng.integers(1, len(c))]] = True
+    for low, high in (sorted(rng.choice(len(c), 2, replace=False)) for _ in range(chords)):
+        mask[c[high], c[low]] = True
+    for low, high in (sorted(rng.choice(len(c), 2, replace=False)) for _ in range(ups)):
+        mask[c[low], c[high]] = True
+    if stochastic:
+        np.fill_diagonal(mask, False)
+        w = rng.uniform(0.1, 1.0, (n, n)) * mask
+        w[:, c] /= w[:, c].sum(axis=0)
+        return WeightedDigraph.from_matrix(w, stochastic=True, removed=removed)
+    mask[c, c] = True
+    w = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * mask
+    return WeightedDigraph.from_matrix(w, removed=removed)
+
+
 # -- loop algorithms the library replaced by array passes ---------------------
 
 def cycles_listed(graph: WeightedDigraph, excluded) -> list[tuple[int, ...]]:

@@ -4,7 +4,7 @@ import pytest
 from isoreduce import (NonStochasticError, StructuralSetError, WeightedDigraph,
                        compute_depths, find_structural_set, nilpotency_index,
                        validate_structural)
-from oracles import (cycles_listed, depths_recursive, from_matrix_loop,
+from oracles import (chain_graph, cycles_listed, depths_recursive, from_matrix_loop,
                      greedy_structural_members, nilpotency_dfs, random_complex_graph,
                      weights_loop)
 
@@ -324,14 +324,22 @@ def test_adjacency_is_read_only_and_matrix_a_copy():
 def test_compute_depths_matches_recursive_definition():
     rng = np.random.default_rng(15)
     kinds = set()
-    for _ in range(300):
-        g = random_complex_graph(rng, int(rng.integers(1, 10)), float(rng.uniform(0.1, 0.5)))
+    deepest = 0
+    for t in range(360):
+        if t < 300:
+            g = random_complex_graph(rng, int(rng.integers(1, 10)), float(rng.uniform(0.1, 0.5)))
+            size = int(rng.integers(1, len(g.vertices()) + 1))
+        else:
+            # deep complements, with tombstones between live slots
+            g = chain_graph(rng, int(rng.integers(10, 41)), tombstones=int(rng.integers(0, 4)))
+            size = int(rng.integers(1, 4))
         ids = g.vertices()
-        members = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)), replace=False)
-        members = sorted(members.tolist())
+        members = sorted(rng.choice(ids, size=size, replace=False).tolist())
         loop_vertex = ids[int(rng.integers(len(ids)))]
         lam = (g.weight(loop_vertex, loop_vertex) if rng.random() < 0.3
                else complex(rng.normal(), rng.normal()))
+        if t >= 300 and t % 2:
+            members = list(find_structural_set(g, lam).members)
         try:
             ss = compute_depths(g, members, lam)
         except StructuralSetError as exc:
@@ -351,7 +359,9 @@ def test_compute_depths_matches_recursive_definition():
         assert dict(ss.depth_of) == depths_recursive(g, members)
         assert ss.max_depth == max(ss.depth_of.values())
         assert validate_structural(g, members, lam)
+        deepest = max(deepest, ss.max_depth)
     assert kinds == {"cycle", "loop", "valid"}
+    assert deepest >= 30
 
 
 def test_find_structural_set_matches_listing_greedy():

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from isoreduce import (DeltaError, GraphDelta, DeltaOp, GraphFormatError, StoredState,
                        WeightedDigraph, random_delta, random_stochastic_graph,
-                       run_update)
+                       run_update, validate_structural)
 from isoreduce import io as iio
 from isoreduce.cli import main
 
@@ -385,6 +386,19 @@ def test_load_state_rejects_missing_or_non_integer_members(tmp_path):
         _rewrite(path, "structural.json", change)
         with pytest.raises(GraphFormatError):
             iio.load_state(path)
+
+
+def test_load_state_rejects_members_that_are_not_structural(tmp_path):
+    # cycles 2-3-2, 2-3-4-2 and 1-2-3-4-1: {2} meets them all, {1} misses 2-3-2
+    g = WeightedDigraph.from_edges(
+        4, [(1, 2, 0.5), (3, 2, 0.25), (4, 2, 0.25), (2, 3, 1.0), (3, 4, 1.0),
+            (4, 1, 1.0)], stochastic=True)
+    path = str(tmp_path / "st")
+    iio.save_state(StoredState.from_graph(g, structural=[2]), path)
+    _rewrite(path, "structural.json", lambda d: d.update(members=[1]))
+    cycle = validate_structural(g, [1], 1.0).cycle
+    with pytest.raises(GraphFormatError, match=re.escape(str(cycle))):
+        iio.load_state(path)
 
 
 def test_load_state_rejects_full_vector_of_other_length(tmp_path):

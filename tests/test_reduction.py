@@ -8,7 +8,7 @@ from isoreduce import (Branch, BranchSet, NonStochasticError, SingularWeightErro
                        reduced_matrices_by_length, reduced_matrix,
                        reduced_matrix_by_length)
 from isoreduce.reduction import _depth_sweep, _member_rows
-from oracles import all_branches_bruteforce, random_complex_graph
+from oracles import all_branches_bruteforce, chain_graph, random_complex_graph
 
 THREE_CYCLE_BRANCHES = [(1, 2), (1, 2, 3), (1, 2, 3, 1), (2, 3), (2, 3, 1), (3, 1)]
 
@@ -223,12 +223,16 @@ def _relative_gap(got, want):
 def test_closed_form_matches_branch_sums():
     # Branch sums over exhaustively enumerated paths are the definition the
     # depth-order sweep is checked against.
+    # The chain graphs give deep complements with tombstones between live slots.
     rng = np.random.default_rng(26)
-    for _ in range(40):
-        g = random_complex_graph(rng, int(rng.integers(3, 9)),
-                                 float(rng.uniform(0.15, 0.5)))
+    depths = []
+    for t in range(46):
+        g = (random_complex_graph(rng, int(rng.integers(3, 9)), float(rng.uniform(0.15, 0.5)))
+             if t < 40 else
+             chain_graph(rng, int(rng.integers(20, 41)), tombstones=int(rng.integers(1, 4))))
         lam = complex(rng.normal(), rng.normal())
         ss = find_structural_set(g, lam)
+        depths.append(ss.max_depth)
         pos = {v: t for t, v in enumerate(ss.members)}
         s = len(ss.members)
         paths = [p for p in all_branches_bruteforce(g, ss.members)
@@ -240,15 +244,19 @@ def test_closed_form_matches_branch_sums():
                                   (s, s), pos)
             got_p = reduced_matrix_by_length(g, ss, lam, p)
             assert _relative_gap(got_p, want_p) <= 1e-12
-    for _ in range(20):
-        g = random_stochastic_graph(int(rng.integers(4, 12)), 2.5, rng)
+    for t in range(26):
+        g = (random_stochastic_graph(int(rng.integers(4, 12)), 2.5, rng) if t < 20 else
+             chain_graph(rng, int(rng.integers(20, 41)), tombstones=int(rng.integers(1, 4)),
+                         stochastic=True))
         ss = find_structural_set(g, 1.0)
+        depths.append(ss.max_depth)
         n = g.n_vertices
         index = {v: v - 1 for v in g.vertices()}
         want = _branch_sums(g, all_branches_bruteforce(g, ss.members), 1.0,
                             (n, n), index)
         got = extended_reduced_matrix(g, ss).entries
         assert _relative_gap(got, want.real) <= 1e-12
+    assert max(depths[40:46]) >= 15 and max(depths[66:]) >= 15
 
 
 def test_branch_counts_match_enumeration(three_cycle, path_graph):

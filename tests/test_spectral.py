@@ -6,6 +6,7 @@ from isoreduce import (DegenerateRestrictionError, EigenPair, IterationError,
                        compute_depths, find_structural_set, is_primitive,
                        lift_eigenvector, power_iteration,
                        reduced_eigen_co_iteration, verify_restriction)
+from isoreduce.graph import _edge_lists, _nonzero_slots
 from isoreduce.spectral import _bfs_levels
 from oracles import (dense_eigenpairs, dominant_unit_vector, primitive_wielandt,
                      random_complex_graph)
@@ -51,9 +52,10 @@ def test_bfs_levels_stop_at_goal():
     rng = np.random.default_rng(27)
     for _ in range(30):
         support = rng.random((25, 25)) < 0.12
-        full = _bfs_levels(support, 3)
+        lists = _edge_lists(25, *_nonzero_slots(support))
+        full = _bfs_levels(*lists, 3)
         for goal in range(25):
-            got = _bfs_levels(support, 3, goal)
+            got = _bfs_levels(*lists, 3, goal)
             assert got[goal] == full[goal]
             if full[goal] >= 0:
                 # levels up to the goal's are complete, later ones unsearched
