@@ -49,7 +49,7 @@ def check_assumptions(graph: WeightedDigraph) -> None:
         NonStochasticError, NotPrimitiveError.
     """
     WeightedDigraph.from_matrix(graph.adjacency, stochastic=True, removed=graph.removed)
-    if not is_primitive(graph.active_support()):
+    if not is_primitive(graph):
         raise NotPrimitiveError("adjacency matrix is not primitive")
 
 
@@ -99,7 +99,7 @@ def _op_stays_valid(graph: WeightedDigraph, ops: list[DeltaOp]) -> WeightedDigra
         g2 = apply_ops(graph, GraphDelta(tuple(ops)))
     except DeltaError:
         return None
-    if not is_primitive(g2.active_support()):
+    if not is_primitive(g2):
         return None
     return g2
 

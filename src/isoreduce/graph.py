@@ -6,13 +6,16 @@ Each graph stores one dense, read-only adjacency array, float64 when
 every weight is real and complex128 otherwise, checked by one validator
 whichever way the graph is built.  ``from_matrix`` keeps a copy of the
 array it is given.  The validator's row-major scan of the array is kept
-beside it as ``edge_arrays``, and the weight map and neighbour lists are
-derived from those edges when first read.  One counting pass over the
-complement's kept edges (Kahn's topological sort, run from the sinks)
-gives the depths, the structural check and the nilpotency index in
-O(n + nnz).  The one depth-first search, ``_cycles``, runs only for a
-witness cycle once that pass has stalled and for the cycle counts of the
-structural-set search.
+beside it as ``edge_arrays``.  The weight map and one pair of edge lists
+over vertex slots, ``edge_lists`` (forward and backward), are derived
+from those edges when first read, and every traversal walks the lists.
+One counting pass over the complement's kept edges (Kahn's topological
+sort, run from the sinks on the backward list) gives the depths, the
+structural check and the nilpotency index in O(n + nnz).  The
+structural-set search runs the same counting rule incrementally to peel
+every vertex that can no longer reach a cycle, so its one depth-first
+search, ``_cycles``, walks only the vertices that still can; the search
+also gives the witness cycle once a counting pass has stalled.
 """
 
 from __future__ import annotations
@@ -45,14 +48,6 @@ def _edge_lists(n: int, tails: np.ndarray,
     """Edge lists over indices ``0..n-1`` from edges sorted by tail: the
     heads of index ``v``'s edges are ``heads[ptr[v]:ptr[v + 1]]``."""
     return np.searchsorted(tails, np.arange(n + 1)).tolist(), heads.tolist()
-
-
-def _neighbor_tuples(n: int, tails: np.ndarray, heads: np.ndarray,
-                     ids: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Per active vertex id, the head ids of its edges, from edges sorted by
-    tail id."""
-    ptr, heads = _edge_lists(n + 1, tails, heads)
-    return {v: tuple(heads[ptr[v]:ptr[v + 1]]) for v in ids}
 
 
 def _weights_of(i: np.ndarray, j: np.ndarray,
@@ -115,8 +110,10 @@ class WeightedDigraph:
     float64 when every weight has zero imaginary part and complex128
     otherwise.  ``edge_arrays`` keeps the validator's row-major scan of it:
     read-only arrays of tail ids ``i``, head ids ``j`` and weights ``w``,
-    one entry per edge.  Passes that follow edges read these arrays, and
-    matrix products read ``adjacency``.
+    one entry per edge.  ``edge_lists`` turns them, on first read, into
+    edge lists over vertex slots (slot ``v - 1`` for vertex ``v``), one
+    along the edges and one against them.  Passes that follow edges read
+    these, and matrix products read ``adjacency``.
 
     ``weights`` maps ordered pairs ``(i, j)`` (an edge from i to j) to a
     finite nonzero weight; absent pairs read as weight 0.  It is derived
@@ -230,8 +227,9 @@ class WeightedDigraph:
         return self.n_vertices - len(self.removed)
 
     def is_active(self, v) -> bool:
-        """Whether ``v`` is the integer id (Python or numpy) of a live vertex."""
-        return (isinstance(v, (int, np.integer))
+        """Whether ``v`` is the integer id (Python or numpy, not a bool) of a
+        live vertex."""
+        return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                 and 1 <= v <= self.n_vertices and v not in self.removed)
 
     def has_edge(self, i, j) -> bool:
@@ -241,21 +239,28 @@ class WeightedDigraph:
         return self.weights.get((i, j), 0)
 
     @cached_property
-    def _out(self) -> dict[int, tuple[int, ...]]:
+    def edge_lists(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """The forward and backward edge lists over slots ``0..n-1``, derived
+        from ``edge_arrays`` on first read.  Each is a pair ``(ptr, ends)``
+        as :func:`_edge_lists` builds it: slot ``v``'s out-neighbour slots
+        are ``ends[ptr[v]:ptr[v + 1]]`` of the first pair, its in-neighbour
+        slots the same slice of the second, both ascending."""
         i, j, _ = self.edge_arrays
-        return _neighbor_tuples(self.n_vertices, i, j, self._ids)
+        back = np.argsort(j, kind="stable")
+        n = self.n_vertices
+        return _edge_lists(n, i - 1, j - 1), _edge_lists(n, j[back] - 1, i[back] - 1)
 
     @cached_property
-    def _in(self) -> dict[int, tuple[int, ...]]:
-        i, j, _ = self.edge_arrays
-        by_head = np.argsort(j, kind="stable")
-        return _neighbor_tuples(self.n_vertices, j[by_head], i[by_head], self._ids)
+    def _neighbors(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """Out- and in-neighbour ids per active vertex id, from ``edge_lists``."""
+        return tuple({v: tuple(u + 1 for u in ends[ptr[v - 1]:ptr[v]]) for v in self._ids}
+                     for ptr, ends in self.edge_lists)
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return self._out[i]
+        return self._neighbors[0][i]
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return self._in[j]
+        return self._neighbors[1][j]
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.weights)
@@ -269,15 +274,6 @@ class WeightedDigraph:
         """Adjacency matrix restricted to active vertices, with the id order used."""
         idx = np.array(self._ids, dtype=np.int64) - 1
         return self.adjacency[np.ix_(idx, idx)], self._ids
-
-    def active_support(self) -> np.ndarray:
-        """Boolean support of :meth:`active_matrix`'s block, without copying
-        the weights; the whole support when there is no tombstone."""
-        support = self.adjacency != 0
-        if len(self._ids) == self.n_vertices:
-            return support
-        idx = np.array(self._ids, dtype=np.int64) - 1
-        return support[np.ix_(idx, idx)]
 
     def compact(self) -> tuple["WeightedDigraph", dict[int, int]]:
         """Renumber active vertices densely as 1..n_active.
@@ -347,41 +343,44 @@ class StructuralSet:
 
 
 def _cycles(graph: WeightedDigraph,
-            excluded: set[int]) -> tuple[tuple[int, ...] | None, list[int]]:
-    """One DFS over the subgraph avoiding ``excluded``, loops ignored.
+            live: list[bool]) -> tuple[tuple[int, ...] | None, list[int]]:
+    """One DFS along the forward edge list over the subgraph on the slots
+    that ``live`` flags, loops ignored.
 
     Each back edge closes a cycle on the current DFS path.  Returns the first
-    such cycle in closed tuple form (None when the subgraph has no non-loop
-    cycle) and, indexed by vertex id, the number of these cycles through each
-    vertex.  A back edge to path position k adds 1 to the positions k..top,
-    kept as a difference array over path positions: +1 at the top, -1 below
-    k, and each popped position hands its total down to the one beneath.
+    such cycle as vertex ids in closed tuple form (None when the subgraph has
+    no non-loop cycle) and, indexed by slot, the number of these cycles
+    through each vertex.  A back edge to path position k adds 1 to the
+    positions k..top, kept as a difference array over path positions: +1 at
+    the top, -1 below k, and each popped position hands its total down to
+    the one beneath.
     """
-    hits = [0] * (graph.n_vertices + 1)
+    ptr, heads = graph.edge_lists[0]
+    n = graph.n_vertices
+    hits = [0] * n
     first = None
-    out = graph._out
-    pos: dict[int, int] = {}
-    for root in graph.vertices():
-        if root in excluded or root in pos:
+    pos: list[int | None] = [None] * n
+    for root in range(n):
+        if not live[root] or pos[root] is not None:
             continue
         pos[root] = 0
         path, diff = [root], [0]
-        stack = [(root, iter(out[root]))]
+        stack = [(root, iter(heads[ptr[root]:ptr[root + 1]]))]
         while stack:
             v, it = stack[-1]
             for u in it:
-                if u == v or u in excluded:
+                if u == v or not live[u]:
                     continue
-                k = pos.get(u)
+                k = pos[u]
                 if k is None:
                     pos[u] = len(path)
                     path.append(u)
                     diff.append(0)
-                    stack.append((u, iter(out[u])))
+                    stack.append((u, iter(heads[ptr[u]:ptr[u + 1]])))
                     break
                 if k >= 0:
                     if first is None:
-                        first = tuple(path[k:]) + (u,)
+                        first = tuple(x + 1 for x in path[k:]) + (u + 1,)
                     diff[-1] += 1
                     if k:
                         diff[k - 1] -= 1
@@ -396,36 +395,43 @@ def _cycles(graph: WeightedDigraph,
     return first, hits
 
 
+def _out_counts(graph: WeightedDigraph, flags: np.ndarray) -> list[int]:
+    """Per slot, its non-loop out-edges to the slots that ``flags`` marks,
+    counted for the marked slots only."""
+    i, j, _ = graph.edge_arrays
+    keep = flags[i - 1] & flags[j - 1] & (i != j)
+    return np.bincount(i[keep] - 1, minlength=graph.n_vertices).tolist()
+
+
 def _count_depths(graph: WeightedDigraph, in_comp: np.ndarray) -> list[int] | None:
-    """Depths by vertex id over the complement that ``in_comp`` flags
-    (indexed by id), or None when it carries a non-loop cycle.
+    """Depths by slot over the complement that ``in_comp`` flags (indexed by
+    slot), or None when it carries a non-loop cycle.
 
     Kahn's in-degree counting, run on the complement's kept edges with
     loops dropped and turned around: each vertex counts its complement
     out-edges, and a vertex whose count reaches zero takes one level above
-    its deepest out-neighbour and releases its predecessors.  It is one
-    O(n + nnz) pass; a pass that places fewer vertices than the complement
-    holds has stalled on a cycle.  Entries outside the complement read 0.
+    its deepest out-neighbour and releases its complement predecessors on
+    the backward edge list.  It is one O(n + nnz) pass; a pass that places
+    fewer vertices than the complement holds has stalled on a cycle.
+    Entries outside the complement read 0.
     """
-    i, j, _ = graph.edge_arrays
-    keep = in_comp[i] & in_comp[j] & (i != j)
-    tails, heads = i[keep], j[keep]
-    by_head = np.argsort(heads, kind="stable")
-    ptr, preds = _edge_lists(graph.n_vertices + 1, heads[by_head], tails[by_head])
-    pending = np.bincount(tails, minlength=graph.n_vertices + 1).tolist()
+    pending = _out_counts(graph, in_comp)
+    ptr, preds = graph.edge_lists[1]
+    flags = in_comp.tolist()
     comp = np.flatnonzero(in_comp).tolist()
-    depth = [0] * (graph.n_vertices + 1)
+    depth = [0] * graph.n_vertices
     placed = [v for v in comp if not pending[v]]
     for v in placed:
         depth[v] = 1
     for v in placed:
         d = depth[v] + 1
         for u in preds[ptr[v]:ptr[v + 1]]:
-            if depth[u] < d:
-                depth[u] = d
-            pending[u] -= 1
-            if not pending[u]:
-                placed.append(u)
+            if flags[u] and u != v:
+                if depth[u] < d:
+                    depth[u] = d
+                pending[u] -= 1
+                if not pending[u]:
+                    placed.append(u)
     return depth if len(placed) == len(comp) else None
 
 
@@ -451,24 +457,24 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     for v in members:
         if not graph.is_active(v):
             raise ValueError(f"structural member {v} is not an active vertex")
-    in_comp = np.zeros(graph.n_vertices + 1, dtype=bool)
-    in_comp[list(graph.vertices())] = True
-    in_comp[list(members)] = False
+    in_comp = np.zeros(graph.n_vertices, dtype=bool)
+    in_comp[np.array(graph.vertices(), dtype=np.int64) - 1] = True
+    in_comp[np.array(members, dtype=np.int64) - 1] = False
     comp = np.flatnonzero(in_comp)
-    loops = graph.adjacency.diagonal()[comp - 1]
+    loops = graph.adjacency.diagonal()[comp]
     bad = np.flatnonzero(np.abs(loops - lam) <= tol)
     if bad.size:
-        vertex = int(comp[bad[0]])
+        vertex = int(comp[bad[0]]) + 1
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: vertex {vertex} has "
             "loop weight equal to the parameter", vertex=vertex)
     depth = _count_depths(graph, in_comp)
     if depth is None:
-        cycle = _cycles(graph, member_set)[0]
+        cycle = _cycles(graph, in_comp.tolist())[0]
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: cycle {cycle} avoids it",
             cycle=cycle)
-    depth_of = {v: depth[v] for v in graph.vertices()}
+    depth_of = {v: depth[v - 1] for v in graph.vertices()}
     return StructuralSet(members, lam, depth_of, max(depth))
 
 
@@ -494,20 +500,47 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
 
     Vertices whose loop weight equals ``lam`` are forced in first; remaining
     non-loop cycles are broken greedily by the vertex covering the most
-    cycles detected per sweep (the smallest id among ties).
+    cycles detected per sweep (the smallest id among ties).  Between sweeps
+    the vertices that reach no cycle outside the set are peeled off by the
+    counting rule of :func:`_count_depths`, kept up to date on the backward
+    edge list as the set grows: each live vertex counts its non-loop
+    out-edges to live vertices and leaves once the count is zero.  Such a
+    vertex only ever finishes in the search, so the sweep over the live
+    vertices meets the same back edges, counts and choices; the search ends
+    when no vertex is live.
     """
     if graph.n_active == 0:
         raise ValueError("graph has no active vertices")
-    ids = graph.vertices()
-    loops = graph.adjacency.diagonal()[np.array(ids, dtype=np.int64) - 1]
-    chosen = {v for v, hit in zip(ids, (np.abs(loops - lam) <= tol).tolist()) if hit}
-    while True:
-        first, hits = _cycles(graph, chosen)
-        if first is None:
-            break
-        chosen.add(hits.index(max(hits)))
+    slots = np.array(graph.vertices(), dtype=np.int64) - 1
+    forced = np.abs(graph.adjacency.diagonal()[slots] - lam) <= tol
+    chosen = set((slots[forced] + 1).tolist())
+    flags = np.zeros(graph.n_vertices, dtype=bool)
+    flags[slots[~forced]] = True
+    pending = _out_counts(graph, flags)
+    live = flags.tolist()
+    ptr, preds = graph.edge_lists[1]
+
+    def peel(queue: list[int]) -> None:
+        """Take the slots in ``queue`` out of the live set, then every slot
+        that is left with no live out-neighbour."""
+        for v in queue:
+            live[v] = False
+        for v in queue:
+            for u in preds[ptr[v]:ptr[v + 1]]:
+                if live[u]:
+                    pending[u] -= 1
+                    if not pending[u]:
+                        live[u] = False
+                        queue.append(u)
+
+    peel([v for v in slots[~forced].tolist() if not pending[v]])
+    while True in live:
+        hits = _cycles(graph, live)[1]
+        v = hits.index(max(hits))
+        chosen.add(v + 1)
+        peel([v])
     if not chosen:
-        chosen.add(ids[0])
+        chosen.add(int(slots[0]) + 1)
     return compute_depths(graph, chosen, lam, tol)
 
 
@@ -519,10 +552,10 @@ def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | No
     cycle or loop, in which case no power of the restriction vanishes.
     """
     ids = np.array(graph.vertices(), dtype=np.int64)
-    comp = ids[~np.isin(ids, list(set(members)))]
-    if graph.adjacency.diagonal()[comp - 1].any():
+    comp = ids[~np.isin(ids, list(set(members)))] - 1
+    if graph.adjacency.diagonal()[comp].any():
         return None
-    in_comp = np.zeros(graph.n_vertices + 1, dtype=bool)
+    in_comp = np.zeros(graph.n_vertices, dtype=bool)
     in_comp[comp] = True
     depth = _count_depths(graph, in_comp)
-    return None if depth is None else max(depth)
+    return None if depth is None else max(depth, default=0)

@@ -8,11 +8,11 @@ fixed spectral parameter, and computed in closed form,
 of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
 complement.  The complement carries no non-loop cycle, so the solve is one
 sweep over the complement in increasing depth, the same recursion that
-lifts an eigenvector.  The sweep reads the graph's adjacency as stored,
-so a real graph at a real parameter gives real results.  It checks every
-denominator first, then scatters the adjacency once into depth order,
-members first and loops dropped, so that each depth layer is one product
-of a contiguous block with the rows already solved.
+lifts an eigenvector.  The sweep reads the graph's weights as stored, so
+a real graph at a real parameter gives real results.  It checks every
+denominator first, then scatters the graph's ``edge_arrays`` once into
+depth order, members first and loops dropped, so that each depth layer is
+one product of a contiguous block with the rows already solved.
 ``extended_columns`` runs it with member
 terminals for the update path's ``E[:, S]``; ``branch_counts`` runs it on
 the 0/1 support to count branches for the update cost model;
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NonStochasticError, SingularWeightError
-from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph, _nonzero_slots
+from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
 
 
 @dataclass(frozen=True, order=True)
@@ -181,22 +181,23 @@ class ExtendedReducedMatrix:
 
 
 
-def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
+def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex,
                  terminal: np.ndarray, *, by_length: bool = False,
                  tol: float = DEFAULT_TOL) -> np.ndarray:
     """The depth-order recursion behind every reduction and the lift.
 
-    ``a`` is the n x n adjacency matrix and ``terminal`` holds one row per
+    ``a`` is the graph's n x n adjacency and ``terminal`` holds one row per
     vertex slot (row ``v - 1`` for vertex ``v``).  Members keep their
     terminal row; complement vertices, in increasing depth, take
     ``x_v = t_v + sum_{j != v} (a_vj / (lam - a_vv)) x_j``.  Every
-    denominator is checked first.  One scan of ``a`` then scatters the
-    complement rows' off-diagonal entries, each divided by its row's
-    denominator, into ``ap``: the active block permuted into depth order,
-    members first, then each depth layer by ascending id.  A vertex only
-    points at shallower ones, so the layer in positions ``lo:hi`` is one
-    product of the contiguous block ``ap[lo:hi, :lo]`` with the rows
-    already solved and one add, and ``lam I - A_CC`` is never formed.
+    denominator is checked first.  The complement rows' off-diagonal
+    edges, read from ``edge_arrays`` and each divided by its row's
+    denominator, are then scattered into ``ap``: the active block permuted
+    into depth order, members first, then each depth layer by ascending id.
+    A vertex only points at shallower ones, so the layer in positions
+    ``lo:hi`` is one product of the contiguous block ``ap[lo:hi, :lo]``
+    with the rows already solved and one add, and ``lam I - A_CC`` is
+    never formed.
 
     With ``by_length`` the result is stacked by path length: slice ``q``
     holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
@@ -205,6 +206,7 @@ def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
     Raises:
         SingularWeightError: a complement denominator is within ``tol`` of zero.
     """
+    a = graph.adjacency
     ids = np.fromiter(structural.depth_of, np.int64, len(structural.depth_of))
     depth = np.fromiter(structural.depth_of.values(), np.int64, len(ids))
     # depth order; layer d sits in positions cut[d-1]:cut[d], the members in :cut[0]
@@ -219,12 +221,12 @@ def _depth_sweep(a: np.ndarray, structural: StructuralSet, lam: complex,
             f"complement vertex {order[s + bad[0]]} has loop weight within {tol} of {lam}")
     pos = np.zeros(len(a), dtype=np.int64)
     pos[slots] = np.arange(len(slots))
-    rows, cols = _nonzero_slots(a)
-    at = pos[rows]
-    step = (at >= s) & (rows != cols)
-    rows, cols, at = rows[step], cols[step], at[step]
+    i, j, w = graph.edge_arrays
+    at = pos[i - 1]
+    step = (at >= s) & (i != j)
+    at = at[step]
     ap = np.zeros((len(slots), len(slots)), dtype=np.result_type(a, den))
-    ap[at, pos[cols]] = a[rows, cols] / den[at - s, 0]
+    ap[at, pos[j[step] - 1]] = w[step] / den[at - s, 0]
     dtype = np.result_type(ap, terminal)
     if by_length:
         x = np.zeros((structural.max_depth + 1, len(order), terminal.shape[1]), dtype)
@@ -264,9 +266,8 @@ def reduced_matrix(graph: WeightedDigraph, structural: StructuralSet,
     if lam is None:
         lam = structural.lam
     members = structural.members
-    a = graph.adjacency
-    x = _depth_sweep(a, structural, lam, _member_rows(graph.n_vertices, members), tol=tol)
-    return ReducedMatrix(members, lam, a[[v - 1 for v in members]] @ x)
+    x = _depth_sweep(graph, structural, lam, _member_rows(graph.n_vertices, members), tol=tol)
+    return ReducedMatrix(members, lam, graph.adjacency[[v - 1 for v in members]] @ x)
 
 
 def reduced_matrices_by_length(graph: WeightedDigraph, structural: StructuralSet,
@@ -281,12 +282,11 @@ def reduced_matrices_by_length(graph: WeightedDigraph, structural: StructuralSet
     if lam is None:
         lam = structural.lam
     members = structural.members
-    a = graph.adjacency
-    x = _depth_sweep(a, structural, lam, _member_rows(graph.n_vertices, members),
+    x = _depth_sweep(graph, structural, lam, _member_rows(graph.n_vertices, members),
                      by_length=True, tol=tol)
     terms = np.zeros((len(structural.complement()) + 1, len(members), len(members)),
                      dtype=x.dtype)
-    terms[:len(x)] = a[[v - 1 for v in members]] @ x
+    terms[:len(x)] = graph.adjacency[[v - 1 for v in members]] @ x
     return terms
 
 
@@ -312,8 +312,7 @@ def _stochastic_sweep(graph: WeightedDigraph, structural: StructuralSet,
         raise NonStochasticError("extended reduced matrix requires a stochastic graph")
     if abs(structural.lam - 1) > tol:
         raise ValueError("extended reduced matrix is evaluated at parameter 1")
-    a = graph.adjacency
-    return a @ _depth_sweep(a, structural, 1.0, terminal, tol=tol)
+    return graph.adjacency @ _depth_sweep(graph, structural, 1.0, terminal, tol=tol)
 
 
 def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *,
@@ -361,7 +360,8 @@ def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[in
     b = (graph.adjacency != 0).astype(float)
     loops = b.diagonal().copy()
     np.fill_diagonal(b, 0)
-    paths = b @ _depth_sweep(b, structural, 1.0, np.eye(graph.n_vertices))
+    paths = b @ _depth_sweep(WeightedDigraph.from_matrix(b), structural, 1.0,
+                             np.eye(graph.n_vertices))
     ends = paths + np.diag(loops)
     comp = [v - 1 for v in structural.complement()]
     through = paths.sum(axis=0)[comp] * paths.sum(axis=1)[comp]

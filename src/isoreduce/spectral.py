@@ -4,7 +4,9 @@ Every stationary vector the package commits or checks comes from one exact
 solve, :func:`stationary_vector`; power iteration and a damped co-iteration
 on reduced matrices remain, and dense eigensolvers are left to test oracles.
 The primitivity test, strong connectivity and the update's promotion search
-share one breadth-first search over edge lists, :func:`_bfs_levels`.
+share one breadth-first search over edge lists, :func:`_bfs_levels`.  The
+first two read a graph's cached ``edge_lists`` and skip its tombstones; a
+plain matrix is first made into the graph of its support.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .exceptions import (DegenerateRestrictionError, IterationError,
                          NotPrimitiveError, SingularWeightError)
-from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph, _edge_lists, _nonzero_slots
+from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
 from .reduction import _depth_sweep, reduced_matrix
 
 
@@ -62,41 +64,49 @@ def _bfs_levels(ptr: list[int], heads: list[int], start: int,
     return np.array(level, dtype=np.int64)
 
 
-def _levels_both_ways(support: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The edges of a boolean adjacency matrix, as row and column arrays, and
-    the breadth-first levels from vertex 0 along them and against them."""
-    n = support.shape[0]
-    rows, cols = _nonzero_slots(support)
-    back = np.argsort(cols, kind="stable")
-    return (rows, cols, _bfs_levels(*_edge_lists(n, rows, cols), 0),
-            _bfs_levels(*_edge_lists(n, cols[back], rows[back]), 0))
+def _support_graph(matrix) -> WeightedDigraph:
+    """``matrix`` itself when it is a graph, else the graph of its support."""
+    if isinstance(matrix, WeightedDigraph):
+        return matrix
+    return WeightedDigraph.from_matrix(np.asarray(matrix) != 0)
 
 
-def strongly_connected(support: np.ndarray) -> bool:
-    """Whether the digraph with boolean adjacency matrix ``support`` is
-    strongly connected: vertex 0 reaches every vertex and is reached by all."""
-    _, _, forward, backward = _levels_both_ways(support)
-    return bool((forward >= 0).all() and (backward >= 0).all())
+def _strong_levels(graph: WeightedDigraph) -> np.ndarray | None:
+    """The breadth-first levels over slots from the graph's first active
+    slot when its active part is strongly connected, that slot reaching
+    every active slot along the edges and against them; else None."""
+    if not graph.n_active:
+        return None
+    slots = np.array(graph.vertices(), dtype=np.int64) - 1
+    start = int(slots[0])
+    forward, backward = (_bfs_levels(*lists, start) for lists in graph.edge_lists)
+    return forward if (forward[slots] >= 0).all() and (backward[slots] >= 0).all() else None
+
+
+def strongly_connected(matrix) -> bool:
+    """Whether the support digraph of a square matrix, or a graph's active
+    part, is strongly connected."""
+    return _strong_levels(_support_graph(matrix)) is not None
 
 
 def is_primitive(matrix) -> bool:
-    """Whether a non-negative matrix is primitive (some power entrywise positive).
+    """Whether a non-negative matrix, or a graph's active block, is primitive
+    (some power entrywise positive).
 
     Decided on the support digraph: strong connectivity plus an aperiodicity
     test, the gcd over all edges (v, u) of ``level[v] + 1 - level[u]`` for
-    the BFS levels from vertex 0, which is the period.
+    the BFS levels from the first active vertex, which is the period.  A
+    graph is read through its cached ``edge_lists``; tombstones are left
+    out, as if the active block had been compacted.
     """
-    m = np.asarray(matrix)
-    support = m != 0
-    n = m.shape[0]
-    if n == 0:
+    g = _support_graph(matrix)
+    if g.n_active < 2:
+        return g.n_active == 1 and len(g.edge_arrays[0]) > 0
+    level = _strong_levels(g)
+    if level is None:
         return False
-    if n == 1:
-        return bool(support[0, 0])
-    rows, cols, level, backward = _levels_both_ways(support)
-    if (level < 0).any() or (backward < 0).any():
-        return False
-    return int(np.gcd.reduce(level[rows] + 1 - level[cols])) == 1
+    i, j, _ = g.edge_arrays
+    return int(np.gcd.reduce(level[i - 1] + 1 - level[j - 1])) == 1
 
 
 def stationary_vector(matrix, tol: float = 1e-13) -> EigenPair:
@@ -212,7 +222,7 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
     a = graph.adjacency
     terminal = np.zeros((graph.n_vertices, 1), dtype=complex)
     terminal[[v - 1 for v in members], 0] = u_s
-    full = _depth_sweep(a, structural, lambda0, terminal, tol=tol)[:, 0]
+    full = _depth_sweep(graph, structural, lambda0, terminal, tol=tol)[:, 0]
     ids = graph.vertices()
     vec = full[[v - 1 for v in ids]]
     scale = np.linalg.norm(vec)

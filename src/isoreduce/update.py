@@ -11,8 +11,9 @@ breadth-first search over edge lists, on the edges that do not enter the
 set, stopped once it reaches the edge's source.  The edited array becomes
 the new graph through ``WeightedDigraph.from_matrix``, which validates and
 keeps it as the graph's float64 adjacency, with its edge arrays, without
-building a weight map, and primitivity is read off its boolean support.
-The depths come from one counting pass over the complement's edges.
+building a weight map.  The new graph's edge lists, derived once from
+those arrays, serve both the primitivity test and the depths, which come
+from one counting pass over the complement's edges.
 The columns ``E[:, S]`` are then recomputed in closed form by one
 depth-order sweep with member terminals, and the dominant eigenvector
 solved exactly on the reduced block ``E[S, S]``.  The columns already hold
@@ -129,7 +130,7 @@ class StoredState:
         ``tol`` bounds the committed residual, and ``ell`` is unused."""
         if not graph.stochastic:
             raise NonStochasticError("stored state requires a stochastic graph")
-        if not assume_primitive and not is_primitive(graph.active_support()):
+        if not assume_primitive and not is_primitive(graph):
             raise NotPrimitiveError("adjacency matrix is not primitive")
         if structural is None:
             ss = find_structural_set(graph, 1.0)
@@ -415,7 +416,10 @@ class _Editor:
         self._renorm(j)
 
     def add_vertex(self) -> None:
-        self.a = np.pad(self.a, ((0, 1), (0, 1)))
+        n = self.n_vertices
+        grown = np.zeros((n + 1, n + 1))
+        grown[:n, :n] = self.a
+        self.a = grown
 
     def remove_vertex(self, v: int) -> None:
         if not self.active(v):
@@ -523,7 +527,7 @@ class UpdateSession:
         g2 = self._ed.graph()
         if not self._S:
             raise DeltaError("delta emptied the structural set")
-        if not assume_primitive and not is_primitive(g2.active_support()):
+        if not assume_primitive and not is_primitive(g2):
             raise DeltaError("delta breaks primitivity of the adjacency matrix")
         try:
             ss = compute_depths(g2, self._S, 1.0)

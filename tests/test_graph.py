@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from isoreduce import (NonStochasticError, StructuralSetError, WeightedDigraph,
-                       compute_depths, find_structural_set, nilpotency_index,
-                       validate_structural)
+                       compute_depths, find_structural_set, is_primitive,
+                       nilpotency_index, random_stochastic_graph, validate_structural)
 from oracles import (chain_graph, cycles_listed, depths_recursive, from_matrix_loop,
-                     greedy_structural_members, nilpotency_dfs, random_complex_graph,
-                     weights_loop)
+                     greedy_structural_members, nilpotency_dfs, primitive_wielandt,
+                     random_complex_graph, weights_loop)
 
 
 def test_graph_construction_and_queries(three_cycle):
@@ -25,6 +25,9 @@ def test_vertex_queries_accept_only_integer_ids(three_cycle):
     assert not three_cycle.is_active(2.0)
     assert not three_cycle.has_edge(1.0, 2)
     assert not three_cycle.has_edge(1, 2.0)
+    # a bool is an int, but not a vertex id: True would read as vertex 1
+    assert not three_cycle.is_active(True)
+    assert not three_cycle.has_edge(True, 2) and not three_cycle.has_edge(3, True)
     assert three_cycle.is_active(np.int64(2))
     assert three_cycle.has_edge(np.int64(1), np.int32(2))
     tombstoned = WeightedDigraph(4, three_cycle.weights, removed={4})
@@ -129,8 +132,9 @@ def test_compute_depths_rejects_invalid(three_cycle):
     with pytest.raises(StructuralSetError) as info:
         compute_depths(g, [1], 1.0)
     assert info.value.vertex == 2
-    with pytest.raises(ValueError):
-        compute_depths(three_cycle, [1.5], 1.0)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError):
+            compute_depths(three_cycle, [bad], 1.0)
 
 
 def test_nilpotency_examples(three_cycle):
@@ -229,9 +233,47 @@ def test_adjacency_dtype_follows_weights():
     for g in (WeightedDigraph.from_edges(2, real + [(2, 2, 1j)]),
               WeightedDigraph.from_matrix(np.array([[0, 1], [1e-300j, 0]]))):
         assert g.adjacency.dtype == np.complex128
-    g = WeightedDigraph.from_edges(4, [(1, 2, 0.5), (2, 4, 1.0), (4, 1, 1.0), (4, 2, 0.5)],
-                                   stochastic=True, removed=[3])
-    assert np.array_equal(g.active_support(), g.active_matrix()[0] != 0)
+
+
+def test_is_primitive_reads_the_active_block():
+    rng = np.random.default_rng(41)
+    graphs = [WeightedDigraph.from_edges(4, [(1, 2, 0.5), (2, 4, 1.0), (4, 1, 1.0), (4, 2, 0.5)],
+                                         stochastic=True, removed=[3]),
+              WeightedDigraph.from_edges(3, [(2, 2, 0.5)], removed=[1, 3]),
+              WeightedDigraph.from_edges(3, [], removed=[1, 3])]
+    for t in range(120):
+        m = int(rng.integers(2, 10))
+        if t % 3 == 0:
+            # block-cyclic: every cycle length is a multiple of the period
+            period = int(rng.integers(2, m + 1))
+            cls = rng.permutation(np.arange(m) % period)
+            block = (cls[None, :] - cls[:, None]) % period == 1
+            first = np.flatnonzero(cls == 0)
+            if t % 2 and len(first) > 1:
+                block[first[0], first[1]] = True
+        else:
+            block = rng.random((m, m)) < rng.uniform(0.1, 0.6)
+            np.fill_diagonal(block, False)
+            for j in np.flatnonzero(~block.any(axis=0)):
+                block[(j + 1 + int(rng.integers(m - 1))) % m, j] = True
+        # 1-3 tombstones anywhere among the m + 3 slots, the first included
+        removed = set((rng.choice(m + 3, size=int(rng.integers(1, 4)), replace=False) + 1).tolist())
+        live = [v - 1 for v in range(1, m + 4) if v not in removed][:m]
+        w = np.zeros((m + 3, m + 3))
+        w[np.ix_(live, live)] = rng.uniform(0.1, 1.0, (m, m)) * block
+        w /= np.maximum(w.sum(axis=0), 1e-300)
+        g = WeightedDigraph.from_matrix(
+            w, stochastic=True, removed=set(range(1, m + 4)) - {v + 1 for v in live})
+        assert 1 <= len(g.removed) <= 3
+        graphs.append(g)
+    results = set()
+    for g in graphs:
+        want = primitive_wielandt(g.active_matrix()[0])
+        assert is_primitive(g) == want
+        results.add((want, g.n_active == 1))
+    assert results == {(True, False), (False, False), (True, True), (False, True)}
+    # the full block-cyclic supports (t % 6 == 0) are periodic
+    assert not any(is_primitive(g) for g in graphs[3::6])
 
 
 def _row_major_edges(m: np.ndarray) -> list[tuple]:
@@ -371,6 +413,17 @@ def test_find_structural_set_matches_listing_greedy():
         g = random_complex_graph(rng, n, float(rng.uniform(0.05, 0.5)), loops=t % 2 == 0)
         v = g.vertices()[int(rng.integers(n))]
         lam = g.weight(v, v) if t % 4 == 0 else complex(rng.normal(), rng.normal())
+        assert find_structural_set(g, lam).members == greedy_structural_members(g, lam)
+    # benchmark-sized stochastic draws, and chains whose tombstones sit
+    # between live slots and whose greedy leaves long dead-end tails
+    graphs = [(random_stochastic_graph(int(rng.integers(60, 81)), 2.5, rng), 1.0)
+              for _ in range(6)]
+    for t in range(12):
+        g = chain_graph(rng, int(rng.integers(30, 81)), tombstones=int(rng.integers(1, 4)),
+                        chords=int(rng.integers(2, 8)), ups=int(rng.integers(1, 6)),
+                        stochastic=t % 2 == 1)
+        graphs.append((g, 1.0 if g.stochastic else complex(rng.normal(), rng.normal())))
+    for g, lam in graphs:
         assert find_structural_set(g, lam).members == greedy_structural_members(g, lam)
 
 

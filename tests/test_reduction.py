@@ -147,7 +147,7 @@ def test_stacked_lengths_match_single_length_sweeps():
         terms = reduced_matrices_by_length(g, ss, lam)
         assert terms.shape == (m + 1, s, s)
         a, rows = g.matrix(), [v - 1 for v in ss.members]
-        x = _depth_sweep(a, ss, lam, _member_rows(n, ss.members), by_length=True)
+        x = _depth_sweep(g, ss, lam, _member_rows(n, ss.members), by_length=True)
         for p in range(1, m + 2):
             single = reduced_matrix_by_length(g, ss, lam, p)
             assert np.array_equal(terms[p - 1], single)

@@ -58,10 +58,11 @@ def test_apply_ops_reference_errors(three_cycle):
     tombstoned = WeightedDigraph(4, three_cycle.weights, stochastic=True, removed={4})
     ops = [DeltaOp.remove_edge(1, 3), DeltaOp.add_edge(1, 2, 0.5),
            DeltaOp.add_edge(1, 9, 0.5), DeltaOp.add_edge(2, 2, 0.5),
-           DeltaOp.add_edge(1, 3, -0.5), DeltaOp.remove_vertex(9)]
+           DeltaOp.add_edge(1, 3, -0.5), DeltaOp.remove_vertex(9),
+           DeltaOp.add_edge(2, True, 0.5)]
     # below the range, wrapping around to the last rows, past the end, a
-    # tombstone, not an integer
-    for bad in (0, -1, 5, 4, 1.5):
+    # tombstone, not an integer, a bool (which would read as vertex 1)
+    for bad in (0, -1, 5, 4, 1.5, True):
         ops += [DeltaOp.add_edge(bad, 1, 0.5), DeltaOp.add_edge(1, bad, 0.5),
                 DeltaOp.remove_edge(bad, 1), DeltaOp.remove_edge(1, bad),
                 DeltaOp.remove_vertex(bad)]
