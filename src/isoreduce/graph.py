@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -334,12 +334,7 @@ class StructuralSet:
         counts = [0] * (self.max_depth + 1)
         for d in self.depth_of.values():
             counts[d] += 1
-        total = 0
-        out = []
-        for c in counts:
-            total += c
-            out.append(total)
-        return out
+        return list(accumulate(counts))
 
 
 def _cycles(graph: WeightedDigraph,

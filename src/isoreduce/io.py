@@ -115,7 +115,7 @@ def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDi
         removed = frozenset(int(v) for v in data.get("removed", ()))
         flag = bool(data.get("stochastic", False)) if stochastic is None else stochastic
         return WeightedDigraph(n, weights, stochastic=flag, removed=removed)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"bad graph object: {exc}") from exc
 
 
@@ -154,7 +154,7 @@ def delta_from_dict(data) -> GraphDelta:
             ops.append(DeltaOp(kind, **{
                 name: (float if name == "w" else int)(entry[name])
                 for name in DeltaOp.FIELDS.get(kind, ())}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"bad delta object: {exc}") from exc
     return GraphDelta(tuple(ops))
 
@@ -164,7 +164,8 @@ def read_delta(path: str) -> GraphDelta:
 
 
 def write_delta(delta: GraphDelta, path: str) -> None:
-    _write_json(path, delta_to_dict(delta))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps(delta_to_dict(delta)))
 
 
 def vector_to_dict(vertices: Iterable[int], values, normalization: str,
@@ -184,7 +185,7 @@ def vector_from_dict(data: dict) -> tuple[list[int], np.ndarray, str, complex | 
         lam = None
         if "lambda" in data:
             lam = complex(data["lambda"][0], data["lambda"][1])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise GraphFormatError(f"bad vector object: {exc}") from exc
     return vertices, values, norm, lam
 
@@ -194,8 +195,9 @@ def read_vector(path: str):
 
 
 def _write_json(path: str, obj) -> None:
+    """Write one state file as a single line of compact, key-sorted JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 #: The files a state directory may hold: the five :func:`save_state` writes
@@ -205,7 +207,7 @@ STATE_FILES = frozenset({"graph.json", "structural.json", "reduced_vector.json",
 
 
 def save_state(state: StoredState, dirpath: str) -> None:
-    """Persist a stored state as a directory of JSON artifacts.
+    """Persist a stored state as a directory of five compact JSON files.
 
     Only what cannot be recomputed is written: the graph, the structural
     members, the two eigenvectors and the convergence flag.  The member
@@ -270,7 +272,8 @@ def load_state(dirpath: str) -> StoredState:
             members are missing, empty or not integers, a member is not an
             active vertex, the members are not structural for the graph (the
             message names a cycle that avoids them), ``meta.json`` is not an
-            object, or a vector has the wrong length.
+            object or its ``eig_converged`` is not a JSON boolean, or a
+            vector has the wrong length or a non-finite entry.
     """
     def get(name):
         try:
@@ -285,11 +288,15 @@ def load_state(dirpath: str) -> StoredState:
             raise GraphFormatError(f"structural members {members} are not all integers")
         structural = compute_depths(graph, members, 1.0)
         full = np.array(get("full_vector.json")["values"], dtype=float)
-        converged = bool(get("meta.json").get("eig_converged", True))
+        converged = get("meta.json").get("eig_converged", True)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{dirpath}: bad state file: {exc!r}") from exc
     except StructuralSetError as exc:
         raise GraphFormatError(f"{dirpath}: stored members do not fit the graph: {exc}") from exc
+    if type(converged) is not bool:
+        raise GraphFormatError(f"{dirpath}: eig_converged is {converged!r}, not a JSON boolean")
+    if not (np.isfinite(reduced).all() and np.isfinite(full).all()):
+        raise GraphFormatError(f"{dirpath}: a stored vector holds a non-finite entry")
     if reduced.shape != (len(structural.members),):
         raise GraphFormatError(f"reduced vector has {reduced.size} entries, "
                                f"the structural set {len(structural.members)}")
@@ -301,7 +308,7 @@ def load_state(dirpath: str) -> StoredState:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON rendering used for every report and artifact."""
+    """Deterministic indented JSON for reports, CLI output, graph and delta files."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 

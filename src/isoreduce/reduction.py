@@ -167,9 +167,6 @@ class ReducedMatrix:
     lam: complex
     entries: np.ndarray
 
-    def index_of(self, v: int) -> int:
-        return self.members.index(v)
-
 
 @dataclass(frozen=True, eq=False)
 class ExtendedReducedMatrix:

@@ -38,9 +38,6 @@ class EigenPair:
     iterations: int = 0
     converged: bool = True
 
-    def value_at(self, v: int) -> complex:
-        return self.vector[self.vertices.index(v)]
-
 
 def _bfs_levels(ptr: list[int], heads: list[int], start: int,
                 goal: int | None = None) -> np.ndarray:

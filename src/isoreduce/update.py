@@ -8,7 +8,8 @@ graph's adjacency array: the entry is set and the touched columns
 renormalized, and the structural set grows by the promotion rule when a
 new edge closes a cycle outside it, found by the package's one
 breadth-first search over edge lists, on the edges that do not enter the
-set, stopped once it reaches the edge's source.  The edited array becomes
+set, stopped once it reaches the edge's source, and listed from the base
+graph's edge arrays and the array's touched columns.  The edited array becomes
 the new graph through ``WeightedDigraph.from_matrix``, which validates and
 keeps it as the graph's float64 adjacency, with its edge arrays, without
 building a weight map.  The new graph's edge lists, derived once from
@@ -35,8 +36,8 @@ import numpy as np
 
 from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
                          StructuralSetError)
-from .graph import (StructuralSet, WeightedDigraph, _edge_lists, _nonzero_slots,
-                    compute_depths, find_structural_set)
+from .graph import (StructuralSet, WeightedDigraph, _edge_lists, compute_depths,
+                    find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_columns,
                         extended_reduced_matrix)
@@ -370,14 +371,16 @@ class _Editor:
     """Step 1 on a writable float copy of the graph's adjacency.
 
     An edit sets entries of the array and renormalizes each touched column
-    to unit sum with one numpy sum; tombstones are kept beside it.  Every
-    edit check lives here, and an id is checked active before it indexes
-    the array, so that 0 or -1 cannot wrap around to its last rows.
+    to unit sum; tombstones and the slots of touched columns are kept beside
+    it.  Every edit check lives here, and an id is checked active before it
+    indexes the array, so that 0 or -1 cannot wrap around to its last rows.
     """
 
     def __init__(self, graph: WeightedDigraph):
         self.a = graph.adjacency.real.copy()
         self.removed = set(graph.removed)
+        self.base_slots = tuple(ids - 1 for ids in graph.edge_arrays[:2])
+        self.touched: set[int] = set()
 
     @property
     def n_vertices(self) -> int:
@@ -388,6 +391,7 @@ class _Editor:
     active = WeightedDigraph.is_active
 
     def _renorm(self, j: int) -> None:
+        self.touched.add(j - 1)
         col = self.a[:, j - 1]
         total = col.sum()
         if total > 0:
@@ -427,16 +431,27 @@ class _Editor:
         targets = np.flatnonzero(self.a[v - 1]) + 1
         self.a[v - 1, :] = 0.0
         self.a[:, v - 1] = 0.0
+        self.touched.add(v - 1)
         self.removed.add(v)
         for y in targets.tolist():
             self._renorm(y)
 
     def reaches(self, start: int, goal: int, avoid: set[int]) -> bool:
         """Whether a path leads from ``start`` to ``goal`` without entering
-        ``avoid``: the shared BFS over the edges that do not enter ``avoid``."""
-        support = self.a != 0
-        support[:, [v - 1 for v in avoid]] = False
-        lists = _edge_lists(self.n_vertices, *_nonzero_slots(support))
+        ``avoid``: the shared BFS over the edges that do not enter ``avoid``,
+        from the base graph's edges into untouched columns and the array's
+        touched columns, so O(nnz + n * touched)."""
+        cols = np.array([c for c in self.touched if c + 1 not in avoid], dtype=np.int64)
+        base = np.ones(self.n_vertices, dtype=bool)
+        base[list(self.touched)] = False
+        base[[v - 1 for v in avoid]] = False
+        tails, heads = self.base_slots
+        kept = base[heads]
+        rows, at = np.nonzero(self.a[:, cols])
+        tails = np.concatenate((tails[kept], rows))
+        heads = np.concatenate((heads[kept], cols[at]))
+        order = np.argsort(tails, kind="stable")
+        lists = _edge_lists(self.n_vertices, tails[order], heads[order])
         return bool(_bfs_levels(*lists, start - 1, goal - 1)[goal - 1] >= 0)
 
     def graph(self) -> WeightedDigraph:

@@ -98,12 +98,15 @@ def test_delta_file_format_is_pinned():
 def test_read_delta_rejects_malformed_files(tmp_path, capsys):
     for text in ('{}', '{"ops": 5}', '{"ops": [{"op": "flip"}]}',
                  '{"ops": [{"op": "add_edge", "i": 1, "j": 2}]}',
-                 '{"ops": [{"op": "add_edge", "i": 1, "j": 2, "w": "x"}]}'):
+                 '{"ops": [{"op": "add_edge", "i": 1, "j": 2, "w": "x"}]}',
+                 '{"ops": [{"op": "add_edge", "i": Infinity, "j": 2, "w": 0.5}]}',
+                 '{"ops": [{"op": "remove_vertex", "v": -Infinity}]}'):
         with pytest.raises(GraphFormatError):
             iio.read_delta(write(tmp_path, "d.json", text))
-    code = main(["update", "--state", _saved_state(tmp_path),
-                 "--delta", write(tmp_path, "d.json", "{}")])
-    assert code == 2
+    for text in ("{}", '{"ops": [{"op": "remove_vertex", "v": Infinity}]}'):
+        code = main(["update", "--state", _saved_state(tmp_path),
+                     "--delta", write(tmp_path, "d.json", text)])
+        assert code == 2
     capsys.readouterr()
 
 
@@ -116,6 +119,9 @@ def test_vector_roundtrip(tmp_path):
     assert np.allclose(values, [1.0, 0.5j, -2.0])
     assert norm == "L2-unit"
     assert lam == 2.5 + 1j
+    with pytest.raises(GraphFormatError):
+        iio.read_vector(write(tmp_path, "v.json",
+                              '{"vertices": [Infinity], "values": [[1.0, 0.0]]}'))
 
 
 def test_state_roundtrip(tmp_path):
@@ -424,12 +430,16 @@ def test_load_state_rejects_inactive_member(tmp_path):
 
 #: Malformed graph.json contents a load must report as format errors: a
 #: non-numeric weight, an edge entry that is not a list, a non-integer
-#: tombstone, and three that parse but build no graph: a zero weight, an edge
-#: into a tombstone, a negative vertex count.
+#: tombstone, an ``Infinity`` vertex count, edge id or tombstone, and three
+#: that parse but build no graph: a zero weight, an edge into a tombstone, a
+#: negative vertex count.
 BAD_GRAPH_EDITS = (
     lambda d: d["edges"][0].__setitem__(2, "x"),
     lambda d: d["edges"].append(5),
     lambda d: d.update(removed=["a"]),
+    lambda d: d.update(n=float("inf")),
+    lambda d: d["edges"][0].__setitem__(0, float("inf")),
+    lambda d: d.update(removed=[float("-inf")]),
     lambda d: d["edges"][0].__setitem__(2, 0.0),
     lambda d: d.update(removed=[d["edges"][0][1]]),
     lambda d: d.update(n=-1),
@@ -476,3 +486,53 @@ def test_non_utf8_edge_list_is_a_failed_graph_check(tmp_path, capsys):
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks[f"graph-file:{path}"]["passed"] is False
     assert all(c["passed"] for name, c in checks.items() if not name.startswith("graph-file"))
+
+
+#: Vector and flag contents a load must reject: non-finite entries in either
+#: vector, an ``Infinity`` vertex id, and a convergence flag that is not a
+#: JSON boolean.
+BAD_STATE_EDITS = (
+    ("full_vector.json", lambda d: d["values"].__setitem__(0, float("nan"))),
+    ("full_vector.json", lambda d: d["values"].__setitem__(-1, float("inf"))),
+    ("reduced_vector.json", lambda d: d["values"][0].__setitem__(0, float("nan"))),
+    ("reduced_vector.json", lambda d: d["values"][0].__setitem__(1, float("-inf"))),
+    ("reduced_vector.json", lambda d: d["vertices"].__setitem__(0, float("inf"))),
+    ("meta.json", lambda d: d.update(eig_converged="false")),
+    ("meta.json", lambda d: d.update(eig_converged=0)),
+    ("meta.json", lambda d: d.update(eig_converged=None)),
+)
+
+
+def test_load_state_rejects_non_finite_vectors_and_non_boolean_flags(tmp_path, capsys):
+    for name, change in BAD_STATE_EDITS:
+        path = _saved_state(tmp_path)
+        _rewrite(path, name, change)
+        with pytest.raises(GraphFormatError):
+            iio.load_state(path)
+        assert main(["verify", "--rounds", "1", "--state", path]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["stored-state-consistency"]["passed"] is False
+
+
+def test_state_files_are_compact_lines_and_indented_saves_still_load(tmp_path):
+    rng = np.random.default_rng(76)
+    state = StoredState.from_graph(random_stochastic_graph(12, 2.5, rng))
+    for _ in range(3):
+        state, _ = run_update(state, random_delta(state.graph, rng, 3))
+    new, old = tmp_path / "new", tmp_path / "old"
+    iio.save_state(state, str(new))
+    old.mkdir()
+    for f in new.iterdir():
+        text = f.read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        (old / f.name).write_text(iio.dumps(data), encoding="utf-8")
+    assert sum(len(f.read_bytes()) for f in new.iterdir()) < \
+        sum(len(f.read_bytes()) for f in old.iterdir()) / 1.5
+    for where in (new, old):
+        back = iio.load_state(str(where))
+        assert back.graph == state.graph and back.eig_converged is state.eig_converged
+        assert back.structural.members == state.structural.members
+        assert back.structural.depth_of == state.structural.depth_of
+        for field in ("columns", "reduced_vector", "full_vector"):
+            assert np.array_equal(getattr(back, field), getattr(state, field))

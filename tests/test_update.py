@@ -12,7 +12,7 @@ from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitive
                        random_delta, random_stochastic_graph, run_update,
                        scratch_equivalent, simplex_bound)
 from isoreduce.io import load_state, save_state
-from isoreduce.update import _lift_full
+from isoreduce.update import _Editor, _lift_full
 from oracles import dominant_unit_vector, lift_full_embedded, weights_loop
 
 
@@ -485,3 +485,46 @@ def test_reachability_promotion_matches_branch_rule():
             checked += 1
             promoted += want is not None
     assert promoted >= 5
+
+
+def _dense_reaches(a: np.ndarray, start: int, goal: int, avoid) -> bool:
+    """Search over the whole edited support with the ``avoid`` columns cut."""
+    support = a != 0
+    support[:, [v - 1 for v in avoid]] = False
+    seen, todo = {start - 1}, [start - 1]
+    while todo:
+        for u in np.flatnonzero(support[todo.pop()]).tolist():
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return goal - 1 in seen
+
+
+def test_reaches_agrees_with_dense_search_through_edits(monkeypatch):
+    rng = np.random.default_rng(83)
+    state = StoredState.from_graph(random_stochastic_graph(24, 2.5, rng))
+    reaches, answers = _Editor.reaches, []
+
+    def checked(self, start, goal, avoid):
+        got = reaches(self, start, goal, avoid)
+        assert got == _dense_reaches(self.a, start, goal, avoid)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(_Editor, "reaches", checked)
+    promotions = 0
+    for _ in range(30):
+        delta = random_delta(state.graph, rng, 4)
+        ed = _Editor(state.graph)
+        for op in delta.ops:
+            ed.apply(op)
+            live = [v for v in range(1, ed.n_vertices + 1) if ed.active(v)]
+            for _ in range(4):
+                # the goal may be a tombstone, which no live vertex reaches
+                start, goal = int(rng.choice(live)), int(rng.integers(1, ed.n_vertices + 1))
+                ed.reaches(start, goal, set(rng.choice(live, int(rng.integers(0, 5))).tolist()))
+        asked = len(answers)
+        state, _ = run_update(state, delta)
+        promotions += sum(answers[asked:])
+    assert state.graph.removed and state.graph.n_vertices > 24
+    assert promotions and not all(answers)
