@@ -12,8 +12,8 @@ from .exceptions import (AmbiguousStationaryError, DegenerateRestrictionError,
                          IsoreduceError, IterationError, NonStochasticError,
                          NotPrimitiveError, SimulationError, SingularWeightError,
                          StructuralSetError)
-from .generate import (ExperimentConfig, check_assumptions, promotion_candidates,
-                       random_delta, random_stochastic_graph)
+from .generate import (ExperimentConfig, check_assumptions, random_delta,
+                       random_stochastic_graph)
 from .graph import (DEFAULT_TOL, StructuralSet, ValidationResult, WeightedDigraph,
                     compute_depths, find_structural_set, nilpotency_index,
                     validate_structural)
@@ -23,14 +23,14 @@ from .markov import (MarkovChain, StoppedChainSample, is_irreducible,
                      total_variation_summary, verify_return_identity,
                      verify_stationary_restriction, within_sigma_fraction)
 from .reduction import (Branch, BranchSet, ExtendedReducedMatrix, ReducedMatrix,
-                        branch_counts, branch_weight, enumerate_branches,
+                        branch_counts, enumerate_branches,
                         extended_columns, extended_reduced_matrix,
                         reduced_matrices_by_length,
                         reduced_matrix, reduced_matrix_by_length)
 from .spectral import (EigenPair, is_primitive, lift_eigenvector, power_iteration,
                        reduced_eigen_co_iteration, stationary_vector, verify_restriction)
 from .update import (CostReport, DeltaOp, GraphDelta, StoredState, UpdateSession,
-                     apply_ops, promotion_rule, run_update, simplex_bound)
+                     apply_ops, run_update, simplex_bound)
 from .bench import (ExperimentSummary, TrialResult, VerificationReport,
                     run_experiment, scratch_equivalent, verify_suite)
 
@@ -45,11 +45,11 @@ __all__ = [
     "ReducedMatrix", "SimulationError", "SingularWeightError", "StoppedChainSample",
     "StoredState", "StructuralSet", "StructuralSetError", "TrialResult",
     "UpdateSession", "ValidationResult", "VerificationReport", "WeightedDigraph",
-    "apply_ops", "branch_counts", "branch_weight", "check_assumptions", "compute_depths",
+    "apply_ops", "branch_counts", "check_assumptions", "compute_depths",
     "enumerate_branches", "extended_columns", "extended_reduced_matrix",
     "find_structural_set",
     "is_irreducible", "is_primitive", "lift_eigenvector", "nilpotency_index",
-    "power_iteration", "promotion_candidates", "promotion_rule", "random_delta",
+    "power_iteration", "random_delta",
     "random_stochastic_graph", "reduced_eigen_co_iteration", "reduced_matrices_by_length",
     "reduced_matrix", "reduced_matrix_by_length", "reduced_matrix_of_chain", "run_experiment",
     "run_update", "scratch_equivalent", "simplex_bound", "simulate_stopped_chain",

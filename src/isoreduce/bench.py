@@ -9,9 +9,9 @@ import numpy as np
 
 from .exceptions import IsoreduceError
 from .generate import ExperimentConfig, random_delta, random_stochastic_graph
-from .graph import WeightedDigraph, compute_depths, find_structural_set
-from .markov import (MarkovChain, simulate_stopped_chain, verify_return_identity,
-                     verify_stationary_restriction, within_sigma_fraction)
+from .graph import WeightedDigraph, find_structural_set
+from .markov import (MarkovChain, reduced_matrix_of_chain, simulate_stopped_chain,
+                     verify_return_identity, verify_stationary_restriction, within_sigma_fraction)
 from .reduction import reduced_matrix
 from .spectral import lift_eigenvector, stationary_vector, verify_restriction
 from .update import CostReport, StoredState, run_update, simplex_bound
@@ -265,9 +265,7 @@ def _check_simulation(seed: int) -> CheckResult:
     g = random_stochastic_graph(6, 2.5, rng)
     chain = MarkovChain.from_stochastic_graph(g)
     members = find_structural_set(chain.graph(), 1.0).members
-    cg = chain.graph()
-    ss = compute_depths(cg, members, 1.0)
-    expected = reduced_matrix(cg, ss, 1.0).entries.real
+    expected = reduced_matrix_of_chain(chain, members)
     sample = simulate_stopped_chain(chain, members, 200_000, seed)
     frac = within_sigma_fraction(sample, expected)
     return CheckResult("stopped-chain-bands", frac >= 0.95,

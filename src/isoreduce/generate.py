@@ -9,7 +9,7 @@ import numpy as np
 from .exceptions import DeltaError, GenerationError, NotPrimitiveError
 from .graph import WeightedDigraph
 from .spectral import is_primitive
-from .update import DeltaOp, GraphDelta, StoredState, apply_ops
+from .update import DeltaOp, GraphDelta, apply_ops
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,11 @@ def random_stochastic_graph(n: int, avg_degree: float, rng: np.random.Generator,
     for _ in range(max_tries):
         mask = rng.random((n, n)) < q
         np.fill_diagonal(mask, False)
-        for j in range(n):
-            if not mask[:, j].any():
-                i = int(rng.integers(0, n - 1))
-                if i >= j:
-                    i += 1
-                mask[i, j] = True
-        for i in range(n):
-            if not mask[i].any():
-                j = int(rng.integers(0, n - 1))
-                if j >= i:
-                    j += 1
-                mask[i, j] = True
+        for lines in (mask.T, mask):
+            for v in range(n):
+                if not lines[v].any():
+                    u = int(rng.integers(0, n - 1))
+                    lines[v, u + (u >= v)] = True
         w = rng.uniform(0.05, 1.0, (n, n)) * mask
         if not is_primitive(w):
             continue
@@ -150,25 +143,3 @@ def random_delta(graph: WeightedDigraph, rng: np.random.Generator, p: int, *,
         ops.extend(candidate)
         working = g2
     return GraphDelta(tuple(ops))
-
-
-def promotion_candidates(state: StoredState) -> list[tuple[int, int]]:
-    """Edges (i, j) whose insertion fires the structural promotion rule.
-
-    Scans the state's branches (listed on first use) for
-    complement-to-complement connections j -> i where the edge (i, j) is
-    still absent.
-    """
-    members = set(state.structural.members)
-    g = state.graph
-    out = []
-    seen = set()
-    for b in state.branches.branches:
-        j, i = b.start, b.end
-        if i in members or j in members or i == j:
-            continue
-        if g.has_edge(i, j) or (i, j) in seen:
-            continue
-        seen.add((i, j))
-        out.append((i, j))
-    return sorted(out)

@@ -2,6 +2,8 @@
 
 Vertices are the integers ``1..n_vertices``; removed vertices leave
 tombstones so that identifiers stay stable across incremental updates.
+A constructor refuses, with ``ValueError``, an id that is neither an
+integer nor a float with an integer value.
 Each graph stores one dense, read-only adjacency array, float64 when
 every weight is real and complex128 otherwise, checked by one validator
 whichever way the graph is built.  ``from_matrix`` keeps a copy of the
@@ -10,9 +12,9 @@ beside it as ``edge_arrays``.  The weight map and one pair of edge lists
 over vertex slots, ``edge_lists`` (forward and backward), are derived
 from those edges when first read, and every traversal walks the lists.
 One counting pass over the complement's kept edges (Kahn's topological
-sort, run from the sinks on the backward list) gives the depths, the
-structural check and the nilpotency index in O(n + nnz).  The
-structural-set search runs the same counting rule incrementally to peel
+sort, run from the sinks on the backward list), ``_peel``, gives the
+depths, the structural check and the nilpotency index in O(n + nnz).  The
+structural-set search runs the same peel incrementally to take out
 every vertex that can no longer reach a cycle, so its one depth-first
 search, ``_cycles``, walks only the vertices that still can; the search
 also gives the witness cycle once a counting pass has stalled.
@@ -41,6 +43,14 @@ def _nonzero_slots(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, as ``np.nonzero`` gives them; one flat scan of the boolean
     support is several times faster than ``np.nonzero`` on a 2-D array."""
     return np.divmod(np.flatnonzero(matrix != 0), matrix.shape[1])
+
+
+def _vertex_id(value) -> int:
+    """``value`` as a vertex id: an integer, or a float whose value is one;
+    any other value is a ``ValueError``."""
+    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"vertex id {value!r} is not an integer")
 
 
 def _edge_lists(n: int, tails: np.ndarray,
@@ -129,28 +139,31 @@ class WeightedDigraph:
 
     def __init__(self, n_vertices: int, weights: Mapping[tuple[int, int], complex],
                  stochastic: bool = False, removed: Iterable[int] = frozenset()):
-        if n_vertices < 0:
-            raise ValueError("n_vertices must be non-negative")
-        edges = np.fromiter(chain.from_iterable(weights), np.int64,
-                            2 * len(weights)).reshape(-1, 2)
+        n = int(n_vertices)
+        if n != n_vertices or n < 0:
+            raise ValueError(f"n_vertices {n_vertices!r} is not a non-negative integer")
+        ids = np.array(list(chain.from_iterable(weights))).reshape(len(weights), 2)
+        if ids.dtype.kind not in "iuf":
+            raise ValueError(f"vertex ids must be numbers, not {ids.dtype}")
         w = np.array(list(weights.values()), dtype=complex)
-        outside = ((edges < 1) | (edges > n_vertices)).any(axis=1)
-        bad = np.flatnonzero(outside | (w == 0))
+        inactive = ((ids < 1) | (ids > n) | (ids != np.floor(ids))).any(axis=1)
+        bad = np.flatnonzero(inactive | (w == 0))
         if bad.size:
-            i, j = edges[bad[0]].tolist()
-            if outside[bad[0]]:
+            i, j = list(weights)[bad[0]]
+            if inactive[bad[0]]:
                 raise ValueError(f"edge ({i},{j}) touches an inactive vertex")
             raise ValueError(f"edge ({i},{j}) stored with zero weight")
         if not w.imag.any():
             w = w.real
-        adj = np.zeros((n_vertices, n_vertices), dtype=w.dtype)
+        edges = ids.astype(np.int64, copy=False)
+        adj = np.zeros((n, n), dtype=w.dtype)
         adj[edges[:, 0] - 1, edges[:, 1] - 1] = w
         self._keep(adj, stochastic, removed)
 
     def _keep(self, adj: np.ndarray, stochastic: bool, removed: Iterable[int]) -> None:
         """Validate ``adj`` and make it, read-only, this graph's adjacency."""
         n = adj.shape[0]
-        removed = frozenset(removed)
+        removed = frozenset(map(_vertex_id, removed))
         active = np.ones(n, dtype=bool)
         active[[v - 1 for v in removed if 1 <= v <= n]] = False
         edges = _check_adjacency(adj, active, stochastic)
@@ -184,7 +197,8 @@ class WeightedDigraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple], *, stochastic: bool = False,
                    removed: Iterable[int] = ()) -> "WeightedDigraph":
-        """Build a graph from ``(i, j, weight)`` triples."""
+        """Build a graph from ``(i, j, weight)`` triples; a repeated ``(i, j)``
+        is a ``ValueError``."""
         weights = {}
         for i, j, w in edges:
             if (i, j) in weights:
@@ -398,36 +412,36 @@ def _out_counts(graph: WeightedDigraph, flags: np.ndarray) -> list[int]:
     return np.bincount(i[keep] - 1, minlength=graph.n_vertices).tolist()
 
 
-def _count_depths(graph: WeightedDigraph, in_comp: np.ndarray) -> list[int] | None:
-    """Depths by slot over the complement that ``in_comp`` flags (indexed by
-    slot), or None when it carries a non-loop cycle.
-
-    Kahn's in-degree counting, run on the complement's kept edges with
-    loops dropped and turned around: each vertex counts its complement
-    out-edges, and a vertex whose count reaches zero takes one level above
-    its deepest out-neighbour and releases its complement predecessors on
-    the backward edge list.  It is one O(n + nnz) pass; a pass that places
-    fewer vertices than the complement holds has stalled on a cycle.
-    Entries outside the complement read 0.
-    """
-    pending = _out_counts(graph, in_comp)
+def _peel(graph: WeightedDigraph, live: list[bool], pending: list[int],
+          queue: list[int], depth: list[int]) -> None:
+    """Kahn's counting rule, turned around: the slots in ``queue`` leave the
+    live set, and so does every live slot whose ``pending`` count of non-loop
+    out-edges to live slots then reaches zero.  A slot that leaves lifts each
+    live predecessor's depth to at least its own depth + 1.  It is one pass
+    over the backward edge list into the slots taken out."""
     ptr, preds = graph.edge_lists[1]
-    flags = in_comp.tolist()
-    comp = np.flatnonzero(in_comp).tolist()
-    depth = [0] * graph.n_vertices
-    placed = [v for v in comp if not pending[v]]
-    for v in placed:
-        depth[v] = 1
-    for v in placed:
+    for v in queue:
+        live[v] = False
+    for v in queue:
         d = depth[v] + 1
         for u in preds[ptr[v]:ptr[v + 1]]:
-            if flags[u] and u != v:
+            if live[u]:
                 if depth[u] < d:
                     depth[u] = d
                 pending[u] -= 1
                 if not pending[u]:
-                    placed.append(u)
-    return depth if len(placed) == len(comp) else None
+                    live[u] = False
+                    queue.append(u)
+
+
+def _count_depths(graph: WeightedDigraph, in_comp: np.ndarray) -> list[int] | None:
+    """Depths by slot over the complement that ``in_comp`` flags, 0 outside
+    it, or None when it carries a non-loop cycle: a peel from its sinks, at
+    depth 1, which stalls on any such cycle."""
+    live, pending = in_comp.tolist(), _out_counts(graph, in_comp)
+    depth = in_comp.astype(int).tolist()
+    _peel(graph, live, pending, [v for v, c in enumerate(pending) if live[v] and not c], depth)
+    return None if True in live else depth
 
 
 def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -496,13 +510,13 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     Vertices whose loop weight equals ``lam`` are forced in first; remaining
     non-loop cycles are broken greedily by the vertex covering the most
     cycles detected per sweep (the smallest id among ties).  Between sweeps
-    the vertices that reach no cycle outside the set are peeled off by the
-    counting rule of :func:`_count_depths`, kept up to date on the backward
-    edge list as the set grows: each live vertex counts its non-loop
-    out-edges to live vertices and leaves once the count is zero.  Such a
-    vertex only ever finishes in the search, so the sweep over the live
-    vertices meets the same back edges, counts and choices; the search ends
-    when no vertex is live.
+    the vertices that reach no cycle outside the set are peeled off by
+    :func:`_peel`, the depth count's rule, kept up to date as the set grows:
+    each chosen vertex leaves the live set, and so does every live vertex
+    left with no live out-neighbour (the depths it records go unused).
+    Such a vertex only ever finishes in the search, so the sweep over the
+    live vertices meets the same back edges, counts and choices; the search
+    ends when no vertex is live.
     """
     if graph.n_active == 0:
         raise ValueError("graph has no active vertices")
@@ -513,27 +527,13 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     flags[slots[~forced]] = True
     pending = _out_counts(graph, flags)
     live = flags.tolist()
-    ptr, preds = graph.edge_lists[1]
-
-    def peel(queue: list[int]) -> None:
-        """Take the slots in ``queue`` out of the live set, then every slot
-        that is left with no live out-neighbour."""
-        for v in queue:
-            live[v] = False
-        for v in queue:
-            for u in preds[ptr[v]:ptr[v + 1]]:
-                if live[u]:
-                    pending[u] -= 1
-                    if not pending[u]:
-                        live[u] = False
-                        queue.append(u)
-
-    peel([v for v in slots[~forced].tolist() if not pending[v]])
+    depth = [0] * graph.n_vertices
+    _peel(graph, live, pending, [v for v in slots[~forced].tolist() if not pending[v]], depth)
     while True in live:
         hits = _cycles(graph, live)[1]
         v = hits.index(max(hits))
         chosen.add(v + 1)
-        peel([v])
+        _peel(graph, live, pending, [v], depth)
     if not chosen:
         chosen.add(int(slots[0]) + 1)
     return compute_depths(graph, chosen, lam, tol)

@@ -3,7 +3,8 @@
 Edge-list format: a header line ``N <count>`` followed by one edge per line,
 ``i j re [im]``.  The JSON alternative is ``{"n": ..., "edges": [[i, j, re,
 im], ...]}`` with optional ``stochastic`` and ``removed`` keys.  All modules
-share these formats.
+share these formats.  Both are read through :func:`graph_from_dict`, which
+hands the rows to ``WeightedDigraph.from_edges``, the one duplicate check.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import GraphFormatError, StructuralSetError
-from .graph import WeightedDigraph, compute_depths
+from .graph import WeightedDigraph, _vertex_id, compute_depths
 from .reduction import extended_columns
 from .update import DeltaOp, GraphDelta, StoredState
 
 
-def _edge_weight(re: float, im: float):
-    return complex(re, im) if im else float(re)
-
-
-def parse_edgelist(text: str) -> tuple[int, dict]:
+def parse_edgelist(text: str) -> dict:
+    """An edge-list text as the JSON graph object that :func:`graph_from_dict` reads."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -37,21 +35,16 @@ def parse_edgelist(text: str) -> tuple[int, dict]:
         n = int(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"bad vertex count {head[1]!r}") from exc
-    weights = {}
+    edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) not in (3, 4):
             raise GraphFormatError(f"expected 'i j re [im]', got {ln!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
-            re = float(parts[2])
-            im = float(parts[3]) if len(parts) == 4 else 0.0
+            edges.append([int(parts[0]), int(parts[1]), *map(float, parts[2:])])
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line {ln!r}") from exc
-        if (i, j) in weights:
-            raise GraphFormatError(f"duplicate edge ({i},{j})")
-        weights[(i, j)] = _edge_weight(re, im)
-    return n, weights
+    return {"n": n, "edges": edges}
 
 
 def _edge_rows(graph: WeightedDigraph) -> list[tuple[int, int, float, float]]:
@@ -97,37 +90,31 @@ def _read_json(path: str):
         raise GraphFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _edge_row(entry) -> tuple:
+    """``(i, j, weight)`` from a JSON edge entry ``[i, j, re, im]`` or ``[i, j, re]``."""
+    try:
+        i, j, re, im = entry
+    except ValueError:
+        i, j, re = entry
+        im = 0.0
+    return i, j, complex(float(re), float(im))
+
+
 def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDigraph:
     """Build a graph from its JSON object; any fault, including one the
     graph's own construction finds, is a format error."""
     try:
-        n = int(data["n"])
-        weights = {}
-        for entry in data["edges"]:
-            if len(entry) not in (3, 4):
-                raise GraphFormatError(f"bad edge entry {entry!r}")
-            i, j = int(entry[0]), int(entry[1])
-            re = float(entry[2])
-            im = float(entry[3]) if len(entry) == 4 else 0.0
-            if (i, j) in weights:
-                raise GraphFormatError(f"duplicate edge ({i},{j})")
-            weights[(i, j)] = _edge_weight(re, im)
-        removed = frozenset(int(v) for v in data.get("removed", ()))
-        flag = bool(data.get("stochastic", False)) if stochastic is None else stochastic
-        return WeightedDigraph(n, weights, stochastic=flag, removed=removed)
+        return WeightedDigraph.from_edges(
+            data["n"], map(_edge_row, data["edges"]), removed=data.get("removed", ()),
+            stochastic=bool(data.get("stochastic", False)) if stochastic is None else stochastic)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"bad graph object: {exc}") from exc
 
 
 def read_graph(path: str, *, stochastic: bool | None = None) -> WeightedDigraph:
     """Load a graph from an edge-list or JSON file (by extension)."""
-    if path.endswith(".json"):
-        return graph_from_dict(_read_json(path), stochastic=stochastic)
-    n, weights = parse_edgelist(_read_text(path))
-    try:
-        return WeightedDigraph(n, weights, stochastic=bool(stochastic))
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+    data = _read_json(path) if path.endswith(".json") else parse_edgelist(_read_text(path))
+    return graph_from_dict(data, stochastic=stochastic)
 
 
 def write_graph(graph: WeightedDigraph, path: str) -> None:
@@ -146,13 +133,13 @@ def delta_to_dict(delta: GraphDelta) -> dict:
 
 def delta_from_dict(data) -> GraphDelta:
     """Parse ``{"ops": [...]}`` (or the bare list); ``w`` is read as a float and
-    every other field as an int."""
+    every other field as a vertex id."""
     try:
         ops = []
         for entry in (data["ops"] if isinstance(data, dict) else data):
             kind = entry["op"]
             ops.append(DeltaOp(kind, **{
-                name: (float if name == "w" else int)(entry[name])
+                name: (float if name == "w" else _vertex_id)(entry[name])
                 for name in DeltaOp.FIELDS.get(kind, ())}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"bad delta object: {exc}") from exc
@@ -179,7 +166,7 @@ def vector_to_dict(vertices: Iterable[int], values, normalization: str,
 
 def vector_from_dict(data: dict) -> tuple[list[int], np.ndarray, str, complex | None]:
     try:
-        vertices = [int(v) for v in data["vertices"]]
+        vertices = [_vertex_id(v) for v in data["vertices"]]
         values = np.array([complex(a, b) for a, b in data["values"]])
         norm = data.get("normalization", "none")
         lam = None
@@ -272,8 +259,8 @@ def load_state(dirpath: str) -> StoredState:
             members are missing, empty or not integers, a member is not an
             active vertex, the members are not structural for the graph (the
             message names a cycle that avoids them), ``meta.json`` is not an
-            object or its ``eig_converged`` is not a JSON boolean, or a
-            vector has the wrong length or a non-finite entry.
+            object or its ``eig_converged`` is missing or not a JSON boolean,
+            or a vector has the wrong length or a non-finite entry.
     """
     def get(name):
         try:
@@ -288,7 +275,7 @@ def load_state(dirpath: str) -> StoredState:
             raise GraphFormatError(f"structural members {members} are not all integers")
         structural = compute_depths(graph, members, 1.0)
         full = np.array(get("full_vector.json")["values"], dtype=float)
-        converged = get("meta.json").get("eig_converged", True)
+        converged = get("meta.json")["eig_converged"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{dirpath}: bad state file: {exc!r}") from exc
     except StructuralSetError as exc:

@@ -180,10 +180,8 @@ def simulate_stopped_chain(chain: MarkovChain, members, steps: int, seed: int, *
 def reduced_matrix_of_chain(chain: MarkovChain, members) -> np.ndarray:
     """Row-stochastic kernel of the stopped chain: the reduced matrix of the
     chain's graph over ``members`` at parameter 1."""
-    members = tuple(sorted(set(members)))
     cg = chain.graph()
-    cs = compute_depths(cg, members, 1.0)
-    return reduced_matrix(cg, cs, 1.0).entries.real
+    return reduced_matrix(cg, compute_depths(cg, members, 1.0), 1.0).entries.real
 
 
 def is_irreducible(chain: MarkovChain) -> bool:
@@ -203,8 +201,7 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     return stationary_vector(chain.transition.T).vector
 
 
-def verify_stationary_restriction(chain: MarkovChain, members, *,
-                                  tol: float = DEFAULT_TOL) -> float:
+def verify_stationary_restriction(chain: MarkovChain, members) -> float:
     """Gap between the restricted stationary distribution and the one of the
     stopped chain's kernel.
 
@@ -213,18 +210,16 @@ def verify_stationary_restriction(chain: MarkovChain, members, *,
     """
     member_set = set(members)
     members = tuple(sorted(member_set))
-    cg = chain.graph()
-    for v in cg.vertices():
-        if v not in member_set and cg.has_edge(v, v):
+    for v in range(1, chain.n_states + 1):
+        if v not in member_set and chain.transition[v - 1, v - 1]:
             raise ValueError(f"complement state {v} has a self-transition")
     try:
-        cs = compute_depths(cg, members, 1.0, tol)
+        r = reduced_matrix_of_chain(chain, members)
     except StructuralSetError as exc:
         raise ValueError("the given set is not structural for the chain at 1") from exc
     q = stationary_distribution(chain)
     q_s = np.array([q[v - 1] for v in members])
     q_s = q_s / q_s.sum()
-    r = reduced_matrix(cg, cs, 1.0).entries.real
     q_r = stationary_distribution(MarkovChain(r))
     return float(np.abs(q_s - q_r).max())
 

@@ -111,31 +111,6 @@ class BranchSet:
         return [list(b.vertices) for b in self.branches]
 
 
-def branch_weight(graph: WeightedDigraph, branch: Branch, lam: complex,
-                  tol: float = DEFAULT_TOL) -> complex:
-    """Weight of a branch at the given spectral parameter.
-
-    The first edge contributes its weight; each interior vertex contributes
-    its outgoing edge weight divided by (lam - loop weight).  Endpoint loops
-    never enter a denominator.
-
-    Raises:
-        SingularWeightError: an interior denominator is within ``tol`` of zero.
-    """
-    v = branch.vertices
-    for a, b in zip(v, v[1:]):
-        if not graph.has_edge(a, b):
-            raise ValueError(f"branch step ({a},{b}) is not an edge")
-    w = complex(graph.weight(v[0], v[1]))
-    for pos in range(1, len(v) - 1):
-        den = lam - graph.weight(v[pos], v[pos])
-        if abs(den) <= tol:
-            raise SingularWeightError(
-                f"interior vertex {v[pos]} has loop weight within {tol} of {lam}")
-        w *= complex(graph.weight(v[pos], v[pos + 1])) / den
-    return w
-
-
 def enumerate_branches(graph: WeightedDigraph, structural: StructuralSet) -> BranchSet:
     """Enumerate every branch of the pair, complete and duplicate-free.
 

@@ -478,25 +478,6 @@ def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:
     return ed.graph()
 
 
-def promotion_rule(members, branches, i: int, j: int) -> int | None:
-    """Structural-set update for a new edge (i, j) (step 2), by branch lookup.
-
-    Returns the vertex to promote (``i``) when both endpoints lie outside the
-    set and some branch already runs from j back to i, so the new edge would
-    close a cycle avoiding the set.  Returns None otherwise.  The update
-    session asks the same question as a search from j that does not enter
-    the set; this form is the reference it is tested against.
-    """
-    s = set(members)
-    if i in s or j in s:
-        return None
-    if isinstance(branches, BranchSet):
-        exists = bool(branches.between(j, i))
-    else:
-        exists = any(b[0] == j and b[-1] == i for b in branches)
-    return i if exists else None
-
-
 class UpdateSession:
     """Single-writer update of a stored state; readers keep the old snapshot.
 

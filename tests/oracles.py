@@ -5,14 +5,16 @@ walks every simple path and filters afterwards, eigen-data comes from
 numpy's dense solver, taboo probabilities from explicit trajectory sums.
 The loop forms of algorithms the library now runs as array passes (cycle
 listing, recursive depths, primitivity by matrix powers, the embedded lift,
-entry-by-entry matrix reading) are kept here as references.
+entry-by-entry matrix reading) are kept here as references, and so are the
+branch-by-branch forms of the reduction's weights and the promotion rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from isoreduce import WeightedDigraph
+from isoreduce import (DEFAULT_TOL, Branch, BranchSet, SingularWeightError, StoredState,
+                       WeightedDigraph)
 
 
 def all_branches_bruteforce(graph: WeightedDigraph, members) -> list[tuple[int, ...]]:
@@ -298,3 +300,71 @@ def apply_ops_dense(matrix: np.ndarray, delta) -> np.ndarray:
             if total > 0:
                 m[:, c] /= total
     return m
+
+
+# -- branch-by-branch references -----------------------------------------------
+
+def branch_weight(graph: WeightedDigraph, branch: Branch, lam: complex,
+                  tol: float = DEFAULT_TOL) -> complex:
+    """Weight of a branch at the given spectral parameter.
+
+    The first edge contributes its weight; each interior vertex contributes
+    its outgoing edge weight divided by (lam - loop weight).  Endpoint loops
+    never enter a denominator.
+
+    Raises:
+        SingularWeightError: an interior denominator is within ``tol`` of zero.
+    """
+    v = branch.vertices
+    for a, b in zip(v, v[1:]):
+        if not graph.has_edge(a, b):
+            raise ValueError(f"branch step ({a},{b}) is not an edge")
+    w = complex(graph.weight(v[0], v[1]))
+    for pos in range(1, len(v) - 1):
+        den = lam - graph.weight(v[pos], v[pos])
+        if abs(den) <= tol:
+            raise SingularWeightError(
+                f"interior vertex {v[pos]} has loop weight within {tol} of {lam}")
+        w *= complex(graph.weight(v[pos], v[pos + 1])) / den
+    return w
+
+
+def promotion_rule(members, branches, i: int, j: int) -> int | None:
+    """Structural-set update for a new edge (i, j) (step 2), by branch lookup.
+
+    Returns the vertex to promote (``i``) when both endpoints lie outside the
+    set and some branch already runs from j back to i, so the new edge would
+    close a cycle avoiding the set.  Returns None otherwise.  The update
+    session asks the same question as a search from j that does not enter
+    the set; this form is the reference it is tested against.
+    """
+    s = set(members)
+    if i in s or j in s:
+        return None
+    if isinstance(branches, BranchSet):
+        exists = bool(branches.between(j, i))
+    else:
+        exists = any(b[0] == j and b[-1] == i for b in branches)
+    return i if exists else None
+
+
+def promotion_candidates(state: StoredState) -> list[tuple[int, int]]:
+    """Edges (i, j) whose insertion fires the structural promotion rule.
+
+    Scans the state's branches (listed on first use) for
+    complement-to-complement connections j -> i where the edge (i, j) is
+    still absent.
+    """
+    members = set(state.structural.members)
+    g = state.graph
+    out = []
+    seen = set()
+    for b in state.branches.branches:
+        j, i = b.start, b.end
+        if i in members or j in members or i == j:
+            continue
+        if g.has_edge(i, j) or (i, j) in seen:
+            continue
+        seen.add((i, j))
+        out.append((i, j))
+    return sorted(out)

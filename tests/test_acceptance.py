@@ -11,7 +11,7 @@ from isoreduce import (CostReport, DeltaOp, EigenPair, ExperimentConfig,
                        GraphDelta, DeltaError, MarkovChain, StoredState,
                        WeightedDigraph, compute_depths, enumerate_branches,
                        extended_reduced_matrix, find_structural_set,
-                       lift_eigenvector, promotion_candidates, random_delta,
+                       lift_eigenvector, random_delta,
                        random_stochastic_graph, reduced_matrix,
                        reduced_matrix_by_length, reduced_matrix_of_chain,
                        run_experiment, run_update, simplex_bound,
@@ -19,7 +19,7 @@ from isoreduce import (CostReport, DeltaOp, EigenPair, ExperimentConfig,
                        verify_return_identity, verify_stationary_restriction,
                        verify_restriction, within_sigma_fraction)
 from oracles import (all_branches_bruteforce, dense_eigenpairs,
-                     dominant_unit_vector, random_complex_graph,
+                     dominant_unit_vector, promotion_candidates, random_complex_graph,
                      stationary_bruteforce, taboo_bruteforce)
 
 

@@ -34,6 +34,28 @@ def test_vertex_queries_accept_only_integer_ids(three_cycle):
     assert not tombstoned.is_active(4) and not tombstoned.is_active(0)
 
 
+def test_constructors_reject_non_integer_ids():
+    cycle = {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}
+    bad = [lambda: WeightedDigraph(3, {(1.9, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0},
+                                   stochastic=True),
+           lambda: WeightedDigraph.from_edges(3, [(1.5, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)]),
+           lambda: WeightedDigraph.from_edges(3, [(1, 2, 1.0), (1.2, 2, 1.0)]),
+           lambda: WeightedDigraph.from_edges(3, [(1, 2, 1.0), ("1", 2, 1.0)]),
+           lambda: WeightedDigraph.from_edges(3, [(1, 2, 1.0), (None, 2, 1.0)]),
+           lambda: WeightedDigraph(3.7, cycle),
+           lambda: WeightedDigraph(4, cycle, removed={4.5}),
+           lambda: WeightedDigraph.from_matrix(np.eye(2), removed=[float("nan")])]
+    for build in bad:
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(ValueError, match=r"duplicate edge \(1.0,2\)"):
+        WeightedDigraph.from_edges(3, [(1, 2, 1.0), (1.0, 2, 1.0)])
+    # an integer-valued float is still read as that integer
+    g = WeightedDigraph(4.0, {(1.0, 2): 1.0, (2, 3.0): 1.0, (3, 1): 1.0}, removed={4.0})
+    assert g == WeightedDigraph(4, cycle, removed={4})
+    assert type(g.n_vertices) is int and g.removed == {4} and type(min(g.removed)) is int
+
+
 def test_zero_weight_and_bad_vertex_rejected():
     with pytest.raises(ValueError):
         WeightedDigraph.from_edges(2, [(1, 2, 0.0)])

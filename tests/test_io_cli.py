@@ -93,6 +93,9 @@ def test_delta_file_format_is_pinned():
                         DeltaOp.remove_vertex(4), DeltaOp.remove_edge(1, 2)))
     assert iio.dumps(iio.delta_to_dict(delta)) == DELTA_FILE
     assert iio.delta_from_dict(json.loads(DELTA_FILE)) == delta
+    # an integer-valued float is read as that integer id
+    back = iio.delta_from_dict({"ops": [{"op": "remove_edge", "i": 1.0, "j": 2}]})
+    assert back == GraphDelta((DeltaOp.remove_edge(1, 2),)) and type(back.ops[0].i) is int
 
 
 def test_read_delta_rejects_malformed_files(tmp_path, capsys):
@@ -100,10 +103,13 @@ def test_read_delta_rejects_malformed_files(tmp_path, capsys):
                  '{"ops": [{"op": "add_edge", "i": 1, "j": 2}]}',
                  '{"ops": [{"op": "add_edge", "i": 1, "j": 2, "w": "x"}]}',
                  '{"ops": [{"op": "add_edge", "i": Infinity, "j": 2, "w": 0.5}]}',
-                 '{"ops": [{"op": "remove_vertex", "v": -Infinity}]}'):
+                 '{"ops": [{"op": "remove_vertex", "v": -Infinity}]}',
+                 '{"ops": [{"op": "remove_edge", "i": 1.5, "j": 2}]}',
+                 '{"ops": [{"op": "remove_vertex", "v": "4"}]}'):
         with pytest.raises(GraphFormatError):
             iio.read_delta(write(tmp_path, "d.json", text))
-    for text in ("{}", '{"ops": [{"op": "remove_vertex", "v": Infinity}]}'):
+    for text in ("{}", '{"ops": [{"op": "remove_vertex", "v": Infinity}]}',
+                 '{"ops": [{"op": "remove_edge", "i": 1.5, "j": 2}]}'):
         code = main(["update", "--state", _saved_state(tmp_path),
                      "--delta", write(tmp_path, "d.json", text)])
         assert code == 2
@@ -430,8 +436,9 @@ def test_load_state_rejects_inactive_member(tmp_path):
 
 #: Malformed graph.json contents a load must report as format errors: a
 #: non-numeric weight, an edge entry that is not a list, a non-integer
-#: tombstone, an ``Infinity`` vertex count, edge id or tombstone, and three
-#: that parse but build no graph: a zero weight, an edge into a tombstone, a
+#: tombstone, an ``Infinity`` vertex count, edge id or tombstone, a repeated
+#: edge, a vertex count, edge id or tombstone with a fraction, and three that
+#: parse but build no graph: a zero weight, an edge into a tombstone, a
 #: negative vertex count.
 BAD_GRAPH_EDITS = (
     lambda d: d["edges"][0].__setitem__(2, "x"),
@@ -440,6 +447,10 @@ BAD_GRAPH_EDITS = (
     lambda d: d.update(n=float("inf")),
     lambda d: d["edges"][0].__setitem__(0, float("inf")),
     lambda d: d.update(removed=[float("-inf")]),
+    lambda d: d["edges"].append(list(d["edges"][0])),
+    lambda d: d.update(n=d["n"] + 0.7),
+    lambda d: d["edges"][0].__setitem__(0, d["edges"][0][0] + 0.5),
+    lambda d: d.update(removed=[1.5]),
     lambda d: d["edges"][0].__setitem__(2, 0.0),
     lambda d: d.update(removed=[d["edges"][0][1]]),
     lambda d: d.update(n=-1),
@@ -489,14 +500,16 @@ def test_non_utf8_edge_list_is_a_failed_graph_check(tmp_path, capsys):
 
 
 #: Vector and flag contents a load must reject: non-finite entries in either
-#: vector, an ``Infinity`` vertex id, and a convergence flag that is not a
-#: JSON boolean.
+#: vector, an ``Infinity`` or fractional vertex id, and a convergence flag
+#: that is missing or not a JSON boolean.
 BAD_STATE_EDITS = (
     ("full_vector.json", lambda d: d["values"].__setitem__(0, float("nan"))),
     ("full_vector.json", lambda d: d["values"].__setitem__(-1, float("inf"))),
     ("reduced_vector.json", lambda d: d["values"][0].__setitem__(0, float("nan"))),
     ("reduced_vector.json", lambda d: d["values"][0].__setitem__(1, float("-inf"))),
     ("reduced_vector.json", lambda d: d["vertices"].__setitem__(0, float("inf"))),
+    ("reduced_vector.json", lambda d: d["vertices"].__setitem__(0, d["vertices"][0] + 0.5)),
+    ("meta.json", lambda d: d.pop("eig_converged")),
     ("meta.json", lambda d: d.update(eig_converged="false")),
     ("meta.json", lambda d: d.update(eig_converged=0)),
     ("meta.json", lambda d: d.update(eig_converged=None)),

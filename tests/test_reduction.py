@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from isoreduce import (Branch, BranchSet, NonStochasticError, SingularWeightError,
-                       WeightedDigraph, branch_counts, branch_weight, compute_depths,
+                       WeightedDigraph, branch_counts, compute_depths,
                        enumerate_branches, extended_reduced_matrix,
                        find_structural_set, random_stochastic_graph,
                        reduced_matrices_by_length, reduced_matrix,
                        reduced_matrix_by_length)
 from isoreduce.reduction import _depth_sweep, _member_rows
-from oracles import all_branches_bruteforce, chain_graph, random_complex_graph
+from oracles import (all_branches_bruteforce, branch_weight, chain_graph,
+                     random_complex_graph)
 
 THREE_CYCLE_BRANCHES = [(1, 2), (1, 2, 3), (1, 2, 3, 1), (2, 3), (2, 3, 1), (3, 1)]
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitiveError,
                        StoredState, UpdateSession, WeightedDigraph, apply_ops, branch_counts,
                        compute_depths, enumerate_branches, extended_columns,
-                       find_structural_set, promotion_candidates, promotion_rule,
-                       random_delta, random_stochastic_graph, run_update,
+                       find_structural_set, random_delta, random_stochastic_graph, run_update,
                        scratch_equivalent, simplex_bound)
 from isoreduce.io import load_state, save_state
 from isoreduce.update import _Editor, _lift_full
-from oracles import dominant_unit_vector, lift_full_embedded, weights_loop
+from oracles import (dominant_unit_vector, lift_full_embedded, promotion_candidates,
+                     promotion_rule, weights_loop)
 
 
 def cycle_state(**kw) -> StoredState:
