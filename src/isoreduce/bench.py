@@ -12,7 +12,7 @@ from .generate import ExperimentConfig, random_delta, random_stochastic_graph
 from .graph import WeightedDigraph, find_structural_set
 from .markov import (MarkovChain, reduced_matrix_of_chain, simulate_stopped_chain,
                      verify_return_identity, verify_stationary_restriction, within_sigma_fraction)
-from .reduction import reduced_matrix
+from .reduction import branch_counts, reduced_matrix
 from .spectral import lift_eigenvector, stationary_vector, verify_restriction
 from .update import CostReport, StoredState, run_update, simplex_bound
 
@@ -170,14 +170,15 @@ def _check_fixture() -> CheckResult:
     state = StoredState.from_graph(g, structural=[1], assume_primitive=True)
     r2 = reduced_matrix(g, state.structural, 2.0).entries[0, 0]
     lifted = lift_eigenvector(g, state.structural, 1.0, [1.0])
+    counts = branch_counts(g, state.structural)
     checks = [
         abs(r2 - 0.25) < 1e-15,
-        len(state.branches) == 6,
-        abs(state.extended.entries[0, 0] - 1.0) < 1e-15,
+        counts == (6, 3),
+        state.columns[0, 0] == 1.0,
         np.allclose(lifted.vector, 1.0),
     ]
     return CheckResult("fixture-three-cycle", all(checks),
-                       f"reduced(2)={r2}, branches={len(state.branches)}")
+                       f"reduced(2)={r2}, branches={counts[0]}")
 
 
 def _check_roundtrip(seed: int, rounds: int) -> CheckResult:

@@ -78,10 +78,9 @@ def random_stochastic_graph(n: int, avg_degree: float, rng: np.random.Generator,
                     u = int(rng.integers(0, n - 1))
                     lines[v, u + (u >= v)] = True
         w = rng.uniform(0.05, 1.0, (n, n)) * mask
-        if not is_primitive(w):
-            continue
-        w = w / w.sum(axis=0, keepdims=True)
-        return WeightedDigraph.from_matrix(w, stochastic=True)
+        graph = WeightedDigraph.from_matrix(w / w.sum(axis=0, keepdims=True), stochastic=True)
+        if is_primitive(graph):
+            return graph
     raise GenerationError(
         f"no primitive graph with n={n}, degree={avg_degree} in {max_tries} tries")
 

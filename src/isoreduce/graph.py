@@ -3,7 +3,8 @@
 Vertices are the integers ``1..n_vertices``; removed vertices leave
 tombstones so that identifiers stay stable across incremental updates.
 A constructor refuses, with ``ValueError``, an id that is neither an
-integer nor a float with an integer value.
+integer nor a float with an integer value, and a tombstone outside
+``1..n_vertices``.
 Each graph stores one dense, read-only adjacency array, float64 when
 every weight is real and complex128 otherwise, checked by one validator
 whichever way the graph is built.  ``from_matrix`` keeps a copy of the
@@ -164,8 +165,10 @@ class WeightedDigraph:
         """Validate ``adj`` and make it, read-only, this graph's adjacency."""
         n = adj.shape[0]
         removed = frozenset(map(_vertex_id, removed))
+        if not all(1 <= v <= n for v in removed):
+            raise ValueError(f"tombstones {sorted(removed)} are not all in 1..{n}")
         active = np.ones(n, dtype=bool)
-        active[[v - 1 for v in removed if 1 <= v <= n]] = False
+        active[[v - 1 for v in removed]] = False
         edges = _check_adjacency(adj, active, stochastic)
         for array in (adj, *edges):
             array.flags.writeable = False

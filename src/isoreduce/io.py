@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from typing import Iterable
 
 import numpy as np
@@ -187,95 +186,81 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-#: The files a state directory may hold: the five :func:`save_state` writes
-#: and the two that older saves also wrote.
-STATE_FILES = frozenset({"graph.json", "structural.json", "reduced_vector.json",
-                         "full_vector.json", "meta.json", "branches.json", "extended.json"})
-
-
 def save_state(state: StoredState, dirpath: str) -> None:
-    """Persist a stored state as a directory of five compact JSON files.
+    """Persist a stored state as one compact JSON file, ``dirpath/state.json``.
 
-    Only what cannot be recomputed is written: the graph, the structural
-    members, the two eigenvectors and the convergence flag.  The member
-    columns ``E[:, S]`` are fixed by the graph and the set, and a stored
-    state always sits at parameter 1, so :func:`load_state` rebuilds both.
+    Only what cannot be recomputed is written: ``{"graph": ..., "members":
+    [...], "reduced_vector": [...], "full_vector": [...], "eig_converged":
+    bool}``.  The member columns ``E[:, S]`` are fixed by the graph and the
+    set, and a stored state always sits at parameter 1, so
+    :func:`load_state` rebuilds both.
 
-    The files are written into a new hidden sibling directory of ``dirpath``
-    (with symbolic links resolved), so the parent directory must be
-    writable.  That directory then replaces ``dirpath`` by two renames: an
-    existing ``dirpath`` is moved aside, the new one moved in, and the old
-    one deleted.  A save that raises moves the old directory back, so it
-    leaves ``dirpath``, or its absence, as it was.  The files are not synced
-    to disk, and a process killed between the two renames leaves ``dirpath``
-    missing, with the old state in a hidden ``.<name>.<hex>.old`` sibling.
+    The file is written to a new hidden sibling of ``dirpath`` (with
+    symbolic links resolved), so the parent directory must be writable, and
+    one ``os.replace`` puts it in place; a missing ``dirpath`` is created.
+    A save that raises removes what it made, so it leaves ``dirpath``, or
+    its absence, as it was.  A reader sees the old file or the new one,
+    never a part of either.  The file is not synced to disk, so a power loss
+    can still lose the latest save.
 
     Raises:
         FileExistsError: ``dirpath`` exists and is not a directory that holds
-            nothing but state files (:data:`STATE_FILES`); it is left alone.
+            nothing but ``state.json``; it is left alone.
     """
     target = os.path.realpath(dirpath)
     if os.path.exists(target) and not (
-            os.path.isdir(target) and set(os.listdir(target)) <= STATE_FILES):
+            os.path.isdir(target) and set(os.listdir(target)) <= {"state.json"}):
         raise FileExistsError(f"{dirpath} is not a state directory; not overwriting it")
-    parent = os.path.dirname(target)
-    os.makedirs(parent, exist_ok=True)
-    tmp = os.path.join(parent, f".{os.path.basename(target)}.{os.urandom(8).hex()}")
-    old = tmp + ".old"
-    os.mkdir(tmp)
+    made = not os.path.isdir(target)
+    os.makedirs(target, exist_ok=True)
+    parent, name = os.path.split(target)
+    tmp = os.path.join(parent, f".{name}.{os.urandom(8).hex()}")
     try:
-        for name, obj in (
-                ("graph.json", graph_to_dict(state.graph)),
-                ("structural.json", {"members": list(state.structural.members)}),
-                ("reduced_vector.json", vector_to_dict(
-                    state.structural.members, state.reduced_vector, "L1-positive", 1.0)),
-                ("full_vector.json", {"n": state.graph.n_vertices,
-                                      "values": state.full_vector.tolist(),
-                                      "normalization": "L1-positive"}),
-                ("meta.json", {"eig_converged": state.eig_converged})):
-            _write_json(os.path.join(tmp, name), obj)
-        if os.path.isdir(target):
-            os.replace(target, old)
-        os.replace(tmp, target)
+        _write_json(tmp, {"graph": graph_to_dict(state.graph),
+                          "members": list(state.structural.members),
+                          "reduced_vector": state.reduced_vector.tolist(),
+                          "full_vector": state.full_vector.tolist(),
+                          "eig_converged": state.eig_converged})
+        os.replace(tmp, os.path.join(target, "state.json"))
     except BaseException:
-        if os.path.isdir(old):
-            os.replace(old, target)
-        shutil.rmtree(tmp, ignore_errors=True)
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if made:
+            os.rmdir(target)
         raise
-    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_state(dirpath: str) -> StoredState:
-    """Read a state directory back, rejecting parts that do not fit its graph.
+    """Read a state directory's ``state.json`` back, rejecting parts that do
+    not fit its graph.
 
     The graph is read as stochastic, the depths are taken over the stored
     members at parameter 1, and the member columns ``E[:, S]`` are
     recomputed by the same sweep that built them, so they come back
-    bit-identical.  An ``extended.json`` or a ``lambda`` key left by an
-    older save is ignored.
+    bit-identical.
 
     Raises:
-        GraphFormatError: a file is missing or malformed, the structural
-            members are missing, empty or not integers, a member is not an
+        GraphFormatError: the file is missing, malformed or not a JSON
+            object, a key is missing, the graph does not parse or build, the
+            structural members are empty or not integers, a member is not an
             active vertex, the members are not structural for the graph (the
-            message names a cycle that avoids them), ``meta.json`` is not an
-            object or its ``eig_converged`` is missing or not a JSON boolean,
-            or a vector has the wrong length or a non-finite entry.
+            message names a cycle that avoids them), ``eig_converged`` is not
+            a JSON boolean, or a vector has the wrong length or a non-finite
+            entry.
     """
-    def get(name):
-        try:
-            return _read_json(os.path.join(dirpath, name))
-        except FileNotFoundError as exc:
-            raise GraphFormatError(f"state directory misses {name}") from exc
-    graph = graph_from_dict(get("graph.json"), stochastic=True)
-    _, reduced, _, _ = vector_from_dict(get("reduced_vector.json"))
     try:
-        members = list(get("structural.json")["members"])
+        doc = _read_json(os.path.join(dirpath, "state.json"))
+    except FileNotFoundError as exc:
+        raise GraphFormatError(f"{dirpath} holds no state.json") from exc
+    try:
+        graph = graph_from_dict(doc["graph"], stochastic=True)
+        members = list(doc["members"])
         if not all(type(v) is int for v in members):
             raise GraphFormatError(f"structural members {members} are not all integers")
         structural = compute_depths(graph, members, 1.0)
-        full = np.array(get("full_vector.json")["values"], dtype=float)
-        converged = get("meta.json")["eig_converged"]
+        reduced = np.array(doc["reduced_vector"], dtype=float)
+        full = np.array(doc["full_vector"], dtype=float)
+        converged = doc["eig_converged"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"{dirpath}: bad state file: {exc!r}") from exc
     except StructuralSetError as exc:
@@ -291,7 +276,7 @@ def load_state(dirpath: str) -> StoredState:
     if full.shape != (n,):
         raise GraphFormatError(f"full vector has {full.size} entries, the graph {n}")
     return StoredState(graph, structural, extended_columns(graph, structural),
-                       reduced.real, full, converged)
+                       reduced, full, converged)
 
 
 def dumps(obj) -> str:

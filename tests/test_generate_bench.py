@@ -146,9 +146,9 @@ def test_verify_suite_flags_corrupted_state(tmp_path):
     state = StoredState.from_graph(g)
     where = tmp_path / "state"
     save_state(state, str(where))
-    blob = json.loads((where / "reduced_vector.json").read_text())
-    blob["values"][0][0] += 0.25
-    (where / "reduced_vector.json").write_text(json.dumps(blob))
+    blob = json.loads((where / "state.json").read_text())
+    blob["reduced_vector"][0] += 0.25
+    (where / "state.json").write_text(json.dumps(blob))
     report = verify_suite(seed=1, rounds=1, state_dir=str(where))
     by_name = {c.name: c for c in report.checks}
     assert not by_name["stored-state-consistency"].passed

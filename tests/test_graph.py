@@ -89,6 +89,18 @@ def test_tombstones_and_compact():
         WeightedDigraph.from_edges(4, [(1, 3, 1.0)], removed=[3])
 
 
+def test_tombstones_outside_the_vertex_range_are_refused():
+    # a tombstone past the end once counted in n_active, so this periodic
+    # 2-cycle read as one live vertex and passed as primitive
+    two_cycle = {(1, 2): 1.0, (2, 1): 1.0}
+    assert not is_primitive(WeightedDigraph(2, two_cycle, stochastic=True))
+    for removed in ({9}, {0}, {3}, {-1, 1}):
+        with pytest.raises(ValueError, match="tombstones"):
+            WeightedDigraph(2, two_cycle, stochastic=True, removed=removed)
+        with pytest.raises(ValueError, match="tombstones"):
+            WeightedDigraph.from_matrix(np.array([[0, 1.0], [1.0, 0]]), removed=removed)
+
+
 def test_validate_structural_three_cycle(three_cycle):
     assert validate_structural(three_cycle, [1], 1.0)
     assert validate_structural(three_cycle, [2], 1.0)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -232,9 +233,9 @@ def test_cli_verify_failure_exit_code(tmp_path, capsys):
     state = StoredState.from_graph(g)
     where = tmp_path / "st"
     iio.save_state(state, str(where))
-    blob = json.loads((where / "full_vector.json").read_text())
-    blob["values"][0] += 0.5
-    (where / "full_vector.json").write_text(json.dumps(blob))
+    blob = json.loads((where / "state.json").read_text())
+    blob["full_vector"][0] += 0.5
+    (where / "state.json").write_text(json.dumps(blob))
     code = main(["verify", "--rounds", "1", "--state", str(where)])
     assert code == 1
     capsys.readouterr()
@@ -264,11 +265,11 @@ def _saved_state(tmp_path):
     return path
 
 
-def _rewrite(path, name, change):
-    with open(f"{path}/{name}", encoding="utf-8") as fh:
+def _rewrite(path, change):
+    with open(f"{path}/state.json", encoding="utf-8") as fh:
         data = json.load(fh)
     change(data)
-    with open(f"{path}/{name}", "w", encoding="utf-8") as fh:
+    with open(f"{path}/state.json", "w", encoding="utf-8") as fh:
         fh.write(iio.dumps(data))
 
 
@@ -280,10 +281,9 @@ def test_state_directory_holds_no_branch_list(tmp_path):
 
 def test_state_directory_holds_only_what_cannot_be_recomputed(tmp_path):
     path = _saved_state(tmp_path)
-    assert sorted(p.name for p in (tmp_path / "st").iterdir()) == [
-        "full_vector.json", "graph.json", "meta.json", "reduced_vector.json",
-        "structural.json"]
-    assert json.loads((tmp_path / "st" / "structural.json").read_text()).keys() == {"members"}
+    assert [p.name for p in (tmp_path / "st").iterdir()] == ["state.json"]
+    assert json.loads((tmp_path / "st" / "state.json").read_text()).keys() == {
+        "eig_converged", "full_vector", "graph", "members", "reduced_vector"}
 
 
 def test_load_state_rebuilds_extended_after_vertex_removal(tmp_path):
@@ -314,22 +314,23 @@ def test_failed_save_leaves_the_previous_directory(tmp_path, monkeypatch):
     iio.save_state(state, str(path))
     before = {f.name: f.read_bytes() for f in path.iterdir()}
     write_json = iio._write_json
-    calls = []
 
-    def failing(where, obj):
-        calls.append(where)
-        if len(calls) == 3:
-            raise OSError("disk full")
+    def write_then_fail(where, obj):
         write_json(where, obj)
+        raise OSError("disk full")
 
-    monkeypatch.setattr(iio, "_write_json", failing)
-    for target in (path, tmp_path / "absent"):
-        calls.clear()
-        with pytest.raises(OSError, match="disk full"):
-            iio.save_state(other, str(target))
-    assert {f.name: f.read_bytes() for f in path.iterdir()} == before
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["st"]
-    monkeypatch.setattr(iio, "_write_json", write_json)
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    # a failure after the temp file is written, and one at the rename itself
+    for module, name, failing in ((iio, "_write_json", write_then_fail), (os, "replace", fail)):
+        monkeypatch.setattr(module, name, failing)
+        for target in (path, tmp_path / "absent"):
+            with pytest.raises(OSError, match="disk full"):
+                iio.save_state(other, str(target))
+        monkeypatch.undo()
+        assert {f.name: f.read_bytes() for f in path.iterdir()} == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["st"]
     iio.save_state(other, str(path))
     back = iio.load_state(str(path))
     assert back.graph == other.graph and np.array_equal(back.full_vector, other.full_vector)
@@ -358,36 +359,42 @@ def test_save_state_overwrites_only_state_directories(tmp_path, capsys):
     code = main(["update", "--state", state_dir, "--delta", delta_path, "--save", str(notes)])
     assert code == 2 and "not a state directory" in capsys.readouterr().err
     assert [f.name for f in notes.iterdir()] == ["notes.txt"]
-    # An older save's extra files and an empty directory may be overwritten,
-    # and a link to a state directory is saved through.
-    older = tmp_path / "older"
-    older.mkdir()
-    (older / "extended.json").write_text("{}")
-    (older / "branches.json").write_text("{}")
-    (tmp_path / "empty").mkdir()
-    (tmp_path / "link").symlink_to(older)
-    for target in ("older", "empty", "link"):
+    # An empty directory may be overwritten, and a link to a state directory
+    # is saved through.
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (tmp_path / "link").symlink_to(empty)
+    for target in ("empty", "link"):
         iio.save_state(state, str(tmp_path / target))
         back = iio.load_state(str(tmp_path / target))
         assert back.graph == state.graph
         assert np.array_equal(back.full_vector, state.full_vector)
-    assert sorted(f.name for f in older.iterdir()) == sorted(
-        ["graph.json", "structural.json", "reduced_vector.json", "full_vector.json",
-         "meta.json"])
+    assert [f.name for f in empty.iterdir()] == ["state.json"]
     assert (tmp_path / "link").is_symlink()
     assert not [f.name for f in tmp_path.iterdir() if f.name.startswith(".")]
 
 
-def test_load_state_ignores_extended_and_lambda_of_older_saves(tmp_path):
-    state = StoredState.from_graph(random_stochastic_graph(8, 2.5, np.random.default_rng(72)))
-    path = str(tmp_path / "st")
-    iio.save_state(state, path)
-    with open(f"{path}/extended.json", "w", encoding="utf-8") as fh:
-        fh.write(iio.dumps({"n": 9, "members": [], "rows": [[7.0]]}))
-    _rewrite(path, "structural.json", lambda d: d.update({"lambda": [2.0, 0.0]}))
-    back = iio.load_state(path)
-    assert back.structural.lam == 1.0
-    assert np.array_equal(back.columns, state.columns)
+def test_five_file_layout_of_older_saves_is_refused(tmp_path, capsys):
+    path = _saved_state(tmp_path)
+    doc = json.loads((tmp_path / "st" / "state.json").read_text())
+    older = tmp_path / "older"
+    older.mkdir()
+    for name, part in (("graph.json", doc["graph"]),
+                       ("structural.json", {"members": doc["members"]}),
+                       ("reduced_vector.json", {"vertices": doc["members"],
+                                                "values": [[x, 0.0] for x in doc["reduced_vector"]]}),
+                       ("full_vector.json", {"values": doc["full_vector"]}),
+                       ("meta.json", {"eig_converged": doc["eig_converged"]})):
+        (older / name).write_text(json.dumps(part))
+    before = {f.name: f.read_bytes() for f in older.iterdir()}
+    with pytest.raises(FileExistsError, match="not a state directory"):
+        iio.save_state(iio.load_state(path), str(older))
+    with pytest.raises(GraphFormatError, match="state.json"):
+        iio.load_state(str(older))
+    assert main(["verify", "--rounds", "1", "--state", str(older)]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["stored-state-consistency"]["passed"] is False
+    assert {f.name: f.read_bytes() for f in older.iterdir()} == before
 
 
 def test_load_state_rejects_missing_or_non_integer_members(tmp_path):
@@ -395,7 +402,7 @@ def test_load_state_rejects_missing_or_non_integer_members(tmp_path):
                    lambda d: d.update(members=["x"]), lambda d: d.update(members=3),
                    lambda d: d.update(members=[])):
         path = _saved_state(tmp_path)
-        _rewrite(path, "structural.json", change)
+        _rewrite(path, change)
         with pytest.raises(GraphFormatError):
             iio.load_state(path)
 
@@ -407,7 +414,7 @@ def test_load_state_rejects_members_that_are_not_structural(tmp_path):
             (4, 1, 1.0)], stochastic=True)
     path = str(tmp_path / "st")
     iio.save_state(StoredState.from_graph(g, structural=[2]), path)
-    _rewrite(path, "structural.json", lambda d: d.update(members=[1]))
+    _rewrite(path, lambda d: d.update(members=[1]))
     cycle = validate_structural(g, [1], 1.0).cycle
     with pytest.raises(GraphFormatError, match=re.escape(str(cycle))):
         iio.load_state(path)
@@ -415,31 +422,31 @@ def test_load_state_rejects_members_that_are_not_structural(tmp_path):
 
 def test_load_state_rejects_full_vector_of_other_length(tmp_path):
     path = _saved_state(tmp_path)
-    _rewrite(path, "full_vector.json", lambda d: d["values"].append(0.0))
+    _rewrite(path, lambda d: d["full_vector"].append(0.0))
     with pytest.raises(GraphFormatError):
         iio.load_state(path)
 
 
 def test_load_state_rejects_reduced_vector_of_other_length(tmp_path):
     path = _saved_state(tmp_path)
-    _rewrite(path, "reduced_vector.json", lambda d: d["values"].pop())
+    _rewrite(path, lambda d: d["reduced_vector"].pop())
     with pytest.raises(GraphFormatError):
         iio.load_state(path)
 
 
 def test_load_state_rejects_inactive_member(tmp_path):
     path = _saved_state(tmp_path)
-    _rewrite(path, "structural.json", lambda d: d["members"].append(99))
+    _rewrite(path, lambda d: d["members"].append(99))
     with pytest.raises(GraphFormatError):
         iio.load_state(path)
 
 
-#: Malformed graph.json contents a load must report as format errors: a
+#: Malformed ``graph`` objects a load must report as format errors: a
 #: non-numeric weight, an edge entry that is not a list, a non-integer
 #: tombstone, an ``Infinity`` vertex count, edge id or tombstone, a repeated
-#: edge, a vertex count, edge id or tombstone with a fraction, and three that
+#: edge, a vertex count, edge id or tombstone with a fraction, and five that
 #: parse but build no graph: a zero weight, an edge into a tombstone, a
-#: negative vertex count.
+#: negative vertex count, and a tombstone below or above ``1..n``.
 BAD_GRAPH_EDITS = (
     lambda d: d["edges"][0].__setitem__(2, "x"),
     lambda d: d["edges"].append(5),
@@ -454,13 +461,15 @@ BAD_GRAPH_EDITS = (
     lambda d: d["edges"][0].__setitem__(2, 0.0),
     lambda d: d.update(removed=[d["edges"][0][1]]),
     lambda d: d.update(n=-1),
+    lambda d: d.update(removed=[0]),
+    lambda d: d.update(removed=[d["n"] + 1]),
 )
 
 
 def test_load_state_rejects_malformed_graph_entries(tmp_path):
     for change in BAD_GRAPH_EDITS:
         path = _saved_state(tmp_path)
-        _rewrite(path, "graph.json", change)
+        _rewrite(path, lambda d: change(d["graph"]))
         with pytest.raises(GraphFormatError):
             iio.load_state(path)
 
@@ -468,7 +477,7 @@ def test_load_state_rejects_malformed_graph_entries(tmp_path):
 def test_cli_verify_reports_malformed_graph_as_failed_check(tmp_path, capsys):
     for change in BAD_GRAPH_EDITS:
         path = _saved_state(tmp_path)
-        _rewrite(path, "graph.json", change)
+        _rewrite(path, lambda d: change(d["graph"]))
         assert main(["verify", "--rounds", "1", "--state", path]) == 1
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert checks["stored-state-consistency"]["passed"] is False
@@ -476,10 +485,10 @@ def test_cli_verify_reports_malformed_graph_as_failed_check(tmp_path, capsys):
                    if name != "stored-state-consistency")
 
 
-def test_malformed_meta_file_is_a_format_error(tmp_path, capsys):
+def test_malformed_state_file_is_a_format_error(tmp_path, capsys):
     for content in (b"[]", b"\xff"):
         path = _saved_state(tmp_path)
-        with open(f"{path}/meta.json", "wb") as fh:
+        with open(f"{path}/state.json", "wb") as fh:
             fh.write(content)
         with pytest.raises(GraphFormatError):
             iio.load_state(path)
@@ -500,26 +509,26 @@ def test_non_utf8_edge_list_is_a_failed_graph_check(tmp_path, capsys):
 
 
 #: Vector and flag contents a load must reject: non-finite entries in either
-#: vector, an ``Infinity`` or fractional vertex id, and a convergence flag
+#: vector, an ``Infinity`` or fractional member id, and a convergence flag
 #: that is missing or not a JSON boolean.
 BAD_STATE_EDITS = (
-    ("full_vector.json", lambda d: d["values"].__setitem__(0, float("nan"))),
-    ("full_vector.json", lambda d: d["values"].__setitem__(-1, float("inf"))),
-    ("reduced_vector.json", lambda d: d["values"][0].__setitem__(0, float("nan"))),
-    ("reduced_vector.json", lambda d: d["values"][0].__setitem__(1, float("-inf"))),
-    ("reduced_vector.json", lambda d: d["vertices"].__setitem__(0, float("inf"))),
-    ("reduced_vector.json", lambda d: d["vertices"].__setitem__(0, d["vertices"][0] + 0.5)),
-    ("meta.json", lambda d: d.pop("eig_converged")),
-    ("meta.json", lambda d: d.update(eig_converged="false")),
-    ("meta.json", lambda d: d.update(eig_converged=0)),
-    ("meta.json", lambda d: d.update(eig_converged=None)),
+    lambda d: d["full_vector"].__setitem__(0, float("nan")),
+    lambda d: d["full_vector"].__setitem__(-1, float("inf")),
+    lambda d: d["reduced_vector"].__setitem__(0, float("nan")),
+    lambda d: d["reduced_vector"].__setitem__(-1, float("-inf")),
+    lambda d: d["members"].__setitem__(0, float("inf")),
+    lambda d: d["members"].__setitem__(0, d["members"][0] + 0.5),
+    lambda d: d.pop("eig_converged"),
+    lambda d: d.update(eig_converged="false"),
+    lambda d: d.update(eig_converged=0),
+    lambda d: d.update(eig_converged=None),
 )
 
 
 def test_load_state_rejects_non_finite_vectors_and_non_boolean_flags(tmp_path, capsys):
-    for name, change in BAD_STATE_EDITS:
+    for change in BAD_STATE_EDITS:
         path = _saved_state(tmp_path)
-        _rewrite(path, name, change)
+        _rewrite(path, change)
         with pytest.raises(GraphFormatError):
             iio.load_state(path)
         assert main(["verify", "--rounds", "1", "--state", path]) == 1
