@@ -67,8 +67,7 @@ class ExperimentSummary:
         return {
             "config": {"n": self.config.n, "avg_degree": self.config.avg_degree,
                        "p": self.config.p, "ell": self.config.ell,
-                       "trials": self.config.trials, "seed": self.config.seed,
-                       "ratio": self.config.ratio},
+                       "trials": self.config.trials, "seed": self.config.seed},
             "completed": len(good),
             "failures": self.n_failures,
             "savings_mean": float(np.mean(good)) if good else None,
@@ -123,8 +122,7 @@ def run_experiment(config: ExperimentConfig, *,
             g = random_stochastic_graph(config.n, config.avg_degree, rng)
             state = StoredState.from_graph(g)
             delta = random_delta(g, rng, config.p)
-            new_state, report = run_update(state, delta, ell=config.ell,
-                                           meas_ratio=config.ratio)
+            new_state, report = run_update(state, delta, ell=config.ell)
             report.validate()
             eq = scratch_equivalent(new_state) if check_eq else None
             results.append(TrialResult(t, True, "", report.savings,

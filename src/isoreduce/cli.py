@@ -107,8 +107,7 @@ def cmd_lift(args) -> int:
 def cmd_update(args) -> int:
     state = io.load_state(args.state)
     delta = io.read_delta(args.delta)
-    new_state, report = run_update(state, delta, ell=args.ell, tol=args.tol,
-                                   meas_ratio=args.ratio)
+    new_state, report = run_update(state, delta, ell=args.ell, tol=args.tol)
     report.validate()
     if args.save:
         io.save_state(new_state, args.save)
@@ -137,8 +136,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     config = ExperimentConfig(n=args.n, avg_degree=args.avg_degree, p=args.p,
-                              ell=args.ell, trials=args.trials, seed=args.seed,
-                              ratio=args.ratio)
+                              ell=args.ell, trials=args.trials, seed=args.seed)
     summary = run_experiment(config, check_equivalence=args.check_equivalence)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -200,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="state directory")
     p.add_argument("--delta", required=True, help="delta JSON file")
     p.add_argument("--ell", type=int, default=200, help="iterations the cost model charges")
-    p.add_argument("--ratio", type=float, default=0.1, help="much-less-than ratio")
     p.add_argument("--save", help="directory for the updated state")
     p.set_defaults(func=cmd_update)
 
@@ -216,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--ell", type=int, default=10, help="iterations the cost model charges")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--ratio", type=float, default=0.1)
     p.add_argument("--csv", help="write per-trial savings as CSV")
     p.add_argument("--check-equivalence", action="store_true",
                    help="compare every trial against scratch recomputation")

@@ -22,7 +22,6 @@ class ExperimentConfig:
     ell: int
     trials: int
     seed: int
-    ratio: float = 0.1
 
     def __post_init__(self):
         if self.n < 3:
@@ -35,8 +34,6 @@ class ExperimentConfig:
             raise ValueError("delta size must be non-negative")
         if self.ell < 1:
             raise ValueError("modelled iteration count ell must be positive")
-        if not 0 < self.ratio <= 1:
-            raise ValueError("ratio must lie in (0, 1]")
 
 
 def check_assumptions(graph: WeightedDigraph) -> None:
@@ -96,13 +93,13 @@ def _op_stays_valid(graph: WeightedDigraph, ops: list[DeltaOp]) -> WeightedDigra
     return g2
 
 
-def random_delta(graph: WeightedDigraph, rng: np.random.Generator, p: int, *,
-                 max_tries: int = 300) -> GraphDelta:
+def random_delta(graph: WeightedDigraph, rng: np.random.Generator, p: int) -> GraphDelta:
     """Sample a valid delta of exactly ``p`` operations for ``graph``.
 
     Mixes edge additions/removals with vertex additions (a new vertex plus
     one in- and one out-edge, three slots) and vertex removals; candidates
-    that would break stochasticity or primitivity are resampled.
+    that would break stochasticity or primitivity are resampled, up to 300
+    draws in all.
 
     Raises:
         GenerationError: not enough valid operations found.
@@ -112,7 +109,7 @@ def random_delta(graph: WeightedDigraph, rng: np.random.Generator, p: int, *,
     tries = 0
     while len(ops) < p:
         tries += 1
-        if tries > max_tries:
+        if tries > 300:
             raise GenerationError(f"could not assemble a {p}-op delta")
         slots = p - len(ops)
         r = rng.random()

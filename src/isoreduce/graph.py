@@ -3,8 +3,8 @@
 Vertices are the integers ``1..n_vertices``; removed vertices leave
 tombstones so that identifiers stay stable across incremental updates.
 A constructor refuses, with ``ValueError``, an id that is neither an
-integer nor a float with an integer value, and a tombstone outside
-``1..n_vertices``.
+integer nor a float with an integer value (a bool is neither), and a
+tombstone outside ``1..n_vertices``.
 Each graph stores one dense, read-only adjacency array, float64 when
 every weight is real and complex128 otherwise, checked by one validator
 whichever way the graph is built.  ``from_matrix`` keeps a copy of the
@@ -48,8 +48,10 @@ def _nonzero_slots(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _vertex_id(value) -> int:
     """``value`` as a vertex id: an integer, or a float whose value is one;
-    any other value is a ``ValueError``."""
-    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
+    any other value, a bool too, is a ``ValueError``."""
+    # numpy's bool is no np.integer; Python's is an int
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if is_int or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"vertex id {value!r} is not an integer")
 
@@ -143,7 +145,11 @@ class WeightedDigraph:
         n = int(n_vertices)
         if n != n_vertices or n < 0:
             raise ValueError(f"n_vertices {n_vertices!r} is not a non-negative integer")
-        ids = np.array(list(chain.from_iterable(weights))).reshape(len(weights), 2)
+        keys = list(chain.from_iterable(weights))
+        # a bool among integers still gives an integer dtype
+        if {bool, np.bool_} & set(map(type, keys)):
+            raise ValueError("vertex ids must be integers, not bools")
+        ids = np.array(keys).reshape(len(weights), 2)
         if ids.dtype.kind not in "iuf":
             raise ValueError(f"vertex ids must be numbers, not {ids.dtype}")
         w = np.array(list(weights.values()), dtype=complex)

@@ -3,8 +3,8 @@
 This module works with ROW-stochastic transition matrices, the standard
 Markov-chain convention.  The rest of the package stores stochastic graphs
 column-wise, so conversion happens here, at the module boundary, by
-transposition.  Branch sums of the chain's own graph (adjacency = transition
-matrix) then equal taboo probabilities index-for-index.
+transposition and row renormalization.  Branch sums of the chain's own graph
+(adjacency = transition matrix) then equal taboo probabilities index-for-index.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import AmbiguousStationaryError, SimulationError, StructuralSetError
-from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths
+from .graph import StructuralSet, WeightedDigraph, compute_depths
 from .reduction import reduced_matrices_by_length, reduced_matrix
 from .spectral import stationary_vector, strongly_connected
 
@@ -51,12 +51,15 @@ class MarkovChain:
     @classmethod
     def from_stochastic_graph(cls, graph: WeightedDigraph) -> "MarkovChain":
         """Chain whose transition matrix is the transposed (column-stochastic)
-        adjacency matrix of ``graph``."""
+        adjacency matrix of ``graph``, each row divided by its sum: a graph's
+        columns sum to 1 only within ``STOCHASTIC_TOL``, wider than
+        ``ROW_SUM_TOL``."""
         if not graph.stochastic:
             raise ValueError("graph is not stochastic-flagged")
         if graph.removed:
             raise ValueError("compact the graph before building a chain from it")
-        return cls(graph.matrix().real.T)
+        p = graph.matrix().real.T
+        return cls(p / p.sum(axis=1, keepdims=True))
 
     def graph(self) -> WeightedDigraph:
         """The chain's own weighted digraph: edge (i, j) with weight p_ij."""
@@ -110,8 +113,7 @@ def taboo_matrix(chain: MarkovChain, taboo_set, n: int) -> np.ndarray:
     return next(islice(_taboo_steps(chain, taboo_set), n - 1, None))
 
 
-def verify_return_identity(graph: WeightedDigraph, structural: StructuralSet, *,
-                           tol: float = DEFAULT_TOL) -> float:
+def verify_return_identity(graph: WeightedDigraph, structural: StructuralSet) -> float:
     """Largest gap between length-partitioned reduced matrices and taboo probabilities.
 
     Converts the column-stochastic graph to its chain, rebuilds the reduction
@@ -123,14 +125,14 @@ def verify_return_identity(graph: WeightedDigraph, structural: StructuralSet, *,
     chain = MarkovChain.from_stochastic_graph(graph)
     cg = chain.graph()
     members = structural.members
-    cs = compute_depths(cg, members, 1.0, tol)
+    cs = compute_depths(cg, members, 1.0)
     idx = [v - 1 for v in members]
-    terms = reduced_matrices_by_length(cg, cs, 1.0, tol=tol).real
+    terms = reduced_matrices_by_length(cg, cs, 1.0).real
     worst = 0.0
     for r_n, tb_n in zip(terms, _taboo_steps(chain, members)):
         worst = max(worst, float(np.abs(r_n - tb_n[np.ix_(idx, idx)]).max()))
     totals = terms.sum(axis=0)
-    r_full = reduced_matrix(cg, cs, 1.0, tol=tol).entries.real
+    r_full = reduced_matrix(cg, cs, 1.0).entries.real
     worst = max(worst, float(np.abs(r_full - totals).max()))
     return worst
 
@@ -238,10 +240,9 @@ def total_variation_summary(sample: StoppedChainSample,
     return worst
 
 
-def within_sigma_fraction(sample: StoppedChainSample, expected: np.ndarray,
-                          sigmas: float = 3.0) -> float:
+def within_sigma_fraction(sample: StoppedChainSample, expected: np.ndarray) -> float:
     """Fraction of transition entries whose empirical frequency sits within
-    ``sigmas`` binomial standard errors of the expected probability.
+    three binomial standard errors of the expected probability.
 
     Entries with zero standard error must match exactly; rows never visited
     contribute no entries.
@@ -258,6 +259,6 @@ def within_sigma_fraction(sample: StoppedChainSample, expected: np.ndarray,
             p = expected[i, j]
             se = np.sqrt(max(p * (1 - p), 0.0) / rows[i])
             total += 1
-            if abs(emp[i, j] - p) <= sigmas * se:
+            if abs(emp[i, j] - p) <= 3 * se:
                 ok += 1
     return ok / total if total else 1.0

@@ -229,8 +229,8 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
 
 def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet,
                                initial_lambda: complex, initial_us, max_iters: int = 200,
-                               tol: float = 1e-12, *, relax: float = 0.5,
-                               weight_tol: float = DEFAULT_TOL) -> tuple[complex, np.ndarray]:
+                               tol: float = 1e-12, *, relax: float = 0.5
+                               ) -> tuple[complex, np.ndarray]:
     """Joint fixed-point iteration for an eigenvalue of the reduced matrix.
 
     Updates the unit vector to the normalized image under the reduced matrix
@@ -257,7 +257,7 @@ def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet
     trace = [lam]
     for _ in range(max_iters):
         try:
-            r = reduced_matrix(graph, structural, lam, tol=weight_tol).entries
+            r = reduced_matrix(graph, structural, lam).entries
         except SingularWeightError as exc:
             raise IterationError(
                 f"reduced matrix singular at estimate {lam}", trace=trace) from exc

@@ -43,6 +43,11 @@ from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         extended_reduced_matrix)
 from .spectral import _bfs_levels, is_primitive, stationary_vector
 
+#: The paper's ``a << b`` in its measurement conditions, read as
+#: ``a <= MEAS_RATIO * b``.  The paper gives no number; one order of
+#: magnitude is the one reading every report and experiment uses.
+MEAS_RATIO = 0.1
+
 
 @dataclass(frozen=True)
 class DeltaOp:
@@ -234,13 +239,11 @@ class CostReport:
     k_new: int
     ell: int
     p: int
-    step5_cost: float
     step6_cost: float
     count_m: Callable[[], int] | None = field(repr=False, compare=False)
     touched_branches: int = 0
     weight_updates: int = 0
     structural_fallback: bool = False
-    meas_ratio: float = 0.1
 
     @cached_property
     def m(self) -> int:
@@ -259,6 +262,10 @@ class CostReport:
         return self.step3_cost
 
     @property
+    def step5_cost(self) -> float:
+        return float(self.ell) * self.s_new ** 3
+
+    @property
     def baseline(self) -> float:
         return float(self.ell) * self.n ** 3
 
@@ -275,7 +282,7 @@ class CostReport:
         return self.k_new <= self.k + self.p
 
     def meas_conditions(self) -> dict[str, bool]:
-        r = self.meas_ratio
+        r = MEAS_RATIO
         return {
             "p_much_less_s": self.p <= r * self.s,
             "s_much_less_n": self.s <= r * self.n,
@@ -290,13 +297,11 @@ class CostReport:
     def validate(self) -> None:
         """Check the internal cost-model invariants; raises ValueError.
 
-        The patch steps equal their bound by construction, so the reduced
-        solve and the lift are what is checked.
+        The patch steps and the reduced solve equal their charge by
+        construction, so the lift is what is checked.
         """
         slack = 1e-9
         problems = []
-        if abs(self.step5_cost - self.ell * self.s_new ** 3) > slack:
-            problems.append(f"step5 {self.step5_cost} != ell*s'^3")
         lift_bound = self.k_new * self.n ** 2 / 2
         if self.step6_cost > lift_bound + slack:
             problems.append(f"step6 {self.step6_cost} exceeds k'*N^2/2 = {lift_bound}")
@@ -325,8 +330,7 @@ class CostReport:
         }
 
     @classmethod
-    def from_measurements(cls, n: int, s: int, k: int, m: int, ell: int, p: int,
-                          ratio: float = 0.1) -> "CostReport":
+    def from_measurements(cls, n: int, s: int, k: int, m: int, ell: int, p: int) -> "CostReport":
         """Build a model-only report from headline measurements.
 
         Used to sanity-check reported figures: patch steps are charged their
@@ -336,10 +340,8 @@ class CostReport:
         patch = float(p * (k + 1) * m)
         step6 = k_new * (k_new * n * n / (2.0 * (k_new + 1))) if k_new else 0.0
         return cls(n=n, s=s, s_new=s, k=k, k_new=k_new, ell=ell, p=p,
-                   step5_cost=float(ell) * s ** 3, step6_cost=step6,
-                   count_m=lambda: m,
-                   touched_branches=int(patch), weight_updates=int(patch),
-                   meas_ratio=ratio)
+                   step6_cost=step6, count_m=lambda: m,
+                   touched_branches=int(patch), weight_updates=int(patch))
 
 
 def simplex_bound(x) -> tuple[float, float]:
@@ -498,7 +500,6 @@ class UpdateSession:
         self._structural2: StructuralSet | None = None
         self._cols: np.ndarray | None = None
         self._state: StoredState | None = None
-        self._ell_used = 0
 
     # -- steps 1-4 ------------------------------------------------------
 
@@ -537,24 +538,23 @@ class UpdateSession:
 
     # -- steps 5-6 ------------------------------------------------------
 
-    def refresh(self, ell: int = 200, tol: float = 1e-13) -> None:
-        """Solve the reduced block exactly and lift the result (steps 5-6);
-        ``ell`` is only recorded for the cost model's step-5 charge."""
+    def refresh(self, tol: float = 1e-13) -> None:
+        """Solve the reduced block exactly and lift the result (steps 5-6)."""
         if self._graph2 is None:
             raise RuntimeError("apply a delta before refreshing eigenvectors")
         self._state = StoredState._solved(self._graph2, self._structural2, self._cols, tol)
-        self._ell_used = ell
 
     # -- commit ----------------------------------------------------------
 
-    def commit(self, *, meas_ratio: float = 0.1) -> tuple[StoredState, CostReport]:
+    def commit(self, *, ell: int = 200) -> tuple[StoredState, CostReport]:
+        """The new state and its cost report; ``ell`` is the iteration count
+        the report's step-5 charge and baseline assume."""
         if self._state is None:
             raise RuntimeError("apply and refresh before committing")
-        return self._state, self._report(meas_ratio)
+        return self._state, self._report(ell)
 
-    def _report(self, meas_ratio: float) -> CostReport:
+    def _report(self, ell: int) -> CostReport:
         base = self._base
-        s_new = len(self._structural2.members)
         counts = self._structural2.depth_counts()
         step6 = float(sum(j * counts[j - 1] * (counts[j] - counts[j - 1])
                           for j in range(1, len(counts))))
@@ -567,22 +567,22 @@ class UpdateSession:
             base.columns[:, [v in kept for v in was]]
         changed = new != old
         return CostReport(
-            n=self._graph2.n_active, s=len(base.structural.members), s_new=s_new,
+            n=self._graph2.n_active, s=len(base.structural.members),
+            s_new=len(self._structural2.members),
             k=base.structural.max_depth, k_new=self._structural2.max_depth,
-            ell=self._ell_used, p=self._p,
-            step5_cost=float(self._ell_used) * s_new ** 3, step6_cost=step6,
+            ell=ell, p=self._p, step6_cost=step6,
             count_m=lambda: base.m_statistic,
             touched_branches=int(changed.any(axis=1).sum()),
             weight_updates=int(changed.sum()),
-            structural_fallback=self._fallback, meas_ratio=meas_ratio)
+            structural_fallback=self._fallback)
 
 
 def run_update(state: StoredState, delta: GraphDelta, *, ell: int = 200,
-               tol: float = 1e-13, meas_ratio: float = 0.1,
-               assume_primitive: bool = False) -> tuple[StoredState, CostReport]:
+               tol: float = 1e-13, assume_primitive: bool = False
+               ) -> tuple[StoredState, CostReport]:
     """Apply a delta end to end and return the new state with its cost report;
     ``ell`` feeds only the cost model, ``tol`` bounds the committed residual."""
     session = UpdateSession(state)
     session.apply(delta, assume_primitive=assume_primitive)
-    session.refresh(ell, tol)
-    return session.commit(meas_ratio=meas_ratio)
+    session.refresh(tol)
+    return session.commit(ell=ell)

@@ -43,6 +43,11 @@ def test_constructors_reject_non_integer_ids():
            lambda: WeightedDigraph.from_edges(3, [(1, 2, 1.0), ("1", 2, 1.0)]),
            lambda: WeightedDigraph.from_edges(3, [(1, 2, 1.0), (None, 2, 1.0)]),
            lambda: WeightedDigraph(3.7, cycle),
+           # a bool is no id, though Python counts True as 1
+           lambda: WeightedDigraph(3, {(True, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}),
+           lambda: WeightedDigraph(3, {(np.True_, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}),
+           lambda: WeightedDigraph(4, {(2, 3): 1.0, (3, 4): 1.0, (4, 2): 1.0},
+                                   removed={True}),
            lambda: WeightedDigraph(4, cycle, removed={4.5}),
            lambda: WeightedDigraph.from_matrix(np.eye(2), removed=[float("nan")])]
     for build in bad:

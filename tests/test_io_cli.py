@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from isoreduce import (DeltaError, GraphDelta, DeltaOp, GraphFormatError, StoredState,
-                       WeightedDigraph, random_delta, random_stochastic_graph,
-                       run_update, validate_structural)
+from isoreduce import (DeltaError, GraphDelta, DeltaOp, GraphFormatError, MarkovChain,
+                       StoredState, WeightedDigraph, random_delta,
+                       random_stochastic_graph, run_update, validate_structural)
 from isoreduce import io as iio
 from isoreduce.cli import main
 
@@ -106,11 +106,13 @@ def test_read_delta_rejects_malformed_files(tmp_path, capsys):
                  '{"ops": [{"op": "add_edge", "i": Infinity, "j": 2, "w": 0.5}]}',
                  '{"ops": [{"op": "remove_vertex", "v": -Infinity}]}',
                  '{"ops": [{"op": "remove_edge", "i": 1.5, "j": 2}]}',
-                 '{"ops": [{"op": "remove_vertex", "v": "4"}]}'):
+                 '{"ops": [{"op": "remove_vertex", "v": "4"}]}',
+                 '{"ops": [{"op": "remove_vertex", "v": true}]}'):
         with pytest.raises(GraphFormatError):
             iio.read_delta(write(tmp_path, "d.json", text))
     for text in ("{}", '{"ops": [{"op": "remove_vertex", "v": Infinity}]}',
-                 '{"ops": [{"op": "remove_edge", "i": 1.5, "j": 2}]}'):
+                 '{"ops": [{"op": "remove_edge", "i": 1.5, "j": 2}]}',
+                 '{"ops": [{"op": "remove_vertex", "v": true}]}'):
         code = main(["update", "--state", _saved_state(tmp_path),
                      "--delta", write(tmp_path, "d.json", text)])
         assert code == 2
@@ -126,9 +128,10 @@ def test_vector_roundtrip(tmp_path):
     assert np.allclose(values, [1.0, 0.5j, -2.0])
     assert norm == "L2-unit"
     assert lam == 2.5 + 1j
-    with pytest.raises(GraphFormatError):
-        iio.read_vector(write(tmp_path, "v.json",
-                              '{"vertices": [Infinity], "values": [[1.0, 0.0]]}'))
+    for bad in ("Infinity", "true"):
+        with pytest.raises(GraphFormatError):
+            iio.read_vector(write(tmp_path, "v.json",
+                                  f'{{"vertices": [{bad}], "values": [[1.0, 0.0]]}}'))
 
 
 def test_state_roundtrip(tmp_path):
@@ -209,6 +212,23 @@ def test_cli_simulate(tmp_path, capsys):
     exp = np.array(got["expected"])
     assert emp.shape == exp.shape
     assert np.abs(emp - exp).max() < 0.05
+
+
+#: Column sums 0.9999999999: stochastic for a graph (1e-9), not for a
+#: transition matrix given directly (1e-12).
+NEAR_STOCHASTIC_EDGELIST = ("N 4\n2 1 0.3333333333\n3 1 0.3333333333\n4 1 0.3333333333\n"
+                            "1 2 1.0\n2 3 1.0\n3 4 1.0\n")
+
+
+def test_graph_stochastic_within_graph_tolerance_is_a_chain(tmp_path, capsys):
+    path = write(tmp_path, "g4.txt", NEAR_STOCHASTIC_EDGELIST)
+    chain = MarkovChain.from_stochastic_graph(iio.read_graph(path, stochastic=True))
+    assert np.abs(chain.transition.sum(axis=1) - 1.0).max() <= 1e-15
+    assert main(["simulate", "--graph", path, "--steps", "2000"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--rounds", "1", "--graphs", path]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks[f"graph-file:{path}"]["passed"] is True
 
 
 def test_cli_bench_deterministic_reports(tmp_path):
@@ -463,6 +483,9 @@ BAD_GRAPH_EDITS = (
     lambda d: d.update(n=-1),
     lambda d: d.update(removed=[0]),
     lambda d: d.update(removed=[d["n"] + 1]),
+    # the first edge leaves vertex 1; JSON true is no vertex id
+    lambda d: d["edges"][0].__setitem__(0, True),
+    lambda d: d.update(removed=[True]),
 )
 
 

@@ -9,11 +9,17 @@ test's own dense copy of the graph, to the suite's 1e-12 bounds; the
 stored columns ``E[:, S]`` are compared, since they are what the update
 computed.  A second stream also forces structural fallbacks and checks the
 stored columns against the full extended matrix and a save/load round trip.
+A third test draws many short streams of the package's own random deltas
+on small graphs and checks every committed state against a scratch build.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isoreduce import DeltaOp, GraphDelta, StoredState, WeightedDigraph, run_update
+from isoreduce import (DeltaError, DeltaOp, GraphDelta, StoredState, WeightedDigraph,
+                       random_delta, random_stochastic_graph, run_update)
+from isoreduce.bench import scratch_equivalent
 from isoreduce.io import load_state, save_state
 from isoreduce.update import _Editor
 from oracles import apply_ops_dense, primitive_wielandt
@@ -141,3 +147,26 @@ def test_stored_columns_match_extended_through_promotions_fallbacks_and_tombston
             assert np.array_equal(load_state(path).columns, state.columns)
     assert promotions >= 1 and fallbacks >= 1
     assert state.graph.removed
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 20),
+       sizes=st.lists(st.integers(1, 3), max_size=12))
+def test_random_delta_streams_stay_equal_to_scratch_builds(tmp_path_factory, seed, n, sizes):
+    rng = np.random.default_rng(seed)
+    state = StoredState.from_graph(random_stochastic_graph(n, 2.5, rng))
+    for p in sizes:
+        try:
+            state, _ = run_update(state, random_delta(state.graph, rng, p))
+        except DeltaError:
+            continue
+        assert scratch_equivalent(state)
+        assert state.eig_converged
+    path = str(tmp_path_factory.mktemp("stream") / "state")
+    save_state(state, path)
+    back = load_state(path)
+    assert back.graph == state.graph
+    assert back.structural.members == state.structural.members
+    assert np.array_equal(back.columns, state.columns)
+    assert np.array_equal(back.reduced_vector, state.reduced_vector)
+    assert np.array_equal(back.full_vector, state.full_vector)

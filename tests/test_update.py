@@ -316,13 +316,13 @@ def test_cost_report_from_reported_instance_measurements():
 
 
 def test_cost_report_validate_catches_violations():
-    # step 5 must be ell*s'^3 = 80 and step 6 at most k'*N^2/2 = 50
-    for step5, step6 in ((1e6, 0.0), (80.0, 1e6)):
-        report = CostReport(n=10, s=2, s_new=2, k=1, k_new=1, ell=10, p=1,
-                            step5_cost=step5, step6_cost=step6, count_m=lambda: 5)
-        with pytest.raises(ValueError):
-            report.validate()
-        assert report.step3_cost == report.step4_cost == 1 * 2 * 5
+    # step 6 must be at most k'*N^2/2 = 50; step 5 is ell*s'^3 = 80 by derivation
+    report = CostReport(n=10, s=2, s_new=2, k=1, k_new=1, ell=10, p=1,
+                        step6_cost=1e6, count_m=lambda: 5)
+    with pytest.raises(ValueError):
+        report.validate()
+    assert report.step3_cost == report.step4_cost == 1 * 2 * 5
+    assert report.step5_cost == 80.0
 
 
 def count_calls(monkeypatch, name: str) -> list:
