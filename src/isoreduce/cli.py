@@ -2,8 +2,10 @@
 
 Subcommands: reduce, lift, update, simulate, bench, verify.  Exit codes:
 0 success, 1 invariant/verification failure or a bench with no completed
-trial, 2 invalid input.  The default tolerance comes from --tol, or the
-ISOREDUCE_TOL environment variable.
+trial, 2 invalid input.  Each subcommand takes the common flags it reads,
+after its name: --format and --out on all, --tol (default from the
+ISOREDUCE_TOL environment variable) on reduce, lift, update and simulate,
+and --seed on simulate, bench and verify.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ def cmd_reduce(args) -> int:
 def cmd_lift(args) -> int:
     graph = io.read_graph(args.graph, stochastic=args.stochastic or None)
     vertices, values, _, lam_stored = io.read_vector(args.vector)
-    lam = args.lam if args.lam is not None else (lam_stored or 1.0)
+    lam = args.lam if args.lam is not None else lam_stored
+    if lam is None:
+        lam = 1.0
     ss = _structural_for(graph, args, lam)
     if tuple(vertices) != ss.members:
         raise GraphFormatError(
@@ -155,24 +159,25 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float,
-                        default=float(os.environ.get("ISOREDUCE_TOL", "1e-12")),
-                        help="numeric tolerance (env ISOREDUCE_TOL overrides default)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--out", help="write the report here instead of stdout")
     parser = argparse.ArgumentParser(
         prog="isoreduce",
         description="Isospectral graph reduction, eigenvector lifting, and "
-                    "incremental dominant-eigenvector updates.",
-        parents=[common])
+                    "incremental dominant-eigenvector updates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_command(name, help_text, *, tol=False, seed=False):
+        p = sub.add_parser(name, help=help_text)
+        if tol:
+            p.add_argument("--tol", type=float,
+                           default=float(os.environ.get("ISOREDUCE_TOL", "1e-12")),
+                           help="numeric tolerance (env ISOREDUCE_TOL overrides default)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.add_argument("--out", help="write the report here instead of stdout")
+        return p
 
-    p = add_command("reduce", "reduced matrix over a structural set")
+    p = add_command("reduce", "reduced matrix over a structural set", tol=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--structural", type=_parse_members, default=None,
                    help="comma-separated members; searched when omitted")
@@ -186,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate the input as stochastic")
     p.set_defaults(func=cmd_reduce)
 
-    p = add_command("lift", "lift a reduced eigenvector to the full graph")
+    p = add_command("lift", "lift a reduced eigenvector to the full graph", tol=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--structural", type=_parse_members, default=None)
     p.add_argument("--lam", type=_parse_complex, default=None)
@@ -194,20 +199,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stochastic", action="store_true")
     p.set_defaults(func=cmd_lift)
 
-    p = add_command("update", "apply a delta to a stored state")
+    p = add_command("update", "apply a delta to a stored state", tol=True)
     p.add_argument("--state", required=True, help="state directory")
     p.add_argument("--delta", required=True, help="delta JSON file")
     p.add_argument("--ell", type=int, default=200, help="iterations the cost model charges")
     p.add_argument("--save", help="directory for the updated state")
     p.set_defaults(func=cmd_update)
 
-    p = add_command("simulate", "stopped-chain sample of a stochastic graph")
+    p = add_command("simulate", "stopped-chain sample of a stochastic graph",
+                    tol=True, seed=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--structural", type=_parse_members, default=None)
     p.add_argument("--steps", type=int, default=100_000)
     p.set_defaults(func=cmd_simulate)
 
-    p = add_command("bench", "random-graph cost-savings experiment")
+    p = add_command("bench", "random-graph cost-savings experiment", seed=True)
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--avg-degree", type=float, default=2.5)
     p.add_argument("--p", type=int, default=3)
@@ -218,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare every trial against scratch recomputation")
     p.set_defaults(func=cmd_bench)
 
-    p = add_command("verify", "run the named invariant checks")
+    p = add_command("verify", "run the named invariant checks", seed=True)
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--state", help="stored-state directory to validate")
     p.add_argument("--graphs", nargs="*", help="stochastic graph files to check")

@@ -2,9 +2,9 @@
 
 Vertices are the integers ``1..n_vertices``; removed vertices leave
 tombstones so that identifiers stay stable across incremental updates.
-A constructor refuses, with ``ValueError``, an id that is neither an
-integer nor a float with an integer value (a bool is neither), and a
-tombstone outside ``1..n_vertices``.
+A constructor refuses, with ``ValueError``, an id or vertex count that is
+neither an integer nor a float with an integer value (a bool is neither),
+a negative count, and a tombstone outside ``1..n_vertices``.
 Each graph stores one dense, read-only adjacency array, float64 when
 every weight is real and complex128 otherwise, checked by one validator
 whichever way the graph is built.  ``from_matrix`` keeps a copy of the
@@ -14,7 +14,8 @@ over vertex slots, ``edge_lists`` (forward and backward), are derived
 from those edges when first read, and every traversal walks the lists.
 One counting pass over the complement's kept edges (Kahn's topological
 sort, run from the sinks on the backward list), ``_peel``, gives the
-depths, the structural check and the nilpotency index in O(n + nnz).  The
+structural check, the nilpotency index and the depth layers, its rounds,
+in O(n + nnz); a ``StructuralSet`` stores those layers as they are.  The
 structural-set search runs the same peel incrementally to take out
 every vertex that can no longer reach a cycle, so its one depth-first
 search, ``_cycles``, walks only the vertices that still can; the search
@@ -142,8 +143,11 @@ class WeightedDigraph:
 
     def __init__(self, n_vertices: int, weights: Mapping[tuple[int, int], complex],
                  stochastic: bool = False, removed: Iterable[int] = frozenset()):
-        n = int(n_vertices)
-        if n != n_vertices or n < 0:
+        try:
+            n = _vertex_id(n_vertices)
+        except ValueError:
+            n = -1
+        if n < 0:
             raise ValueError(f"n_vertices {n_vertices!r} is not a non-negative integer")
         keys = list(chain.from_iterable(weights))
         # a bool among integers still gives an integer dtype
@@ -322,42 +326,45 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class StructuralSet:
-    """A validated structural vertex set with its spectral parameter and depths.
+    """A validated structural vertex set with its spectral parameter and its
+    depth layering, stored once.
 
-    ``depth_of`` assigns every active vertex its recursion depth: members sit
-    at depth 0, and a complement vertex lies one level above the deepest of
-    its non-loop out-neighbors.
+    ``order`` lists every active vertex: the members ascending, then each
+    depth layer ascending.  ``cut[d]`` counts the vertices of depth <= d, so
+    layer d sits in ``order[cut[d - 1]:cut[d]]`` and the members in
+    ``order[:cut[0]]``.  Members sit at depth 0, and a complement vertex lies
+    one level above the deepest of its non-loop out-neighbors: layer d is
+    round d - 1 of the peel from the complement's sinks.
     """
 
-    members: tuple[int, ...]
     lam: complex
-    depth_of: Mapping[int, int]
-    max_depth: int
+    order: tuple[int, ...]
+    cut: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    @property
+    def members(self) -> tuple[int, ...]:
+        return self.order[:self.cut[0]]
+
+    @property
+    def max_depth(self) -> int:
+        return len(self.cut) - 1
+
+    @cached_property
+    def depth_of(self) -> dict[int, int]:
+        """Every active vertex's depth, keyed by ascending id."""
+        depth = np.searchsorted(self.cut, np.arange(len(self.order)), side="right")
+        return dict(sorted(zip(self.order, depth.tolist())))
 
     def complement(self) -> tuple[int, ...]:
-        members = set(self.members)
-        return tuple(sorted(v for v in self.depth_of if v not in members))
+        return tuple(sorted(self.order[self.cut[0]:]))
 
     def depth_sets(self) -> list[list[int]]:
         """Nested vertex sets by depth: entry k lists vertices of depth <= k."""
-        sets: list[list[int]] = [[] for _ in range(self.max_depth + 1)]
-        for v, d in self.depth_of.items():
-            sets[d].append(v)
-        out, acc = [], []
-        for level in sets:
-            acc = sorted(acc + level)
-            out.append(list(acc))
-        return out
+        return [sorted(self.order[:c]) for c in self.cut]
 
     def depth_counts(self) -> list[int]:
         """Sizes |S_0|, |S_1|, ..., |S_k| of the nested depth sets."""
-        counts = [0] * (self.max_depth + 1)
-        for d in self.depth_of.values():
-            counts[d] += 1
-        return list(accumulate(counts))
+        return list(self.cut)
 
 
 def _cycles(graph: WeightedDigraph,
@@ -422,35 +429,36 @@ def _out_counts(graph: WeightedDigraph, flags: np.ndarray) -> list[int]:
 
 
 def _peel(graph: WeightedDigraph, live: list[bool], pending: list[int],
-          queue: list[int], depth: list[int]) -> None:
-    """Kahn's counting rule, turned around: the slots in ``queue`` leave the
-    live set, and so does every live slot whose ``pending`` count of non-loop
-    out-edges to live slots then reaches zero.  A slot that leaves lifts each
-    live predecessor's depth to at least its own depth + 1.  It is one pass
-    over the backward edge list into the slots taken out."""
+          queue: list[int]) -> list[list[int]]:
+    """Kahn's counting rule, turned around, in rounds: the slots in ``queue``
+    leave the live set as round 0, and each live slot whose ``pending``
+    count of non-loop out-edges to live slots reaches zero in round r
+    leaves in round r + 1.  Returns the rounds.  It is one pass over the
+    backward edge list into the slots taken out."""
     ptr, preds = graph.edge_lists[1]
     for v in queue:
         live[v] = False
-    for v in queue:
-        d = depth[v] + 1
-        for u in preds[ptr[v]:ptr[v + 1]]:
-            if live[u]:
-                if depth[u] < d:
-                    depth[u] = d
-                pending[u] -= 1
-                if not pending[u]:
-                    live[u] = False
-                    queue.append(u)
+    rounds = []
+    while queue:
+        rounds.append(queue)
+        queue = []
+        for v in rounds[-1]:
+            for u in preds[ptr[v]:ptr[v + 1]]:
+                if live[u]:
+                    pending[u] -= 1
+                    if not pending[u]:
+                        live[u] = False
+                        queue.append(u)
+    return rounds
 
 
-def _count_depths(graph: WeightedDigraph, in_comp: np.ndarray) -> list[int] | None:
-    """Depths by slot over the complement that ``in_comp`` flags, 0 outside
-    it, or None when it carries a non-loop cycle: a peel from its sinks, at
-    depth 1, which stalls on any such cycle."""
+def _layers(graph: WeightedDigraph, in_comp: np.ndarray) -> list[list[int]] | None:
+    """The depth layers 1, 2, ... of the complement that ``in_comp`` flags,
+    each as ascending slots, or None when it carries a non-loop cycle: the
+    rounds of a peel from its sinks, which stalls on any such cycle."""
     live, pending = in_comp.tolist(), _out_counts(graph, in_comp)
-    depth = in_comp.astype(int).tolist()
-    _peel(graph, live, pending, [v for v, c in enumerate(pending) if live[v] and not c], depth)
-    return None if True in live else depth
+    rounds = _peel(graph, live, pending, [v for v, c in enumerate(pending) if live[v] and not c])
+    return None if True in live else [sorted(r) for r in rounds]
 
 
 def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -460,8 +468,8 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     Condition one: every non-loop cycle of the graph meets the set.
     Condition two: no complement vertex has loop weight within ``tol``
     of ``lam``.  One counting pass over the complement's edges checks the
-    first and gives the depths; only when it stalls does a depth-first
-    search look for the witness cycle.
+    first, and its rounds are the depth layers; only when it stalls does a
+    depth-first search look for the witness cycle.
 
     Raises:
         ValueError: empty set, or members that are not integers in the
@@ -486,14 +494,14 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: vertex {vertex} has "
             "loop weight equal to the parameter", vertex=vertex)
-    depth = _count_depths(graph, in_comp)
-    if depth is None:
+    layers = _layers(graph, in_comp)
+    if layers is None:
         cycle = _cycles(graph, in_comp.tolist())[0]
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: cycle {cycle} avoids it",
             cycle=cycle)
-    depth_of = {v: depth[v - 1] for v in graph.vertices()}
-    return StructuralSet(members, lam, depth_of, max(depth))
+    order = tuple(map(int, members)) + tuple(v + 1 for layer in layers for v in layer)
+    return StructuralSet(lam, order, tuple(accumulate(map(len, layers), initial=len(members))))
 
 
 def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -520,10 +528,10 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     non-loop cycles are broken greedily by the vertex covering the most
     cycles detected per sweep (the smallest id among ties).  Between sweeps
     the vertices that reach no cycle outside the set are peeled off by
-    :func:`_peel`, the depth count's rule, kept up to date as the set grows:
-    each chosen vertex leaves the live set, and so does every live vertex
-    left with no live out-neighbour (the depths it records go unused).
-    Such a vertex only ever finishes in the search, so the sweep over the
+    :func:`_peel`, the depth layering's rule, kept up to date as the set
+    grows: each chosen vertex leaves the live set, and so does every live
+    vertex left with no live out-neighbour (its rounds go unused).  Such a
+    vertex only ever finishes in the search, so the sweep over the
     live vertices meets the same back edges, counts and choices; the search
     ends when no vertex is live.
     """
@@ -536,13 +544,12 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     flags[slots[~forced]] = True
     pending = _out_counts(graph, flags)
     live = flags.tolist()
-    depth = [0] * graph.n_vertices
-    _peel(graph, live, pending, [v for v in slots[~forced].tolist() if not pending[v]], depth)
+    _peel(graph, live, pending, [v for v in slots[~forced].tolist() if not pending[v]])
     while True in live:
         hits = _cycles(graph, live)[1]
         v = hits.index(max(hits))
         chosen.add(v + 1)
-        _peel(graph, live, pending, [v], depth)
+        _peel(graph, live, pending, [v])
     if not chosen:
         chosen.add(int(slots[0]) + 1)
     return compute_depths(graph, chosen, lam, tol)
@@ -561,5 +568,5 @@ def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | No
         return None
     in_comp = np.zeros(graph.n_vertices, dtype=bool)
     in_comp[comp] = True
-    depth = _count_depths(graph, in_comp)
-    return None if depth is None else max(depth, default=0)
+    layers = _layers(graph, in_comp)
+    return None if layers is None else len(layers)

@@ -101,12 +101,17 @@ def _edge_row(entry) -> tuple:
 
 def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDigraph:
     """Build a graph from its JSON object; any fault, including one the
-    graph's own construction finds, is a format error."""
+    graph's own construction finds, is a format error.  A ``stochastic``
+    key must hold a JSON boolean, even where the ``stochastic`` argument
+    overrides it."""
     try:
+        flag = data.get("stochastic", False)
+        if type(flag) is not bool:
+            raise ValueError(f"stochastic flag {flag!r} is not a JSON boolean")
         return WeightedDigraph.from_edges(
             data["n"], map(_edge_row, data["edges"]), removed=data.get("removed", ()),
-            stochastic=bool(data.get("stochastic", False)) if stochastic is None else stochastic)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            stochastic=flag if stochastic is None else stochastic)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"bad graph object: {exc}") from exc
 
 
@@ -130,12 +135,12 @@ def delta_to_dict(delta: GraphDelta) -> dict:
                     for op in delta.ops]}
 
 
-def delta_from_dict(data) -> GraphDelta:
-    """Parse ``{"ops": [...]}`` (or the bare list); ``w`` is read as a float and
-    every other field as a vertex id."""
+def delta_from_dict(data: dict) -> GraphDelta:
+    """Parse ``{"ops": [...]}``; ``w`` is read as a float and every other
+    field as a vertex id."""
     try:
         ops = []
-        for entry in (data["ops"] if isinstance(data, dict) else data):
+        for entry in data["ops"]:
             kind = entry["op"]
             ops.append(DeltaOp(kind, **{
                 name: (float if name == "w" else _vertex_id)(entry[name])
@@ -164,6 +169,8 @@ def vector_to_dict(vertices: Iterable[int], values, normalization: str,
 
 
 def vector_from_dict(data: dict) -> tuple[list[int], np.ndarray, str, complex | None]:
+    """``(vertices, values, normalization, lambda)`` of a vector object; a
+    non-finite value or lambda is a format error."""
     try:
         vertices = [_vertex_id(v) for v in data["vertices"]]
         values = np.array([complex(a, b) for a, b in data["values"]])
@@ -173,6 +180,8 @@ def vector_from_dict(data: dict) -> tuple[list[int], np.ndarray, str, complex | 
             lam = complex(data["lambda"][0], data["lambda"][1])
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise GraphFormatError(f"bad vector object: {exc}") from exc
+    if not (np.isfinite(values).all() and np.isfinite(0 if lam is None else lam)):
+        raise GraphFormatError("vector object holds a non-finite value or lambda")
     return vertices, values, norm, lam
 
 

@@ -11,8 +11,9 @@ sweep over the complement in increasing depth, the same recursion that
 lifts an eigenvector.  The sweep reads the graph's weights as stored, so
 a real graph at a real parameter gives real results.  It checks every
 denominator first, then scatters the graph's ``edge_arrays`` once into
-depth order, members first and loops dropped, so that each depth layer is
-one product of a contiguous block with the rows already solved.
+the structural set's stored depth order, members first and loops dropped,
+so that each depth layer is one product of a contiguous block with the
+rows already solved.
 ``extended_columns`` runs it with member
 terminals for the update path's ``E[:, S]``; ``branch_counts`` runs it on
 the 0/1 support to count branches for the update cost model;
@@ -165,9 +166,9 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     denominator is checked first.  The complement rows' off-diagonal
     edges, read from ``edge_arrays`` and each divided by its row's
     denominator, are then scattered into ``ap``: the active block permuted
-    into depth order, members first, then each depth layer by ascending id.
-    A vertex only points at shallower ones, so the layer in positions
-    ``lo:hi`` is one product of the contiguous block ``ap[lo:hi, :lo]``
+    into the structural set's ``order``, members first, then each depth
+    layer by ascending id.  A vertex only points at shallower ones, so the
+    layer in positions ``lo:hi`` of ``cut`` is one product of the contiguous block ``ap[lo:hi, :lo]``
     with the rows already solved and one add, and ``lam I - A_CC`` is
     never formed.
 
@@ -179,13 +180,9 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
         SingularWeightError: a complement denominator is within ``tol`` of zero.
     """
     a = graph.adjacency
-    ids = np.fromiter(structural.depth_of, np.int64, len(structural.depth_of))
-    depth = np.fromiter(structural.depth_of.values(), np.int64, len(ids))
-    # depth order; layer d sits in positions cut[d-1]:cut[d], the members in :cut[0]
-    order = ids[np.lexsort((ids, depth))]
-    cut = np.cumsum(np.bincount(depth, minlength=structural.max_depth + 1)).tolist()
+    order, cut = structural.order, structural.cut
     s = cut[0]
-    slots = order - 1
+    slots = np.array(order, dtype=np.int64) - 1
     den = (lam - a.diagonal()[slots[s:]])[:, None]
     bad = np.flatnonzero(np.abs(den) <= tol)
     if bad.size:
@@ -201,9 +198,9 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     ap[at, pos[j[step] - 1]] = w[step] / den[at - s, 0]
     dtype = np.result_type(ap, terminal)
     if by_length:
-        x = np.zeros((structural.max_depth + 1, len(order), terminal.shape[1]), dtype)
+        x = np.zeros((len(cut), len(order), terminal.shape[1]), dtype)
         x[0] = terminal[slots]
-        for d in range(1, structural.max_depth + 1):
+        for d in range(1, len(cut)):
             lo, hi = cut[d - 1], cut[d]
             x[1:d + 1, lo:hi] = ap[lo:hi, :lo] @ x[:d, :lo]
         out = np.zeros((len(x),) + terminal.shape, dtype)
@@ -211,7 +208,7 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
         out[:, slots] = x
         return out
     x = terminal[slots].astype(dtype)
-    for d in range(1, structural.max_depth + 1):
+    for d in range(1, len(cut)):
         lo, hi = cut[d - 1], cut[d]
         x[lo:hi] += ap[lo:hi, :lo] @ x[:lo]
     out = terminal.astype(dtype)

@@ -132,8 +132,8 @@ class StoredState:
                    ell: int | None = None, tol: float = 1e-13,
                    assume_primitive: bool = False) -> "StoredState":
         """Compute every stored field from scratch for a stochastic graph over
-        ``structural`` (a structural set or its members; searched when None);
-        ``tol`` bounds the committed residual, and ``ell`` is unused."""
+        the ``structural`` members (searched when None); ``tol`` bounds the
+        committed residual, and ``ell`` is unused."""
         if not graph.stochastic:
             raise NonStochasticError("stored state requires a stochastic graph")
         if not assume_primitive and not is_primitive(graph):
@@ -141,7 +141,7 @@ class StoredState:
         if structural is None:
             ss = find_structural_set(graph, 1.0)
         else:
-            ss = compute_depths(graph, getattr(structural, "members", structural), 1.0)
+            ss = compute_depths(graph, structural, 1.0)
         return cls._solved(graph, ss, extended_columns(graph, ss), tol)
 
     @classmethod

@@ -43,6 +43,10 @@ def test_constructors_reject_non_integer_ids():
            lambda: WeightedDigraph.from_edges(3, [(1, 2, 1.0), ("1", 2, 1.0)]),
            lambda: WeightedDigraph.from_edges(3, [(1, 2, 1.0), (None, 2, 1.0)]),
            lambda: WeightedDigraph(3.7, cycle),
+           lambda: WeightedDigraph(-1, {}),
+           # nor is a bool a vertex count
+           lambda: WeightedDigraph(True, {}),
+           lambda: WeightedDigraph.from_edges(np.True_, []),
            # a bool is no id, though Python counts True as 1
            lambda: WeightedDigraph(3, {(True, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}),
            lambda: WeightedDigraph(3, {(np.True_, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}),
@@ -437,8 +441,23 @@ def test_compute_depths_matches_recursive_definition():
             assert not validate_structural(g, members, lam)
             continue
         kinds.add("valid")
-        assert dict(ss.depth_of) == depths_recursive(g, members)
-        assert ss.max_depth == max(ss.depth_of.values())
+        want = depths_recursive(g, members)
+        assert dict(ss.depth_of) == want and list(ss.depth_of) == list(g.vertices())
+        assert ss.max_depth == max(want.values())
+        # the stored layering: members, then each depth layer, each ascending
+        order, cut = ss.order, ss.cut
+        assert sorted(order) == list(g.vertices())
+        assert ss.members == order[:cut[0]] == tuple(sorted(members))
+        assert all(lo < hi for lo, hi in zip(cut, cut[1:]))
+        layers = [order[lo:hi] for lo, hi in zip((0,) + cut, cut)]
+        assert all(list(layer) == sorted(layer) for layer in layers)
+        assert all(want[v] == d for d, layer in enumerate(layers) for v in layer)
+        by_depth = range(ss.max_depth + 1)
+        assert ss.depth_counts() == [sum(d <= k for d in want.values()) for k in by_depth]
+        assert ss.depth_sets() == [[v for v, d in want.items() if d <= k] for k in by_depth]
+        assert ss.complement() == tuple(v for v, d in want.items() if d)
+        if not any(g.has_edge(v, v) for v in ss.complement()):
+            assert nilpotency_index(g, members) == ss.max_depth
         assert validate_structural(g, members, lam)
         deepest = max(deepest, ss.max_depth)
     assert kinds == {"cycle", "loop", "valid"}

@@ -34,6 +34,11 @@ def test_json_roundtrip_preserves_flags(tmp_path):
     back = iio.read_graph(path)
     assert back.stochastic
     assert back.weights == g.weights
+    cycle = [[1, 2, 1.0], [2, 1, 1.0]]
+    for bad in ([], {"n": True, "edges": []}, {"n": 2, "edges": cycle, "stochastic": "no"},
+                {"n": 2, "edges": cycle, "stochastic": None}):
+        with pytest.raises(GraphFormatError):
+            iio.graph_from_dict(bad)
 
 
 def test_non_finite_weight_fails_to_load(tmp_path):
@@ -107,7 +112,8 @@ def test_read_delta_rejects_malformed_files(tmp_path, capsys):
                  '{"ops": [{"op": "remove_vertex", "v": -Infinity}]}',
                  '{"ops": [{"op": "remove_edge", "i": 1.5, "j": 2}]}',
                  '{"ops": [{"op": "remove_vertex", "v": "4"}]}',
-                 '{"ops": [{"op": "remove_vertex", "v": true}]}'):
+                 '{"ops": [{"op": "remove_vertex", "v": true}]}',
+                 '[{"op": "remove_vertex", "v": 1}]'):
         with pytest.raises(GraphFormatError):
             iio.read_delta(write(tmp_path, "d.json", text))
     for text in ("{}", '{"ops": [{"op": "remove_vertex", "v": Infinity}]}',
@@ -182,6 +188,35 @@ def test_cli_lift(tmp_path, capsys):
     assert got["residual"] < 1e-12
 
 
+#: Vertex 2 has a loop of weight 0.5, so a lift over {1} depends on lambda.
+LOOP_PAIR_EDGELIST = "N 2\n1 2 1.0\n2 1 1.0\n2 2 0.5\n"
+
+
+def test_cli_lift_keeps_a_stored_zero_lambda(tmp_path, capsys):
+    graph_path = write(tmp_path, "g.txt", LOOP_PAIR_EDGELIST)
+    vec_path = write(tmp_path, "v.json",
+                     iio.dumps(iio.vector_to_dict([1], [1.0], "none", 0.0)))
+    assert main(["lift", "--graph", graph_path, "--structural", "1",
+                 "--vector", vec_path]) == 0
+    got = json.loads(capsys.readouterr().out)
+    # x_2 = a_21 x_1 / (lambda - a_22) = 1 / (0 - 0.5)
+    assert got["values"] == [[1.0, 0.0], [-2.0, 0.0]]
+    assert got["lambda"] == [0.0, 0.0]
+
+
+def test_cli_lift_refuses_non_finite_vector_files(tmp_path, capsys):
+    graph_path = write(tmp_path, "g.txt", LOOP_PAIR_EDGELIST)
+    for text in ('{"vertices": [1], "values": [[NaN, 0]]}',
+                 '{"vertices": [1], "values": [[1, Infinity]]}',
+                 '{"vertices": [1], "values": [[1, 0]], "lambda": [NaN, 0]}'):
+        vec_path = write(tmp_path, "v.json", text)
+        with pytest.raises(GraphFormatError):
+            iio.read_vector(vec_path)
+        assert main(["lift", "--graph", graph_path, "--structural", "1",
+                     "--vector", vec_path]) == 2
+    capsys.readouterr()
+
+
 def test_cli_update_and_verify_state(tmp_path, capsys):
     g = random_stochastic_graph(9, 2.5, np.random.default_rng(72))
     state = StoredState.from_graph(g)
@@ -245,6 +280,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["reduce", "--graph", str(tmp_path / "missing.txt")]) == 2
     bad = write(tmp_path, "bad.txt", "not a graph\n")
     assert main(["reduce", "--graph", bad]) == 2
+    capsys.readouterr()
+
+
+def test_cli_takes_each_common_flag_only_on_the_commands_that_read_it(tmp_path, capsys):
+    path = write(tmp_path, "cycle.txt", THREE_CYCLE_EDGELIST)
+    for argv in (["--tol", "1e-6", "reduce", "--graph", path],
+                 ["reduce", "--graph", path, "--seed", "1"],
+                 ["bench", "--n", "8", "--trials", "1", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    assert main(["reduce", "--graph", path, "--tol", "1e-10", "--format", "table"]) == 0
     capsys.readouterr()
 
 
@@ -486,6 +533,10 @@ BAD_GRAPH_EDITS = (
     # the first edge leaves vertex 1; JSON true is no vertex id
     lambda d: d["edges"][0].__setitem__(0, True),
     lambda d: d.update(removed=[True]),
+    lambda d: d.update(n=True),
+    # the flag is a JSON boolean even where the reader overrides it
+    lambda d: d.update(stochastic="no"),
+    lambda d: d.update(stochastic=1),
 )
 
 
