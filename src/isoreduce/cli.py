@@ -41,6 +41,17 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative tolerance, got {text!r}")
+    return tol
+
+
 def _parse_members(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -168,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name, help_text, *, tol=False, seed=False):
         p = sub.add_parser(name, help=help_text)
         if tol:
-            p.add_argument("--tol", type=float,
-                           default=float(os.environ.get("ISOREDUCE_TOL", "1e-12")),
+            # argparse converts a string default only when the flag is absent
+            p.add_argument("--tol", type=_parse_tolerance,
+                           default=os.environ.get("ISOREDUCE_TOL", "1e-12"),
                            help="numeric tolerance (env ISOREDUCE_TOL overrides default)")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")

@@ -5,13 +5,8 @@ tombstones so that identifiers stay stable across incremental updates.
 A constructor refuses, with ``ValueError``, an id or vertex count that is
 neither an integer nor a float with an integer value (a bool is neither),
 a negative count, and a tombstone outside ``1..n_vertices``.
-Each graph stores one dense, read-only adjacency array, float64 when
-every weight is real and complex128 otherwise, checked by one validator
-whichever way the graph is built.  ``from_matrix`` keeps a copy of the
-array it is given.  The validator's row-major scan of the array is kept
-beside it as ``edge_arrays``.  The weight map and one pair of edge lists
-over vertex slots, ``edge_lists`` (forward and backward), are derived
-from those edges when first read, and every traversal walks the lists.
+``WeightedDigraph`` says what a graph stores; every graph built from edges
+passes ``_edge_matrix``, the one duplicate-edge check.
 One counting pass over the complement's kept edges (Kahn's topological
 sort, run from the sinks on the backward list), ``_peel``, gives the
 structural check, the nilpotency index and the depth layers, its rounds,
@@ -26,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -72,6 +67,45 @@ def _weights_of(i: np.ndarray, j: np.ndarray,
     if w.imag.any():
         vals = [re if im == 0 else z for re, im, z in zip(vals, w.imag.tolist(), w.tolist())]
     return dict(zip(zip(i.tolist(), j.tolist()), vals))
+
+
+def _edge_matrix(n_vertices, i, j, w) -> np.ndarray:
+    """The checked adjacency array of :meth:`WeightedDigraph.from_edge_arrays`."""
+    try:
+        n = _vertex_id(n_vertices)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"n_vertices {n_vertices!r} is not a non-negative integer")
+    if not len(i) == len(j) == len(w):
+        raise ValueError(f"edge arrays of unequal length: {len(i)} tails, "
+                         f"{len(j)} heads, {len(w)} weights")
+    # a bool among integers still gives an integer dtype
+    if any(v.dtype == bool if isinstance(v, np.ndarray) else {bool, np.bool_} & set(map(type, v))
+           for v in (i, j)):
+        raise ValueError("vertex ids must be integers, not bools")
+    ids = np.array([i, j])
+    if ids.dtype.kind not in "iuf":
+        raise ValueError(f"vertex ids must be numbers, not {ids.dtype}")
+    w = np.asarray(w, dtype=complex)
+    ok = ((ids >= 1) & (ids <= n) & (ids == np.floor(ids))).all(axis=0)
+    tails, heads = np.where(ok, ids, 0).astype(np.int64)
+    key = tails * (n + 1) + heads
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(w), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    faults = np.stack([~ok, w == 0, repeat])
+    bad = np.flatnonzero(faults.any(axis=0))
+    if bad.size:
+        t = bad[0]
+        raise ValueError([f"edge ({i[t]},{j[t]}) touches an inactive vertex",
+                          f"edge ({i[t]},{j[t]}) stored with zero weight",
+                          f"duplicate edge ({i[t]},{j[t]})"][int(np.argmax(faults[:, t]))])
+    if not w.imag.any():
+        w = w.real
+    adj = np.zeros((n, n), dtype=w.dtype)
+    adj[tails - 1, heads - 1] = w
+    return adj
 
 
 def _check_adjacency(adj: np.ndarray, active: np.ndarray,
@@ -122,7 +156,8 @@ class WeightedDigraph:
     ``adjacency`` is the graph's one stored form: the dense n x n weighted
     adjacency matrix, read-only, with zero rows and columns at tombstones,
     float64 when every weight has zero imaginary part and complex128
-    otherwise.  ``edge_arrays`` keeps the validator's row-major scan of it:
+    otherwise, checked by one validator however the graph is built.
+    ``edge_arrays`` keeps the validator's row-major scan of it:
     read-only arrays of tail ids ``i``, head ids ``j`` and weights ``w``,
     one entry per edge.  ``edge_lists`` turns them, on first read, into
     edge lists over vertex slots (slot ``v - 1`` for vertex ``v``), one
@@ -133,9 +168,8 @@ class WeightedDigraph:
     finite nonzero weight; absent pairs read as weight 0.  It is derived
     from ``edge_arrays`` on first read, however the graph was built: keyed
     in row-major order, with a float for each weight whose imaginary part
-    is zero.  With
-    ``stochastic`` set, weights must be real in (0, 1], the graph must be
-    loop-free, and every active column must sum to 1.
+    is zero.  With ``stochastic`` set, weights must be real in (0, 1], the
+    graph must be loop-free, and every active column must sum to 1.
 
     Graphs are immutable, and two are equal when their vertex counts, flags,
     tombstones and adjacency arrays are, which is when their weights are.
@@ -143,33 +177,8 @@ class WeightedDigraph:
 
     def __init__(self, n_vertices: int, weights: Mapping[tuple[int, int], complex],
                  stochastic: bool = False, removed: Iterable[int] = frozenset()):
-        try:
-            n = _vertex_id(n_vertices)
-        except ValueError:
-            n = -1
-        if n < 0:
-            raise ValueError(f"n_vertices {n_vertices!r} is not a non-negative integer")
-        keys = list(chain.from_iterable(weights))
-        # a bool among integers still gives an integer dtype
-        if {bool, np.bool_} & set(map(type, keys)):
-            raise ValueError("vertex ids must be integers, not bools")
-        ids = np.array(keys).reshape(len(weights), 2)
-        if ids.dtype.kind not in "iuf":
-            raise ValueError(f"vertex ids must be numbers, not {ids.dtype}")
-        w = np.array(list(weights.values()), dtype=complex)
-        inactive = ((ids < 1) | (ids > n) | (ids != np.floor(ids))).any(axis=1)
-        bad = np.flatnonzero(inactive | (w == 0))
-        if bad.size:
-            i, j = list(weights)[bad[0]]
-            if inactive[bad[0]]:
-                raise ValueError(f"edge ({i},{j}) touches an inactive vertex")
-            raise ValueError(f"edge ({i},{j}) stored with zero weight")
-        if not w.imag.any():
-            w = w.real
-        edges = ids.astype(np.int64, copy=False)
-        adj = np.zeros((n, n), dtype=w.dtype)
-        adj[edges[:, 0] - 1, edges[:, 1] - 1] = w
-        self._keep(adj, stochastic, removed)
+        self._keep(_edge_matrix(n_vertices, [i for i, _ in weights], [j for _, j in weights],
+                                list(weights.values())), stochastic, removed)
 
     def _keep(self, adj: np.ndarray, stochastic: bool, removed: Iterable[int]) -> None:
         """Validate ``adj`` and make it, read-only, this graph's adjacency."""
@@ -210,14 +219,26 @@ class WeightedDigraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple], *, stochastic: bool = False,
                    removed: Iterable[int] = ()) -> "WeightedDigraph":
-        """Build a graph from ``(i, j, weight)`` triples; a repeated ``(i, j)``
-        is a ``ValueError``."""
-        weights = {}
-        for i, j, w in edges:
-            if (i, j) in weights:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            weights[(i, j)] = w
-        return cls(n, weights, stochastic=stochastic, removed=frozenset(removed))
+        """Build a graph from ``(i, j, weight)`` triples through
+        :meth:`from_edge_arrays`; a repeated ``(i, j)`` is a ``ValueError``."""
+        i, j, w = tuple(zip(*edges, strict=True)) or ((), (), ())
+        return cls.from_edge_arrays(n, i, j, w, stochastic=stochastic, removed=removed)
+
+    @classmethod
+    def from_edge_arrays(cls, n: int, i, j, w, *, stochastic: bool = False,
+                         removed: Iterable[int] = ()) -> "WeightedDigraph":
+        """Build a graph from equal-length tail ids ``i``, head ids ``j`` and
+        weights ``w``, one entry per edge in any order.
+
+        Raises:
+            ValueError: a bad vertex count, sequences of unequal length, a
+                bool or non-number id, or, for the first faulty edge in
+                order, an id outside ``1..n`` or with a fraction, a zero
+                weight, or a repeat of an earlier ``(i, j)``.
+        """
+        graph = cls.__new__(cls)
+        graph._keep(_edge_matrix(n, i, j, w), stochastic, removed)
+        return graph
 
     @classmethod
     def from_matrix(cls, m, *, stochastic: bool = False,

@@ -3,19 +3,20 @@
 Edge-list format: a header line ``N <count>`` followed by one edge per line,
 ``i j re [im]``.  The JSON alternative is ``{"n": ..., "edges": [[i, j, re,
 im], ...]}`` with optional ``stochastic`` and ``removed`` keys.  All modules
-share these formats.  Both are read through :func:`graph_from_dict`, which
-hands the rows to ``WeightedDigraph.from_edges``, the one duplicate check.
+share these formats.  Both are read through :func:`graph_from_dict`; a state
+file keeps its arrays in binary (see :func:`save_state`).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from typing import Iterable
 
 import numpy as np
 
-from .exceptions import GraphFormatError, StructuralSetError
+from .exceptions import GraphFormatError, NonStochasticError, StructuralSetError
 from .graph import WeightedDigraph, _vertex_id, compute_depths
 from .reduction import extended_columns
 from .update import DeltaOp, GraphDelta, StoredState
@@ -135,15 +136,22 @@ def delta_to_dict(delta: GraphDelta) -> dict:
                     for op in delta.ops]}
 
 
+def _real(value) -> float:
+    """``value`` as a float: a number, but not a bool (JSON ``true``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def delta_from_dict(data: dict) -> GraphDelta:
-    """Parse ``{"ops": [...]}``; ``w`` is read as a float and every other
-    field as a vertex id."""
+    """Parse ``{"ops": [...]}``; ``w`` is read by :func:`_real` and every
+    other field as a vertex id."""
     try:
         ops = []
         for entry in data["ops"]:
             kind = entry["op"]
             ops.append(DeltaOp(kind, **{
-                name: (float if name == "w" else _vertex_id)(entry[name])
+                name: (_real if name == "w" else _vertex_id)(entry[name])
                 for name in DeltaOp.FIELDS.get(kind, ())}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"bad delta object: {exc}") from exc
@@ -170,14 +178,15 @@ def vector_to_dict(vertices: Iterable[int], values, normalization: str,
 
 def vector_from_dict(data: dict) -> tuple[list[int], np.ndarray, str, complex | None]:
     """``(vertices, values, normalization, lambda)`` of a vector object; a
-    non-finite value or lambda is a format error."""
+    value or lambda part that is not a number (see :func:`_real`) or not
+    finite is a format error."""
     try:
         vertices = [_vertex_id(v) for v in data["vertices"]]
-        values = np.array([complex(a, b) for a, b in data["values"]])
+        values = np.array([complex(_real(a), _real(b)) for a, b in data["values"]])
         norm = data.get("normalization", "none")
         lam = None
         if "lambda" in data:
-            lam = complex(data["lambda"][0], data["lambda"][1])
+            lam = complex(_real(data["lambda"][0]), _real(data["lambda"][1]))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise GraphFormatError(f"bad vector object: {exc}") from exc
     if not (np.isfinite(values).all() and np.isfinite(0 if lam is None else lam)):
@@ -195,14 +204,20 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def save_state(state: StoredState, dirpath: str) -> None:
-    """Persist a stored state as one compact JSON file, ``dirpath/state.json``.
+#: The binary arrays of a state file and their little-endian dtypes.
+STATE_ARRAYS = {"tails": "<i8", "heads": "<i8", "weights": "<f8",
+                "reduced_vector": "<f8", "full_vector": "<f8"}
 
-    Only what cannot be recomputed is written: ``{"graph": ..., "members":
-    [...], "reduced_vector": [...], "full_vector": [...], "eig_converged":
-    bool}``.  The member columns ``E[:, S]`` are fixed by the graph and the
-    set, and a stored state always sits at parameter 1, so
-    :func:`load_state` rebuilds both.
+
+def save_state(state: StoredState, dirpath: str) -> None:
+    """Persist a stored state as one compact JSON line, ``dirpath/state.json``.
+
+    Only what cannot be recomputed is written: ``n``, ``removed``,
+    ``members`` and ``eig_converged`` as JSON, and the graph's
+    ``edge_arrays`` and both vectors as the base64 text of their
+    little-endian bytes (:data:`STATE_ARRAYS`).  The member columns
+    ``E[:, S]`` are fixed by the graph and the set, and a stored state
+    always sits at parameter 1, so :func:`load_state` rebuilds both.
 
     The file is written to a new hidden sibling of ``dirpath`` (with
     symbolic links resolved), so the parent directory must be writable, and
@@ -224,12 +239,14 @@ def save_state(state: StoredState, dirpath: str) -> None:
     os.makedirs(target, exist_ok=True)
     parent, name = os.path.split(target)
     tmp = os.path.join(parent, f".{name}.{os.urandom(8).hex()}")
+    graph = state.graph
+    arrays = (*graph.edge_arrays, state.reduced_vector, state.full_vector)
     try:
-        _write_json(tmp, {"graph": graph_to_dict(state.graph),
+        _write_json(tmp, {"n": graph.n_vertices, "removed": sorted(graph.removed),
                           "members": list(state.structural.members),
-                          "reduced_vector": state.reduced_vector.tolist(),
-                          "full_vector": state.full_vector.tolist(),
-                          "eig_converged": state.eig_converged})
+                          "eig_converged": state.eig_converged,
+                          **{key: base64.b64encode(np.asarray(a, dtype).tobytes()).decode()
+                             for (key, dtype), a in zip(STATE_ARRAYS.items(), arrays)}})
         os.replace(tmp, os.path.join(target, "state.json"))
     except BaseException:
         if os.path.exists(tmp):
@@ -243,34 +260,41 @@ def load_state(dirpath: str) -> StoredState:
     """Read a state directory's ``state.json`` back, rejecting parts that do
     not fit its graph.
 
-    The graph is read as stochastic, the depths are taken over the stored
-    members at parameter 1, and the member columns ``E[:, S]`` are
-    recomputed by the same sweep that built them, so they come back
-    bit-identical.
+    The graph is built as stochastic by ``WeightedDigraph.from_edge_arrays``,
+    the depths are taken over the stored members at parameter 1, and the
+    member columns ``E[:, S]`` are recomputed by the same sweep that built
+    them, so the state comes back bit-identical.
 
     Raises:
-        GraphFormatError: the file is missing, malformed or not a JSON
-            object, a key is missing, the graph does not parse or build, the
-            structural members are empty or not integers, a member is not an
-            active vertex, the members are not structural for the graph (the
-            message names a cycle that avoids them), ``eig_converged`` is not
-            a JSON boolean, or a vector has the wrong length or a non-finite
-            entry.
+        GraphFormatError: the file is missing, malformed, not a JSON object
+            or in the text layout of earlier saves, a key is missing, an
+            array is not base64 text of whole 8-byte values, the graph does
+            not build as a stochastic graph, the structural members are empty or not integers, a
+            member is not an active vertex, the members are not structural
+            for the graph (the message names a cycle that avoids them),
+            ``eig_converged`` is not a JSON boolean, or a vector has the
+            wrong length or a non-finite entry.
     """
     try:
         doc = _read_json(os.path.join(dirpath, "state.json"))
     except FileNotFoundError as exc:
         raise GraphFormatError(f"{dirpath} holds no state.json") from exc
+    if isinstance(doc, dict) and "graph" in doc:
+        raise GraphFormatError(f"{dirpath}: state.json is in the text layout of earlier "
+                               "saves, which is no longer read")
     try:
-        graph = graph_from_dict(doc["graph"], stochastic=True)
+        tails, heads, weights, reduced, full = (
+            np.frombuffer(base64.b64decode(doc[key], validate=True), dtype).copy()
+            for key, dtype in STATE_ARRAYS.items())
+        graph = WeightedDigraph.from_edge_arrays(doc["n"], tails, heads, weights,
+                                                 stochastic=True, removed=doc["removed"])
         members = list(doc["members"])
         if not all(type(v) is int for v in members):
             raise GraphFormatError(f"structural members {members} are not all integers")
         structural = compute_depths(graph, members, 1.0)
-        reduced = np.array(doc["reduced_vector"], dtype=float)
-        full = np.array(doc["full_vector"], dtype=float)
         converged = doc["eig_converged"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            NonStochasticError) as exc:
         raise GraphFormatError(f"{dirpath}: bad state file: {exc!r}") from exc
     except StructuralSetError as exc:
         raise GraphFormatError(f"{dirpath}: stored members do not fit the graph: {exc}") from exc

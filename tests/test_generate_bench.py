@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 
@@ -147,7 +148,9 @@ def test_verify_suite_flags_corrupted_state(tmp_path):
     where = tmp_path / "state"
     save_state(state, str(where))
     blob = json.loads((where / "state.json").read_text())
-    blob["reduced_vector"][0] += 0.25
+    reduced = np.frombuffer(base64.b64decode(blob["reduced_vector"]), "<f8").copy()
+    reduced[0] += 0.25
+    blob["reduced_vector"] = base64.b64encode(reduced.tobytes()).decode("ascii")
     (where / "state.json").write_text(json.dumps(blob))
     report = verify_suite(seed=1, rounds=1, state_dir=str(where))
     by_name = {c.name: c for c in report.checks}

@@ -65,6 +65,34 @@ def test_constructors_reject_non_integer_ids():
     assert type(g.n_vertices) is int and g.removed == {4} and type(min(g.removed)) is int
 
 
+def test_edge_arrays_build_the_graph_their_triples_build():
+    rng = np.random.default_rng(11)
+    g = random_stochastic_graph(9, 2.5, rng)
+    i, j, w = g.edge_arrays
+    back = rng.permutation(len(w))
+    for args in ((i, j, w), (i[back], j[back], w[back]), (i.tolist(), j.tolist(), w.tolist())):
+        built = WeightedDigraph.from_edge_arrays(9, *args, stochastic=True)
+        assert built == g and built.weights == g.weights
+        assert all(np.array_equal(a, b) for a, b in zip(built.edge_arrays, g.edge_arrays))
+    cases = [((i[:-1], j, w), "unequal length"),
+             ((i, j, w[:1]), "unequal length"),
+             ((i, j > 4, w), "not bools"),
+             ((i.astype(str), j, w), "must be numbers"),
+             ((i + 0.5, j, w), "touches an inactive vertex"),
+             ((np.append(i, i[3]), np.append(j, j[3]), np.append(w, 0.5)),
+              rf"duplicate edge \({i[3]},{j[3]}\)"),
+             ((i, j, np.where(np.arange(len(w)) == 2, 0.0, w)),
+              rf"edge \({i[2]},{j[2]}\) stored with zero weight")]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            WeightedDigraph.from_edge_arrays(9, *args)
+    # the first faulty edge in array order is named, whatever its fault
+    with pytest.raises(ValueError, match=r"edge \(1,2\) stored with zero weight"):
+        WeightedDigraph.from_edge_arrays(3, [1, 3, 1], [2, 4, 2], [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"edge \(3,4\) touches an inactive vertex"):
+        WeightedDigraph.from_edge_arrays(3, [3, 1, 1], [4, 2, 2], [1.0, 0.5, 0.5])
+
+
 def test_zero_weight_and_bad_vertex_rejected():
     with pytest.raises(ValueError):
         WeightedDigraph.from_edges(2, [(1, 2, 0.0)])

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import re
@@ -300,9 +301,7 @@ def test_cli_verify_failure_exit_code(tmp_path, capsys):
     state = StoredState.from_graph(g)
     where = tmp_path / "st"
     iio.save_state(state, str(where))
-    blob = json.loads((where / "state.json").read_text())
-    blob["full_vector"][0] += 0.5
-    (where / "state.json").write_text(json.dumps(blob))
+    _rewrite(str(where), lambda d: d["full_vector"].__setitem__(0, d["full_vector"][0] + 0.5))
     code = main(["verify", "--rounds", "1", "--state", str(where)])
     assert code == 1
     capsys.readouterr()
@@ -313,6 +312,24 @@ def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
     from isoreduce.cli import build_parser
     args = build_parser().parse_args(["reduce", "--graph", "x"])
     assert args.tol == 1e-6
+    monkeypatch.setenv("ISOREDUCE_TOL", "0")
+    assert build_parser().parse_args(["lift", "--graph", "x", "--vector", "v"]).tol == 0.0
+    # A bad value is a usage error on the commands that read it, and only
+    # when no --tol is given; verify and bench never read it.
+    for value in ("abc", "nan", "inf", "-inf", "-1", "1e400"):
+        monkeypatch.setenv("ISOREDUCE_TOL", value)
+        for argv in (["reduce", "--graph", "x"], ["lift", "--graph", "x", "--vector", "v"],
+                     ["update", "--state", "s", "--delta", "d"], ["simulate", "--graph", "x"]):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(argv)
+            assert info.value.code == 2
+        assert build_parser().parse_args(["reduce", "--graph", "x", "--tol", "1e-9"]).tol == 1e-9
+        assert build_parser().parse_args(["verify", "--rounds", "1"]).rounds == 1
+        assert build_parser().parse_args(["bench", "--trials", "1"]).trials == 1
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["reduce", "--graph", "x", "--tol", "-1"])
+    assert info.value.code == 2
+    capsys.readouterr()
     monkeypatch.delenv("ISOREDUCE_TOL")
 
 
@@ -332,12 +349,43 @@ def _saved_state(tmp_path):
     return path
 
 
+#: The base64 arrays of a state file and the dtype of their bytes.
+STATE_ARRAYS = {"tails": "<i8", "heads": "<i8", "weights": "<f8",
+                "reduced_vector": "<f8", "full_vector": "<f8"}
+
+
+def _encode(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def _decode(text, dtype):
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype)
+
+
 def _rewrite(path, change):
+    """Apply ``change`` to a state file's document with its arrays decoded
+    into lists; each array that is still a list is encoded again."""
     with open(f"{path}/state.json", encoding="utf-8") as fh:
         data = json.load(fh)
+    for key, dtype in STATE_ARRAYS.items():
+        data[key] = _decode(data[key], dtype).tolist()
     change(data)
+    for key, dtype in STATE_ARRAYS.items():
+        if isinstance(data.get(key), list):
+            data[key] = _encode(data[key], dtype)
     with open(f"{path}/state.json", "w", encoding="utf-8") as fh:
         fh.write(iio.dumps(data))
+
+
+def _text_layout(state) -> str:
+    """``state.json`` as earlier saves wrote ``state``: its graph as a JSON
+    graph object and its vectors as JSON numbers."""
+    return json.dumps({"graph": iio.graph_to_dict(state.graph),
+                       "members": list(state.structural.members),
+                       "reduced_vector": state.reduced_vector.tolist(),
+                       "full_vector": state.full_vector.tolist(),
+                       "eig_converged": state.eig_converged},
+                      sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_state_directory_holds_no_branch_list(tmp_path):
@@ -349,8 +397,17 @@ def test_state_directory_holds_no_branch_list(tmp_path):
 def test_state_directory_holds_only_what_cannot_be_recomputed(tmp_path):
     path = _saved_state(tmp_path)
     assert [p.name for p in (tmp_path / "st").iterdir()] == ["state.json"]
-    assert json.loads((tmp_path / "st" / "state.json").read_text()).keys() == {
-        "eig_converged", "full_vector", "graph", "members", "reduced_vector"}
+    doc = json.loads((tmp_path / "st" / "state.json").read_text())
+    assert doc.keys() == {"eig_converged", "full_vector", "heads", "members", "n",
+                          "reduced_vector", "removed", "tails", "weights"}
+    # the arrays are the graph's edge arrays and the vectors, byte for byte
+    state = iio.load_state(path)
+    stored = dict(zip(STATE_ARRAYS, (*state.graph.edge_arrays, state.reduced_vector,
+                                     state.full_vector)))
+    for key, dtype in STATE_ARRAYS.items():
+        assert _decode(doc[key], dtype).tobytes() == stored[key].astype(dtype).tobytes()
+    assert doc["n"] == state.graph.n_vertices and doc["removed"] == []
+    assert doc["members"] == list(state.structural.members)
 
 
 def test_load_state_rebuilds_extended_after_vertex_removal(tmp_path):
@@ -443,15 +500,16 @@ def test_save_state_overwrites_only_state_directories(tmp_path, capsys):
 
 def test_five_file_layout_of_older_saves_is_refused(tmp_path, capsys):
     path = _saved_state(tmp_path)
-    doc = json.loads((tmp_path / "st" / "state.json").read_text())
+    state = iio.load_state(path)
+    members = list(state.structural.members)
     older = tmp_path / "older"
     older.mkdir()
-    for name, part in (("graph.json", doc["graph"]),
-                       ("structural.json", {"members": doc["members"]}),
-                       ("reduced_vector.json", {"vertices": doc["members"],
-                                                "values": [[x, 0.0] for x in doc["reduced_vector"]]}),
-                       ("full_vector.json", {"values": doc["full_vector"]}),
-                       ("meta.json", {"eig_converged": doc["eig_converged"]})):
+    for name, part in (("graph.json", iio.graph_to_dict(state.graph)),
+                       ("structural.json", {"members": members}),
+                       ("reduced_vector.json", {"vertices": members,
+                                                "values": [[x, 0.0] for x in state.reduced_vector]}),
+                       ("full_vector.json", {"values": state.full_vector.tolist()}),
+                       ("meta.json", {"eig_converged": state.eig_converged})):
         (older / name).write_text(json.dumps(part))
     before = {f.name: f.read_bytes() for f in older.iterdir()}
     with pytest.raises(FileExistsError, match="not a state directory"):
@@ -508,7 +566,7 @@ def test_load_state_rejects_inactive_member(tmp_path):
         iio.load_state(path)
 
 
-#: Malformed ``graph`` objects a load must report as format errors: a
+#: Malformed JSON graph objects a graph reader must report as format errors: a
 #: non-numeric weight, an edge entry that is not a list, a non-integer
 #: tombstone, an ``Infinity`` vertex count, edge id or tombstone, a repeated
 #: edge, a vertex count, edge id or tombstone with a fraction, and five that
@@ -540,18 +598,71 @@ BAD_GRAPH_EDITS = (
 )
 
 
-def test_load_state_rejects_malformed_graph_entries(tmp_path):
+def test_graph_reader_rejects_malformed_graph_objects(tmp_path):
+    g = random_stochastic_graph(8, 2.5, np.random.default_rng(72))
     for change in BAD_GRAPH_EDITS:
+        data = iio.graph_to_dict(g)
+        change(data)
+        with pytest.raises(GraphFormatError):
+            iio.graph_from_dict(data, stochastic=True)
+        with pytest.raises(GraphFormatError):
+            iio.read_graph(write(tmp_path, "g.json", json.dumps(data)), stochastic=True)
+
+
+#: Graph contents of a state file that a load must report as format errors:
+#: an array that is not base64 text, is cut short, or holds a byte count
+#: that is not a multiple of 8; edge arrays of unequal length; a missing
+#: array; an id outside ``1..n``; a repeated edge; a zero, NaN or infinite
+#: weight; an edge into a tombstone; a graph that builds but is not
+#: stochastic (a loop, a weight above 1, a column that does not sum to 1);
+#: and each vertex count and tombstone list that :data:`BAD_GRAPH_EDITS`
+#: refuses in a JSON graph object.
+BAD_STATE_GRAPH_EDITS = (
+    lambda d: d.update(weights="not base64!"),
+    lambda d: d.update(full_vector=_encode(d["full_vector"], "<f8")[:-3]),
+    lambda d: d.update(tails=base64.b64encode(bytes(12)).decode("ascii")),
+    lambda d: d["heads"].pop(),
+    lambda d: d["weights"].append(0.5),
+    lambda d: d.pop("tails"),
+    lambda d: d["tails"].__setitem__(0, d["n"] + 1),
+    lambda d: d["heads"].__setitem__(-1, 0),
+    lambda d: [d[key].append(d[key][0]) for key in ("tails", "heads", "weights")],
+    lambda d: d["weights"].__setitem__(0, 0.0),
+    lambda d: d["weights"].__setitem__(0, float("nan")),
+    lambda d: d["weights"].__setitem__(-1, float("inf")),
+    lambda d: d.update(removed=[d["heads"][0]]),
+    lambda d: d["heads"].__setitem__(0, d["tails"][0]),
+    lambda d: d["weights"].__setitem__(0, 1.5),
+    lambda d: d["weights"].__setitem__(0, d["weights"][0] / 2),
+    lambda d: d.update(n=float("inf")),
+    lambda d: d.update(n=d["n"] + 0.7),
+    lambda d: d.update(n=-1),
+    lambda d: d.update(n=True),
+    lambda d: d.update(removed=["a"]),
+    lambda d: d.update(removed=[float("-inf")]),
+    lambda d: d.update(removed=[1.5]),
+    lambda d: d.update(removed=[0]),
+    lambda d: d.update(removed=[d["n"] + 1]),
+    lambda d: d.update(removed=[True]),
+)
+
+
+def test_load_state_rejects_malformed_graph_entries(tmp_path):
+    for change in BAD_STATE_GRAPH_EDITS:
         path = _saved_state(tmp_path)
-        _rewrite(path, lambda d: change(d["graph"]))
+        _rewrite(path, change)
         with pytest.raises(GraphFormatError):
             iio.load_state(path)
+    path = _saved_state(tmp_path)
+    _rewrite(path, lambda d: [d[key].append(d[key][0]) for key in ("tails", "heads", "weights")])
+    with pytest.raises(GraphFormatError, match=r"duplicate edge \(\d+,\d+\)"):
+        iio.load_state(path)
 
 
 def test_cli_verify_reports_malformed_graph_as_failed_check(tmp_path, capsys):
-    for change in BAD_GRAPH_EDITS:
+    for change in BAD_STATE_GRAPH_EDITS:
         path = _saved_state(tmp_path)
-        _rewrite(path, lambda d: change(d["graph"]))
+        _rewrite(path, change)
         assert main(["verify", "--rounds", "1", "--state", path]) == 1
         checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert checks["stored-state-consistency"]["passed"] is False
@@ -623,8 +734,8 @@ def test_state_files_are_compact_lines_and_indented_saves_still_load(tmp_path):
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
         (old / f.name).write_text(iio.dumps(data), encoding="utf-8")
-    assert sum(len(f.read_bytes()) for f in new.iterdir()) < \
-        sum(len(f.read_bytes()) for f in old.iterdir()) / 1.5
+    # no larger than the text layout that earlier saves wrote for the same state
+    assert len((new / "state.json").read_bytes()) <= len(_text_layout(state).encode())
     for where in (new, old):
         back = iio.load_state(str(where))
         assert back.graph == state.graph and back.eig_converged is state.eig_converged
@@ -632,3 +743,45 @@ def test_state_files_are_compact_lines_and_indented_saves_still_load(tmp_path):
         assert back.structural.depth_of == state.structural.depth_of
         for field in ("columns", "reduced_vector", "full_vector"):
             assert np.array_equal(getattr(back, field), getattr(state, field))
+
+
+def test_text_layout_of_earlier_saves_is_refused(tmp_path, capsys):
+    path = _saved_state(tmp_path)
+    text = _text_layout(iio.load_state(path))
+    with open(f"{path}/state.json", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    with pytest.raises(GraphFormatError, match="text layout of earlier saves"):
+        iio.load_state(path)
+    assert main(["verify", "--rounds", "1", "--state", path]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["stored-state-consistency"]["passed"] is False
+
+
+def test_saving_a_loaded_state_writes_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(77)
+    state = StoredState.from_graph(random_stochastic_graph(14, 2.5, rng))
+    for _ in range(4):
+        state, _ = run_update(state, random_delta(state.graph, rng, 3))
+    first, second = tmp_path / "first", tmp_path / "second"
+    iio.save_state(state, str(first))
+    iio.save_state(iio.load_state(str(first)), str(second))
+    assert (first / "state.json").read_bytes() == (second / "state.json").read_bytes()
+
+
+def test_json_bools_and_strings_are_not_numbers(tmp_path, capsys):
+    for op in ('"w": true', '"w": "0.5"', '"w": null'):
+        path = write(tmp_path, "d.json", f'{{"ops": [{{"op": "add_edge", "i": 1, "j": 2, {op}}}]}}')
+        with pytest.raises(GraphFormatError):
+            iio.read_delta(path)
+        assert main(["update", "--state", _saved_state(tmp_path), "--delta", path]) == 2
+    graph_path = write(tmp_path, "g.txt", LOOP_PAIR_EDGELIST)
+    for text in ('{"vertices": [1], "values": [[true, false]]}',
+                 '{"vertices": [1], "values": [[1, 0]], "lambda": [true, 0]}',
+                 '{"vertices": [1], "values": [[1, 0]], "lambda": ["1", 0]}',
+                 '{"vertices": [1], "values": [[1, 0]], "lambda": [1, false]}'):
+        vec_path = write(tmp_path, "v.json", text)
+        with pytest.raises(GraphFormatError):
+            iio.read_vector(vec_path)
+        assert main(["lift", "--graph", graph_path, "--structural", "1",
+                     "--vector", vec_path]) == 2
+    capsys.readouterr()
