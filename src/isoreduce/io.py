@@ -91,13 +91,14 @@ def _read_json(path: str):
 
 
 def _edge_row(entry) -> tuple:
-    """``(i, j, weight)`` from a JSON edge entry ``[i, j, re, im]`` or ``[i, j, re]``."""
+    """``(i, j, weight)`` from a JSON edge entry ``[i, j, re, im]`` or
+    ``[i, j, re]``; both parts are read by :func:`_real`."""
     try:
         i, j, re, im = entry
     except ValueError:
         i, j, re = entry
         im = 0.0
-    return i, j, complex(float(re), float(im))
+    return i, j, complex(_real(re), _real(im))
 
 
 def graph_from_dict(data: dict, *, stochastic: bool | None = None) -> WeightedDigraph:

@@ -14,8 +14,10 @@ denominator first, then scatters the graph's ``edge_arrays`` once into
 the structural set's stored depth order, members first and loops dropped,
 so that each depth layer is one product of a contiguous block with the
 rows already solved.
-``extended_columns`` runs it with member
-terminals for the update path's ``E[:, S]``; ``branch_counts`` runs it on
+``extended_columns`` runs it with member terminals for the update path's
+``E[:, S]``: on a stochastic graph at parameter 1 the sweep's complement
+rows are already ``E[C, S]``, so only the s member rows take a product
+with the adjacency; ``branch_counts`` runs it on
 the 0/1 support to count branches for the update cost model;
 ``enumerate_branches`` lists the paths themselves, as a reference.
 """
@@ -275,13 +277,13 @@ def reduced_matrix_by_length(graph: WeightedDigraph, structural: StructuralSet,
 
 def _stochastic_sweep(graph: WeightedDigraph, structural: StructuralSet,
                       terminal: np.ndarray, tol: float) -> np.ndarray:
-    """``A X`` for the parameter-1 sweep ``X`` of a stochastic graph: the
-    columns of ``E`` whose terminal rows ``terminal`` holds."""
+    """The parameter-1 sweep ``X`` of a stochastic graph with terminal rows
+    ``terminal``; the columns of ``E`` those rows select are ``A X``."""
     if not graph.stochastic:
         raise NonStochasticError("extended reduced matrix requires a stochastic graph")
     if abs(structural.lam - 1) > tol:
         raise ValueError("extended reduced matrix is evaluated at parameter 1")
-    return graph.adjacency @ _depth_sweep(graph, structural, 1.0, terminal, tol=tol)
+    return _depth_sweep(graph, structural, 1.0, terminal, tol=tol)
 
 
 def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *,
@@ -295,7 +297,7 @@ def extended_reduced_matrix(graph: WeightedDigraph, structural: StructuralSet, *
     """
     return ExtendedReducedMatrix(
         structural.members,
-        _stochastic_sweep(graph, structural, np.eye(graph.n_vertices), tol))
+        graph.adjacency @ _stochastic_sweep(graph, structural, np.eye(graph.n_vertices), tol))
 
 
 def extended_columns(graph: WeightedDigraph, structural: StructuralSet, *,
@@ -305,12 +307,19 @@ def extended_columns(graph: WeightedDigraph, structural: StructuralSet, *,
     runs.
 
     They hold all a stationary solve needs: ``E[S, S]`` is the stochastic
-    complement and ``E[C, S]`` the lift.  They agree with
+    complement and ``E[C, S]`` the lift.  The graph is loop-free, so every
+    complement denominator is 1 and a complement row of the sweep,
+    ``x_v = sum_j a_vj x_j``, is already row ``v`` of ``A X``: the sweep's
+    complement rows are kept as they are, and only the s member rows are
+    multiplied out, ``A[S, :] X``.  They agree with
     ``extended_reduced_matrix(graph, structural).entries[:, idx]`` to
-    roundoff, not bit for bit, since the products are shaped differently.
+    roundoff, not bit for bit, since the sums run in another order.
     """
-    return _stochastic_sweep(graph, structural,
-                             _member_rows(graph.n_vertices, structural.members), tol)
+    x = _stochastic_sweep(graph, structural,
+                          _member_rows(graph.n_vertices, structural.members), tol)
+    idx = [v - 1 for v in structural.members]
+    x[idx] = graph.adjacency[idx] @ x
+    return x
 
 
 def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[int, int]:

@@ -3,10 +3,10 @@
 Every stationary vector the package commits or checks comes from one exact
 solve, :func:`stationary_vector`; power iteration and a damped co-iteration
 on reduced matrices remain, and dense eigensolvers are left to test oracles.
-The primitivity test, strong connectivity and the update's promotion search
-share one breadth-first search over edge lists, :func:`_bfs_levels`.  The
-first two read a graph's cached ``edge_lists`` and skip its tombstones; a
-plain matrix is first made into the graph of its support.
+The primitivity test and strong connectivity share one breadth-first
+search over edge lists, :func:`_bfs_levels`.  Both read a graph's cached
+``edge_lists`` and skip its tombstones; a plain matrix is first made into
+the graph of its support.
 """
 
 from __future__ import annotations

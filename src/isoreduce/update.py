@@ -6,24 +6,29 @@ eigenvectors.  A delta (a short list of vertex/edge insertions and
 removals) is applied one operation at a time to a writable copy of the
 graph's adjacency array: the entry is set and the touched columns
 renormalized, and the structural set grows by the promotion rule when a
-new edge closes a cycle outside it, found by the package's one
-breadth-first search over edge lists, on the edges that do not enter the
-set, stopped once it reaches the edge's source, and listed from the base
-graph's edge arrays and the array's touched columns.  The edited array becomes
+new edge closes a cycle outside it.  That is found by a walk, stopped at
+the edge's source, over the base graph's cached forward edge lists with
+the array's touched columns laid over them, on the edges that do not
+enter the set.  The edited array becomes
 the new graph through ``WeightedDigraph.from_matrix``, which validates and
 keeps it as the graph's float64 adjacency, with its edge arrays, without
 building a weight map.  The new graph's edge lists, derived once from
 those arrays, serve both the primitivity test and the depths, which come
 from one counting pass over the complement's edges.
 The columns ``E[:, S]`` are then recomputed in closed form by one
-depth-order sweep with member terminals, and the dominant eigenvector
-solved exactly on the reduced block ``E[S, S]``.  The columns already hold
+depth-order sweep with member terminals, whose complement rows are
+``E[C, S]`` as they stand, and one product for the s member rows; the
+dominant eigenvector is solved exactly on the reduced block ``E[S, S]``.
+The columns already hold
 the lift: the complement takes ``u_C = E[C, S] u_S``, one product and no
 second sweep.  The full n x n ``E`` is computed only when a caller reads
 ``StoredState.extended``.  An itemized cost report compares the work
-against full re-iteration of the big matrix; its branch statistic ``m``,
-a second sweep on the 0/1 support, is counted only when the report's ``m``
-or a cost that depends on it is read.  No branch is listed on the way.
+against full re-iteration of the big matrix.  Two of its figures are
+counted only on first read: the branch statistic ``m``, a second sweep on
+the 0/1 support, when ``m`` or a cost that depends on it is read, and the
+counts of changed rows and entries of ``E[:, S]``, one compare of the new
+columns with the base state's, when either count is read.
+No branch is listed on the way.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ import numpy as np
 
 from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
                          StructuralSetError)
-from .graph import (StructuralSet, WeightedDigraph, _edge_lists, compute_depths,
+from .graph import (StructuralSet, WeightedDigraph, _nonzero_slots, compute_depths,
                     find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_columns,
                         extended_reduced_matrix)
-from .spectral import _bfs_levels, is_primitive, stationary_vector
+from .spectral import is_primitive, stationary_vector
 
 #: The paper's ``a << b`` in its measurement conditions, read as
 #: ``a <= MEAS_RATIO * b``.  The paper gives no number; one order of
@@ -224,12 +229,14 @@ class CostReport:
     iterations (the solve itself is exact), and the lift the depth-layer
     recursion.  The branch statistic ``m`` comes from ``count_m``, called
     once, on the first read of ``m`` or of a figure built on it, and then
-    dropped, so a report nobody reads costs no branch count.  The measured counterparts count
-    what the update changed in the stored columns ``E[:, S]``:
-    ``touched_branches`` the rows (start vertices whose branch sums into the
-    set moved) and ``weight_updates`` the entries, against the base state's
-    column for the same member, padded with zeros for new vertices (all
-    zeros for a promoted member).
+    dropped, so a report nobody reads costs no branch count.  The measured
+    counterparts count what the update changed in the stored columns
+    ``E[:, S]``: ``touched_branches`` the rows (start vertices whose branch
+    sums into the set moved) and ``weight_updates`` the entries, against
+    the base state's column for the same member, padded with zeros for new
+    vertices (all zeros for a promoted member).  They come, as a pair, from
+    ``count_changes``, which is likewise called on the first read of either
+    and then dropped; a report built without it counts no change.
     """
 
     n: int
@@ -241,8 +248,8 @@ class CostReport:
     p: int
     step6_cost: float
     count_m: Callable[[], int] | None = field(repr=False, compare=False)
-    touched_branches: int = 0
-    weight_updates: int = 0
+    count_changes: Callable[[], tuple[int, int]] | None = field(
+        default=None, repr=False, compare=False)
     structural_fallback: bool = False
 
     @cached_property
@@ -252,6 +259,22 @@ class CostReport:
         # the counter holds the base state; a kept report should not
         object.__setattr__(self, "count_m", None)
         return m
+
+    @cached_property
+    def _changes(self) -> tuple[int, int]:
+        """``(touched_branches, weight_updates)``, counted on first read."""
+        count = self.count_changes
+        # the counter holds both states' columns; a kept report should not
+        object.__setattr__(self, "count_changes", None)
+        return count() if count else (0, 0)
+
+    @property
+    def touched_branches(self) -> int:
+        return self._changes[0]
+
+    @property
+    def weight_updates(self) -> int:
+        return self._changes[1]
 
     @property
     def step3_cost(self) -> float:
@@ -341,7 +364,7 @@ class CostReport:
         step6 = k_new * (k_new * n * n / (2.0 * (k_new + 1))) if k_new else 0.0
         return cls(n=n, s=s, s_new=s, k=k, k_new=k_new, ell=ell, p=p,
                    step6_cost=step6, count_m=lambda: m,
-                   touched_branches=int(patch), weight_updates=int(patch))
+                   count_changes=lambda: (int(patch), int(patch)))
 
 
 def simplex_bound(x) -> tuple[float, float]:
@@ -374,14 +397,16 @@ class _Editor:
 
     An edit sets entries of the array and renormalizes each touched column
     to unit sum; tombstones and the slots of touched columns are kept beside
-    it.  Every edit check lives here, and an id is checked active before it
-    indexes the array, so that 0 or -1 cannot wrap around to its last rows.
+    it, with the base graph, whose edges into untouched columns the edits
+    leave as they were.  Every edit check lives here, and an id is checked
+    active before it indexes the array, so that 0 or -1 cannot wrap around
+    to its last rows.
     """
 
     def __init__(self, graph: WeightedDigraph):
+        self.base = graph
         self.a = graph.adjacency.real.copy()
         self.removed = set(graph.removed)
-        self.base_slots = tuple(ids - 1 for ids in graph.edge_arrays[:2])
         self.touched: set[int] = set()
 
     @property
@@ -440,21 +465,34 @@ class _Editor:
 
     def reaches(self, start: int, goal: int, avoid: set[int]) -> bool:
         """Whether a path leads from ``start`` to ``goal`` without entering
-        ``avoid``: the shared BFS over the edges that do not enter ``avoid``,
-        from the base graph's edges into untouched columns and the array's
-        touched columns, so O(nnz + n * touched)."""
-        cols = np.array([c for c in self.touched if c + 1 not in avoid], dtype=np.int64)
-        base = np.ones(self.n_vertices, dtype=bool)
-        base[list(self.touched)] = False
-        base[[v - 1 for v in avoid]] = False
-        tails, heads = self.base_slots
-        kept = base[heads]
-        rows, at = np.nonzero(self.a[:, cols])
-        tails = np.concatenate((tails[kept], rows))
-        heads = np.concatenate((heads[kept], cols[at]))
-        order = np.argsort(tails, kind="stable")
-        lists = _edge_lists(self.n_vertices, tails[order], heads[order])
-        return bool(_bfs_levels(*lists, start - 1, goal - 1)[goal - 1] >= 0)
+        ``avoid``.
+
+        A depth-first walk, stopped at the goal, over the base graph's cached
+        forward ``edge_lists`` with the edited columns laid over them: a base
+        edge counts only when its head is in no touched column and not in
+        ``avoid``, and the touched columns outside ``avoid`` are read from
+        the array for the edges into them.  A slot past the base lists, a
+        vertex added by the delta, has only those edges.  Touched columns
+        include a removed vertex's and its former heads', so its old edges
+        are not followed.  O(n * touched) for the columns, then the edges
+        walked.
+        """
+        ptr, heads = self.base.edge_lists[0]
+        cut = self.touched | {v - 1 for v in avoid}
+        cols = [c for c in self.touched if c + 1 not in avoid]
+        edited: dict[int, list[int]] = {}
+        for row, at in zip(*(ix.tolist() for ix in _nonzero_slots(self.a[:, cols]))):
+            edited.setdefault(row, []).append(cols[at])
+        start, goal = start - 1, goal - 1
+        seen, todo = {start}, [start]
+        while todo and goal not in seen:
+            v = todo.pop()
+            out = [u for u in heads[ptr[v]:ptr[v + 1]] if u not in cut] if v < len(ptr) - 1 else []
+            for u in out + edited.get(v, []):
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return goal in seen
 
     def graph(self) -> WeightedDigraph:
         """The edited graph, validated stochastic.
@@ -558,22 +596,24 @@ class UpdateSession:
         counts = self._structural2.depth_counts()
         step6 = float(sum(j * counts[j - 1] * (counts[j] - counts[j - 1])
                           for j in range(1, len(counts))))
-        new = self._cols
-        # the base column of each kept member; both member tuples are sorted
-        was, now = base.structural.members, self._structural2.members
-        kept = set(was) & set(now)
-        old = np.zeros_like(new)
-        old[:base.columns.shape[0], [v in kept for v in now]] = \
-            base.columns[:, [v in kept for v in was]]
-        changed = new != old
+        new, now = self._cols, self._structural2.members
+
+        def count_changes() -> tuple[int, int]:
+            # the base column of each kept member; both member tuples are sorted
+            was = base.structural.members
+            kept = set(was) & set(now)
+            old = np.zeros_like(new)
+            old[:base.columns.shape[0], [v in kept for v in now]] = \
+                base.columns[:, [v in kept for v in was]]
+            changed = new != old
+            return int(changed.any(axis=1).sum()), int(changed.sum())
+
         return CostReport(
             n=self._graph2.n_active, s=len(base.structural.members),
             s_new=len(self._structural2.members),
             k=base.structural.max_depth, k_new=self._structural2.max_depth,
             ell=ell, p=self._p, step6_cost=step6,
-            count_m=lambda: base.m_statistic,
-            touched_branches=int(changed.any(axis=1).sum()),
-            weight_updates=int(changed.sum()),
+            count_m=lambda: base.m_statistic, count_changes=count_changes,
             structural_fallback=self._fallback)
 
 

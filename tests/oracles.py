@@ -6,7 +6,9 @@ numpy's dense solver, taboo probabilities from explicit trajectory sums.
 The loop forms of algorithms the library now runs as array passes (cycle
 listing, recursive depths, primitivity by matrix powers, the embedded lift,
 entry-by-entry matrix reading) are kept here as references, and so are the
-branch-by-branch forms of the reduction's weights and the promotion rule.
+branch-by-branch forms of the reduction's weights and the promotion rule,
+the dense solve for the stored columns ``E[:, S]`` and the eager compare
+behind an update report's change counts.
 """
 
 from __future__ import annotations
@@ -254,6 +256,33 @@ def lift_full_embedded(graph: WeightedDigraph, structural, u_s) -> np.ndarray:
     for t, v in enumerate(pair.vertices):
         full[v - 1] = pair.vector[t].real
     return full / full.sum()
+
+
+def extended_columns_closed_form(graph: WeightedDigraph, members) -> np.ndarray:
+    """``E[:, S]`` of a stochastic graph at parameter 1 by a dense solve:
+    ``E[C, S] = (I - A_CC)^-1 A_CS`` and ``E[S, S] = A_SS + A_SC E[C, S]``,
+    n x s in member order, zero at tombstones."""
+    a = graph.adjacency.real
+    s = [v - 1 for v in sorted(members)]
+    c = [v - 1 for v in graph.vertices() if v not in set(members)]
+    out = np.zeros((graph.n_vertices, len(s)))
+    out[c] = np.linalg.solve(np.eye(len(c)) - a[np.ix_(c, c)], a[np.ix_(c, s)])
+    out[s] = a[np.ix_(s, s)] + a[np.ix_(s, c)] @ out[c]
+    return out
+
+
+def column_changes(base: StoredState, new: StoredState) -> tuple[int, int]:
+    """The rows and entries of ``new.columns`` that differ, exactly, from the
+    base state's column for the same member, padded with zeros for new
+    vertices and all zeros for a member the base set lacked: the update
+    report's ``(touched_branches, weight_updates)``, compared eagerly."""
+    was, now = base.structural.members, new.structural.members
+    kept = set(was) & set(now)
+    old = np.zeros_like(new.columns)
+    old[:base.columns.shape[0], [v in kept for v in now]] = \
+        base.columns[:, [v in kept for v in was]]
+    changed = new.columns != old
+    return int(changed.any(axis=1).sum()), int(changed.sum())
 
 
 def weights_loop(m) -> dict[tuple[int, int], complex]:

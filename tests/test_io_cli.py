@@ -47,9 +47,22 @@ def test_non_finite_weight_fails_to_load(tmp_path):
                  "N 2\n1 2 1.0 nan\n2 1 1.0\n"):
         with pytest.raises(GraphFormatError, match="non-finite weight"):
             iio.read_graph(write(tmp_path, "bad.txt", text))
+    # json.dumps writes a bare NaN literal, which json.loads reads back as a float
     with pytest.raises(GraphFormatError, match="non-finite weight"):
         iio.read_graph(write(tmp_path, "bad.json",
+                             json.dumps({"n": 2, "edges": [[1, 2, float("nan")], [2, 1, 1.0]]})))
+    with pytest.raises(GraphFormatError, match="not a number"):
+        iio.read_graph(write(tmp_path, "bad.json",
                              json.dumps({"n": 2, "edges": [[1, 2, "nan"], [2, 1, 1.0]]})))
+
+
+def test_json_graph_weight_must_be_a_number():
+    for entry in ([1, 2, "1"], [1, 2, True], [1, 2, "1", 0.0], [1, 2, True, 0.0],
+                  [1, 2, 1.0, "0"], [1, 2, 1.0, False], [1, 2, None]):
+        with pytest.raises(GraphFormatError, match="not a number"):
+            iio.graph_from_dict({"n": 2, "edges": [entry, [2, 1, 1.0]]})
+    assert iio.graph_from_dict({"n": 2, "edges": [[1, 2, 1], [2, 1, 0.5, 0]]}).weights == \
+        {(1, 2): 1.0, (2, 1): 0.5}
 
 
 def test_edgelist_format_errors(tmp_path):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitiveError,
                        StoredState, UpdateSession, WeightedDigraph, apply_ops, branch_counts,
                        compute_depths, enumerate_branches, extended_columns,
-                       find_structural_set, random_delta, random_stochastic_graph, run_update,
-                       scratch_equivalent, simplex_bound)
+                       extended_reduced_matrix, find_structural_set, random_delta,
+                       random_stochastic_graph, run_update, scratch_equivalent, simplex_bound)
 from isoreduce.io import load_state, save_state
+from isoreduce import update as update_module
 from isoreduce.update import _Editor, _lift_full
-from oracles import (dominant_unit_vector, lift_full_embedded, promotion_candidates,
-                     promotion_rule, weights_loop)
+from oracles import (column_changes, dominant_unit_vector, extended_columns_closed_form,
+                     lift_full_embedded, promotion_candidates, promotion_rule, weights_loop)
 
 
 def cycle_state(**kw) -> StoredState:
@@ -253,6 +254,71 @@ def test_lift_from_extended_matrix_matches_embedded_lift():
         assert np.abs(got - want).max() <= 1e-12
         assert not got[[v - 1 for v in g.removed]].any()
     assert removed > 0
+
+
+def test_extended_columns_match_full_matrix_and_closed_form(tmp_path):
+    removed = added = 0
+    for seed in range(6):
+        rng = np.random.default_rng([61, seed])
+        n0 = int(rng.integers(8, 40))
+        states = [StoredState.from_graph(random_stochastic_graph(n0, 2.5, rng))]
+        while len(states) < 9:
+            try:
+                states.append(run_update(states[-1], random_delta(states[-1].graph, rng, 3))[0])
+            except DeltaError:
+                continue
+        for state in states:
+            g, ss = state.graph, state.structural
+            idx = [v - 1 for v in ss.members]
+            cols = extended_columns(g, ss)
+            assert np.array_equal(cols, state.columns)
+            assert np.abs(cols - extended_reduced_matrix(g, ss).entries[:, idx]).max() <= 1e-14
+            assert np.abs(cols - extended_columns_closed_form(g, ss.members)).max() <= 1e-14
+        removed += bool(state.graph.removed)
+        added += state.graph.n_vertices > n0
+        path = str(tmp_path / f"st{seed}")
+        save_state(state, path)
+        assert np.array_equal(load_state(path).columns, state.columns)
+    assert removed and added
+
+
+def test_report_counts_changes_on_first_read(monkeypatch):
+    calls = []
+
+    def recording(**fields):
+        counter = fields["count_changes"]
+        fields["count_changes"] = lambda: calls.append(counter) or counter()
+        return CostReport(**fields)
+
+    monkeypatch.setattr(update_module, "CostReport", recording)
+    rng = np.random.default_rng(62)
+    state = StoredState.from_graph(random_stochastic_graph(30, 2.5, rng))
+    kinds, promotions, fallbacks, checked = set(), 0, 0, 0
+    while checked < 24:
+        delta = random_delta(state.graph, rng, 3)
+        with monkeypatch.context() as mp:
+            if checked % 3 == 2:
+                # with the promotion search off, an edge that closes a cycle
+                # outside the set forces a fresh structural-set search
+                mp.setattr(_Editor, "reaches", lambda self, start, goal, avoid: False)
+            try:
+                new, report = run_update(state, delta)
+            except DeltaError:
+                continue
+        assert calls == [] and report.count_changes is not None
+        want = column_changes(state, new)
+        assert (report.touched_branches, report.weight_updates) == want
+        assert report.to_dict()["measured"] == {"touched_branches": want[0],
+                                                "weight_updates": want[1]}
+        assert len(calls) == 1 and report.count_changes is None
+        calls.clear()
+        kinds |= {op.kind for op in delta.ops}
+        grew = set(new.structural.members) - set(state.structural.members)
+        fallbacks += report.structural_fallback
+        promotions += bool(grew) and not report.structural_fallback
+        state = new
+        checked += 1
+    assert kinds == set(DeltaOp.KINDS) and promotions and fallbacks
 
 
 def test_session_requires_apply_before_refresh():
@@ -516,6 +582,7 @@ def test_reaches_agrees_with_dense_search_through_edits(monkeypatch):
     for _ in range(30):
         delta = random_delta(state.graph, rng, 4)
         ed = _Editor(state.graph)
+        base = state.graph.adjacency
         for op in delta.ops:
             ed.apply(op)
             live = [v for v in range(1, ed.n_vertices + 1) if ed.active(v)]
@@ -523,8 +590,31 @@ def test_reaches_agrees_with_dense_search_through_edits(monkeypatch):
                 # the goal may be a tombstone, which no live vertex reaches
                 start, goal = int(rng.choice(live)), int(rng.integers(1, ed.n_vertices + 1))
                 ed.reaches(start, goal, set(rng.choice(live, int(rng.integers(0, 5))).tolist()))
+            ed.reaches(start, start, {start})
+            if ed.n_vertices > len(base):
+                # a vertex the delta added has a slot past the base lists
+                ed.reaches(ed.n_vertices, start, set())
+                ed.reaches(start, ed.n_vertices, set())
+            if op.kind == "add_edge":
+                # j is a touched column: only the edited column reaches it
+                assert ed.reaches(op.i, op.j, set())
+            if op.kind == "remove_vertex":
+                # across the removed vertex by its former edges
+                for u in np.flatnonzero(base[:, op.v - 1])[:2].tolist():
+                    for y in np.flatnonzero(base[op.v - 1])[:2].tolist():
+                        ed.reaches(u + 1, y + 1, set())
         asked = len(answers)
         state, _ = run_update(state, delta)
         promotions += sum(answers[asked:])
     assert state.graph.removed and state.graph.n_vertices > 24
     assert promotions and not all(answers)
+    # 1 -> 2 -> 3 is the only way from 1 to 3, and 5 is added by the delta
+    ed = _Editor(WeightedDigraph.from_edges(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),
+                                                 (4, 1, 1.0)]))
+    assert ed.reaches(1, 3, set()) and not ed.reaches(1, 3, {2})
+    for op in (DeltaOp.add_vertex(), DeltaOp.add_edge(3, 5, 1.0),
+               DeltaOp.add_edge(5, 1, 1.0), DeltaOp.remove_vertex(2)):
+        ed.apply(op)
+    assert not ed.reaches(1, 3, set()) and not ed.reaches(1, 2, set())
+    assert ed.reaches(3, 5, set()) and ed.reaches(5, 1, set()) and not ed.reaches(5, 4, set())
+    assert ed.reaches(3, 1, {4}) and not ed.reaches(3, 1, {4, 5}) and ed.reaches(5, 5, {5})
