@@ -481,14 +481,15 @@ class _Editor:
         cut = self.touched | {v - 1 for v in avoid}
         cols = [c for c in self.touched if c + 1 not in avoid]
         edited: dict[int, list[int]] = {}
-        for row, at in zip(*(ix.tolist() for ix in _nonzero_slots(self.a[:, cols]))):
-            edited.setdefault(row, []).append(cols[at])
+        rows, at = _nonzero_slots(self.a[:, cols])
+        for row, c in zip(rows.tolist(), at.tolist()):
+            edited.setdefault(row, []).append(cols[c])
         start, goal = start - 1, goal - 1
         seen, todo = {start}, [start]
         while todo and goal not in seen:
             v = todo.pop()
-            out = [u for u in heads[ptr[v]:ptr[v + 1]] if u not in cut] if v < len(ptr) - 1 else []
-            for u in out + edited.get(v, []):
+            out = heads[ptr[v]:ptr[v + 1]] if v < len(ptr) - 1 else []
+            for u in [u for u in out if u not in cut] + edited.get(v, []):
                 if u not in seen:
                     seen.add(u)
                     todo.append(u)
@@ -610,7 +611,7 @@ class UpdateSession:
 
         return CostReport(
             n=self._graph2.n_active, s=len(base.structural.members),
-            s_new=len(self._structural2.members),
+            s_new=len(now),
             k=base.structural.max_depth, k_new=self._structural2.max_depth,
             ell=ell, p=self._p, step6_cost=step6,
             count_m=lambda: base.m_statistic, count_changes=count_changes,
