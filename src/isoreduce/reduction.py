@@ -17,8 +17,9 @@ rows already solved.
 ``extended_columns`` runs it with member terminals for the update path's
 ``E[:, S]``: on a stochastic graph at parameter 1 the sweep's complement
 rows are already ``E[C, S]``, so only the s member rows take a product
-with the adjacency; ``branch_counts`` runs it on
-the 0/1 support to count branches for the update cost model;
+with the adjacency.  ``branch_counts`` counts branches for the update
+cost model by the same recursion in exact integers, one walk each way over
+the graph's edge lists in the stored depth order;
 ``enumerate_branches`` lists the paths themselves, as a reference.
 """
 
@@ -322,27 +323,45 @@ def extended_columns(graph: WeightedDigraph, structural: StructuralSet, *,
     return x
 
 
+def _branch_ends(ptr: list[int], ends: list[int], walk: list[int]) -> list[int]:
+    """Per slot, the loop-free branches that leave it along the edge lists
+    ``(ptr, ends)``, with ``walk`` listing the complement's slots so that
+    each comes after every complement slot its list points at.
+
+    ``reach[v]`` counts the paths from ``v`` that stop at once or go on
+    through the complement: 1 for a member or a tombstone, and for a
+    complement slot 1 plus the branches leaving it, the sum of its
+    neighbours' counts."""
+    reach = [1] * (len(ptr) - 1)
+
+    def leaving(v: int) -> int:
+        return sum(reach[u] for u in ends[ptr[v]:ptr[v + 1]] if u != v)
+
+    for v in walk:
+        reach[v] += leaving(v)
+    return [leaving(v) for v in range(len(reach))]
+
+
 def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[int, int]:
     """Number of branches and their ``m`` statistic, without listing one.
 
-    The depth sweep on the 0/1 support with loops dropped (so every
-    denominator is 1) counts paths instead of summing weights: ``B X``
-    holds, per start and end, every branch but the one-step loops
-    ``(v, v)``, which the diagonal of the support adds back.  Row and
-    column sums give the branches leaving and entering a vertex.  A
-    complement vertex lies inside exactly in * out of the loop-free ones:
-    any branch ending at it joined to any leaving it, since the complement
-    has no cycle to repeat a vertex on.  Agrees with
+    Counted exactly, in Python ints, on the graph's cached ``edge_lists``
+    and the structural set's stored layering: a complement vertex points
+    only at shallower ones, so one walk in increasing depth over the
+    forward lists counts the branches leaving each vertex, and one in
+    decreasing depth over the backward lists those entering it.  A loop
+    adds the one-step branch ``(v, v)`` at its vertex, and an interior loop
+    none.  A complement vertex lies inside exactly in * out of the
+    loop-free ones: any branch ending at it joined to any leaving it, since
+    the complement has no cycle to repeat a vertex on.  Agrees with
     ``enumerate_branches(graph, structural)`` and its ``m_statistic``.
     """
-    b = (graph.adjacency != 0).astype(float)
-    loops = b.diagonal().copy()
-    np.fill_diagonal(b, 0)
-    paths = b @ _depth_sweep(WeightedDigraph.from_matrix(b), structural, 1.0,
-                             np.eye(graph.n_vertices))
-    ends = paths + np.diag(loops)
-    comp = [v - 1 for v in structural.complement()]
-    through = paths.sum(axis=0)[comp] * paths.sum(axis=1)[comp]
-    m = max(ends.sum(axis=1).max(initial=0), ends.sum(axis=0).max(initial=0),
-            through.max(initial=0))
-    return int(round(ends.sum())), int(round(m))
+    walk = [v - 1 for v in structural.order[structural.cut[0]:]]
+    out = _branch_ends(*graph.edge_lists[0], walk)
+    into = _branch_ends(*graph.edge_lists[1], walk[::-1])
+    through = max((out[v] * into[v] for v in walk), default=0)
+    i, j, _ = graph.edge_arrays
+    for v in (i[i == j] - 1).tolist():
+        out[v] += 1
+        into[v] += 1
+    return sum(out), max([*out, *into, through])

@@ -39,17 +39,15 @@ class EigenPair:
     converged: bool = True
 
 
-def _bfs_levels(ptr: list[int], heads: list[int], start: int,
-                goal: int | None = None) -> np.ndarray:
+def _bfs_levels(ptr: list[int], heads: list[int], start: int) -> np.ndarray:
     """Breadth-first levels from slot ``start`` over the edge lists
     ``(ptr, heads)`` of :func:`_edge_lists`; -1 marks a slot that ``start``
-    does not reach.  With a ``goal`` slot the search stops once the goal has
-    a level, leaving later levels at -1."""
+    does not reach."""
     level = [-1] * (len(ptr) - 1)
     level[start] = 0
     frontier = [start]
     d = 0
-    while frontier and (goal is None or level[goal] < 0):
+    while frontier:
         d += 1
         reached = []
         for v in frontier:

@@ -23,11 +23,12 @@ The columns already hold
 the lift: the complement takes ``u_C = E[C, S] u_S``, one product and no
 second sweep.  The full n x n ``E`` is computed only when a caller reads
 ``StoredState.extended``.  An itemized cost report compares the work
-against full re-iteration of the big matrix.  Two of its figures are
-counted only on first read: the branch statistic ``m``, a second sweep on
-the 0/1 support, when ``m`` or a cost that depends on it is read, and the
-counts of changed rows and entries of ``E[:, S]``, one compare of the new
-columns with the base state's, when either count is read.
+against full re-iteration of the big matrix.  Its counted figures come
+from one counter, called on the first read of any of them and then
+dropped: the base state's branch statistic ``m``, counted exactly on its
+graph's edge lists and its set's stored layering, and the rows and
+entries of ``E[:, S]`` that moved beyond roundoff against the base
+state's columns.
 No branch is listed on the way.
 """
 
@@ -41,8 +42,8 @@ import numpy as np
 
 from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
                          StructuralSetError)
-from .graph import (StructuralSet, WeightedDigraph, _nonzero_slots, compute_depths,
-                    find_structural_set)
+from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, _nonzero_slots,
+                    compute_depths, find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_columns,
                         extended_reduced_matrix)
@@ -170,11 +171,6 @@ class StoredState:
         the build or update path reads it."""
         return enumerate_branches(self.graph, self.structural)
 
-    @cached_property
-    def m_statistic(self) -> int:
-        """The cost model's branch statistic, counted without listing branches."""
-        return branch_counts(self.graph, self.structural)[1]
-
     def consistency_report(self) -> dict[str, float]:
         """Deviation of every stored field from a from-scratch build over the
         stored members.
@@ -227,16 +223,17 @@ class CostReport:
     matrix patching are each charged the per-object bound ``p (k + 1) m``,
     the reduced eigenvector solve ``ell * s'^3`` for the paper's ``ell``
     iterations (the solve itself is exact), and the lift the depth-layer
-    recursion.  The branch statistic ``m`` comes from ``count_m``, called
-    once, on the first read of ``m`` or of a figure built on it, and then
-    dropped, so a report nobody reads costs no branch count.  The measured
-    counterparts count what the update changed in the stored columns
-    ``E[:, S]``: ``touched_branches`` the rows (start vertices whose branch
-    sums into the set moved) and ``weight_updates`` the entries, against
-    the base state's column for the same member, padded with zeros for new
-    vertices (all zeros for a promoted member).  They come, as a pair, from
-    ``count_changes``, which is likewise called on the first read of either
-    and then dropped; a report built without it counts no change.
+    recursion.  The measured counterparts count what the update changed
+    in the stored columns ``E[:, S]``: ``touched_branches`` the rows (start
+    vertices whose branch sums into the set moved) and ``weight_updates``
+    the entries, against the base state's column for the same member,
+    padded with zeros for new vertices (all zeros for a promoted member).
+    An entry counts as changed when it moved by more than ``DEFAULT_TOL``
+    of the larger magnitude, so roundoff alone changes nothing.
+    ``count`` returns ``(m, touched_branches, weight_updates)``; it is
+    called once, on the first read of any of them or of a figure built on
+    ``m``, and then dropped, so a report nobody reads counts nothing and a
+    kept report does not pin the base state.
     """
 
     n: int
@@ -247,34 +244,30 @@ class CostReport:
     ell: int
     p: int
     step6_cost: float
-    count_m: Callable[[], int] | None = field(repr=False, compare=False)
-    count_changes: Callable[[], tuple[int, int]] | None = field(
-        default=None, repr=False, compare=False)
+    count: Callable[[], tuple[int, int, int]] | None = field(repr=False, compare=False)
     structural_fallback: bool = False
 
     @cached_property
-    def m(self) -> int:
-        """The base state's branch statistic, counted on first read."""
-        m = int(self.count_m())
-        # the counter holds the base state; a kept report should not
-        object.__setattr__(self, "count_m", None)
-        return m
+    def _counts(self) -> tuple[int, int, int]:
+        """``(m, touched_branches, weight_updates)``, counted on first read."""
+        counts = self.count()
+        # the counter holds the base state and the new columns; a kept
+        # report should not
+        object.__setattr__(self, "count", None)
+        return counts
 
-    @cached_property
-    def _changes(self) -> tuple[int, int]:
-        """``(touched_branches, weight_updates)``, counted on first read."""
-        count = self.count_changes
-        # the counter holds both states' columns; a kept report should not
-        object.__setattr__(self, "count_changes", None)
-        return count() if count else (0, 0)
+    @property
+    def m(self) -> int:
+        """The base state's branch statistic."""
+        return self._counts[0]
 
     @property
     def touched_branches(self) -> int:
-        return self._changes[0]
+        return self._counts[1]
 
     @property
     def weight_updates(self) -> int:
-        return self._changes[1]
+        return self._counts[2]
 
     @property
     def step3_cost(self) -> float:
@@ -363,8 +356,7 @@ class CostReport:
         patch = float(p * (k + 1) * m)
         step6 = k_new * (k_new * n * n / (2.0 * (k_new + 1))) if k_new else 0.0
         return cls(n=n, s=s, s_new=s, k=k, k_new=k_new, ell=ell, p=p,
-                   step6_cost=step6, count_m=lambda: m,
-                   count_changes=lambda: (int(patch), int(patch)))
+                   step6_cost=step6, count=lambda: (m, int(patch), int(patch)))
 
 
 def simplex_bound(x) -> tuple[float, float]:
@@ -599,23 +591,23 @@ class UpdateSession:
                           for j in range(1, len(counts))))
         new, now = self._cols, self._structural2.members
 
-        def count_changes() -> tuple[int, int]:
+        def count() -> tuple[int, int, int]:
             # the base column of each kept member; both member tuples are sorted
             was = base.structural.members
             kept = set(was) & set(now)
             old = np.zeros_like(new)
             old[:base.columns.shape[0], [v in kept for v in now]] = \
                 base.columns[:, [v in kept for v in was]]
-            changed = new != old
-            return int(changed.any(axis=1).sum()), int(changed.sum())
+            changed = np.abs(new - old) > DEFAULT_TOL * np.maximum(np.abs(new), np.abs(old))
+            return (branch_counts(base.graph, base.structural)[1],
+                    int(changed.any(axis=1).sum()), int(changed.sum()))
 
         return CostReport(
             n=self._graph2.n_active, s=len(base.structural.members),
             s_new=len(now),
             k=base.structural.max_depth, k_new=self._structural2.max_depth,
             ell=ell, p=self._p, step6_cost=step6,
-            count_m=lambda: base.m_statistic, count_changes=count_changes,
-            structural_fallback=self._fallback)
+            count=count, structural_fallback=self._fallback)
 
 
 def run_update(state: StoredState, delta: GraphDelta, *, ell: int = 200,

@@ -7,8 +7,9 @@ The loop forms of algorithms the library now runs as array passes (cycle
 listing, recursive depths, primitivity by matrix powers, the embedded lift,
 entry-by-entry matrix reading) are kept here as references, and so are the
 branch-by-branch forms of the reduction's weights and the promotion rule,
-the dense solve for the stored columns ``E[:, S]`` and the eager compare
-behind an update report's change counts.
+the dense solve for the stored columns ``E[:, S]``, the dense closed form
+of the branch counts and the eager compare behind an update report's
+change counts.
 """
 
 from __future__ import annotations
@@ -271,17 +272,39 @@ def extended_columns_closed_form(graph: WeightedDigraph, members) -> np.ndarray:
     return out
 
 
+def branch_counts_closed_form(graph: WeightedDigraph, members) -> tuple[int, int]:
+    """``branch_counts`` by a dense solve: with ``B`` the 0/1 support without
+    loops and ``c`` flagging the complement, ``B (I - diag(c) B)^-1`` counts
+    the loop-free branches per start and end, rounded to ints; the loops add
+    one branch each at their vertex, and a complement vertex lies inside
+    in * out loop-free branches."""
+    b = (graph.adjacency != 0).astype(float)
+    loops = b.diagonal().astype(int).tolist()
+    np.fill_diagonal(b, 0)
+    comp = [v - 1 for v in graph.vertices() if v not in set(members)]
+    c = np.zeros(graph.n_vertices)
+    c[comp] = 1
+    paths = np.rint(b @ np.linalg.inv(np.eye(len(b)) - c[:, None] * b)).astype(np.int64)
+    out, into = paths.sum(axis=1).tolist(), paths.sum(axis=0).tolist()
+    through = max((out[v] * into[v] for v in comp), default=0)
+    out = [o + loop for o, loop in zip(out, loops)]
+    into = [i + loop for i, loop in zip(into, loops)]
+    return sum(out), max([*out, *into, through])
+
+
 def column_changes(base: StoredState, new: StoredState) -> tuple[int, int]:
-    """The rows and entries of ``new.columns`` that differ, exactly, from the
-    base state's column for the same member, padded with zeros for new
-    vertices and all zeros for a member the base set lacked: the update
-    report's ``(touched_branches, weight_updates)``, compared eagerly."""
+    """The rows and entries of ``new.columns`` that differ by more than
+    ``DEFAULT_TOL`` of the larger magnitude from the base state's column for
+    the same member, padded with zeros for new vertices and all zeros for a
+    member the base set lacked: the update report's ``(touched_branches,
+    weight_updates)``, compared eagerly."""
     was, now = base.structural.members, new.structural.members
     kept = set(was) & set(now)
     old = np.zeros_like(new.columns)
     old[:base.columns.shape[0], [v in kept for v in now]] = \
         base.columns[:, [v in kept for v in was]]
-    changed = new.columns != old
+    changed = np.abs(new.columns - old) > DEFAULT_TOL * np.maximum(np.abs(new.columns),
+                                                                   np.abs(old))
     return int(changed.any(axis=1).sum()), int(changed.sum())
 
 

@@ -11,14 +11,21 @@ computed.  A second stream also forces structural fallbacks and checks the
 stored columns against the full extended matrix and a save/load round trip.
 A third test draws many short streams of the package's own random deltas
 on small graphs and checks every committed state against a scratch build.
+A stateful test interleaves commits, refused deltas, abandoned sessions and
+save/load round trips along such streams.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from isoreduce import (DeltaError, DeltaOp, GraphDelta, StoredState, WeightedDigraph,
-                       random_delta, random_stochastic_graph, run_update)
+from isoreduce import (DeltaError, DeltaOp, GraphDelta, StoredState, UpdateSession,
+                       WeightedDigraph, random_delta, random_stochastic_graph, run_update)
 from isoreduce.bench import scratch_equivalent
 from isoreduce.io import load_state, save_state
 from isoreduce.update import _Editor
@@ -170,3 +177,88 @@ def test_random_delta_streams_stay_equal_to_scratch_builds(tmp_path_factory, see
     assert np.array_equal(back.columns, state.columns)
     assert np.array_equal(back.reduced_vector, state.reduced_vector)
     assert np.array_equal(back.full_vector, state.full_vector)
+
+
+class StreamMachine(RuleBasedStateMachine):
+    """One stored state along a stream of the package's random deltas, with
+    refused deltas, abandoned sessions and save/load round trips between
+    commits; the state always matches a scratch build."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.TemporaryDirectory()
+        self.saves = 0
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    def snapshot(self) -> list[np.ndarray]:
+        """Copies of everything the state holds."""
+        s = self.state
+        return [np.array(x) for x in (s.graph.adjacency, sorted(s.graph.removed),
+                                      s.structural.order, s.structural.cut, s.columns,
+                                      s.reduced_vector, s.full_vector)]
+
+    @initialize(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 20))
+    def build(self, seed, n):
+        self.rng = np.random.default_rng(seed)
+        self.state = StoredState.from_graph(random_stochastic_graph(n, 2.5, self.rng))
+
+    @rule(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def commit(self, sizes):
+        for p in sizes:
+            try:
+                self.state, _ = run_update(self.state, random_delta(self.state.graph,
+                                                                    self.rng, p))
+            except DeltaError:
+                pass
+
+    @rule(p=st.integers(0, 2), bad=st.integers(0, 3), at=st.integers(0, 2))
+    def refuse(self, p, bad, at):
+        """A delta with one op that no graph takes fails whole."""
+        g = self.state.graph
+        v = g.vertices()[0]
+        ops = list(random_delta(g, self.rng, p).ops) if p else []
+        ops.insert(min(at, len(ops)), [DeltaOp.add_edge(v, v, 1.0), DeltaOp.remove_edge(v, v),
+                                       DeltaOp.remove_vertex(0),
+                                       DeltaOp.remove_vertex(g.n_vertices + 5)][bad])
+        before = self.snapshot()
+        with pytest.raises(DeltaError):
+            run_update(self.state, GraphDelta(ops))
+        assert all(map(np.array_equal, before, self.snapshot()))
+
+    @rule(p=st.integers(1, 3), refresh=st.booleans())
+    def abandon(self, p, refresh):
+        """A session dropped after ``apply`` leaves its base state as it was."""
+        before = self.snapshot()
+        session = UpdateSession(self.state)
+        try:
+            session.apply(random_delta(self.state.graph, self.rng, p))
+        except DeltaError:
+            pass
+        else:
+            if refresh:
+                session.refresh()
+        assert all(map(np.array_equal, before, self.snapshot()))
+
+    @rule()
+    def save_and_load(self):
+        self.saves += 1
+        first, second = (Path(self.dir.name) / f"{self.saves}{t}" for t in "ab")
+        save_state(self.state, str(first))
+        back = load_state(str(first))
+        assert back.graph == self.state.graph
+        assert back.structural.members == self.state.structural.members
+        for name in ("columns", "reduced_vector", "full_vector"):
+            assert np.array_equal(getattr(back, name), getattr(self.state, name))
+        save_state(back, str(second))
+        assert (first / "state.json").read_bytes() == (second / "state.json").read_bytes()
+        self.state = back
+
+    @invariant()
+    def matches_scratch_build(self):
+        assert scratch_equivalent(self.state)
+
+
+TestStreamMachine = StreamMachine.TestCase
+TestStreamMachine.settings = settings(max_examples=50, stateful_step_count=20, deadline=None)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from isoreduce import (Branch, BranchSet, NonStochasticError, SingularWeightError,
-                       WeightedDigraph, branch_counts, compute_depths,
-                       enumerate_branches, extended_reduced_matrix,
-                       find_structural_set, random_stochastic_graph,
+from isoreduce import (Branch, BranchSet, DeltaError, NonStochasticError,
+                       SingularWeightError, StoredState, WeightedDigraph, branch_counts,
+                       compute_depths, enumerate_branches, extended_reduced_matrix,
+                       find_structural_set, random_delta, random_stochastic_graph,
                        reduced_matrices_by_length, reduced_matrix,
-                       reduced_matrix_by_length)
+                       reduced_matrix_by_length, run_update)
 from isoreduce.reduction import _depth_sweep, _member_rows
-from oracles import (all_branches_bruteforce, branch_weight, chain_graph,
-                     random_complex_graph)
+from oracles import (all_branches_bruteforce, branch_counts_closed_form, branch_weight,
+                     chain_graph, random_complex_graph)
 
 THREE_CYCLE_BRANCHES = [(1, 2), (1, 2, 3), (1, 2, 3, 1), (2, 3), (2, 3, 1), (3, 1)]
 
@@ -272,6 +272,33 @@ def test_branch_counts_match_enumeration(three_cycle, path_graph):
         # interior loop does not
         g = random_complex_graph(rng, int(rng.integers(3, 9)))
         cases.append((g, find_structural_set(g, complex(rng.normal(), rng.normal()))))
+    for t in range(8):
+        # deep complements, with tombstones between live vertices
+        g = chain_graph(rng, int(rng.integers(20, 41)), tombstones=int(rng.integers(1, 4)),
+                        stochastic=t % 2 == 1)
+        cases.append((g, find_structural_set(g, 1.0 if t % 2 else complex(rng.normal(), 1))))
+    state = StoredState.from_graph(random_stochastic_graph(20, 2.5, rng))
+    grown = shrunk = 0
+    while min(grown, shrunk) < 3:
+        # states after updates that add or remove vertices
+        try:
+            new, _ = run_update(state, random_delta(state.graph, rng, 3))
+        except DeltaError:
+            continue
+        grown += new.graph.n_vertices > state.graph.n_vertices
+        shrunk += len(new.graph.removed) > len(state.graph.removed)
+        state = new
+        cases.append((state.graph, state.structural))
+    assert max(ss.max_depth for _, ss in cases[32:40]) >= 15
     for g, ss in cases:
         bs = enumerate_branches(g, ss)
-        assert branch_counts(g, ss) == (len(bs), bs.m_statistic)
+        got = branch_counts(g, ss)
+        assert got == (len(bs), bs.m_statistic)
+        assert got == branch_counts_closed_form(g, ss.members)
+    for n in (300, 1000):
+        # beyond enumeration's reach, against the dense closed form
+        g = random_stochastic_graph(n, 2.5, rng)
+        ss = find_structural_set(g, 1.0)
+        got = branch_counts(g, ss)
+        assert all(type(c) is int for c in got)
+        assert got == branch_counts_closed_form(g, ss.members)

@@ -6,8 +6,6 @@ from isoreduce import (DegenerateRestrictionError, EigenPair, IterationError,
                        compute_depths, find_structural_set, is_primitive,
                        lift_eigenvector, power_iteration,
                        reduced_eigen_co_iteration, verify_restriction)
-from isoreduce.graph import _edge_lists, _nonzero_slots
-from isoreduce.spectral import _bfs_levels
 from oracles import (dense_eigenpairs, dominant_unit_vector, primitive_wielandt,
                      random_complex_graph)
 
@@ -46,24 +44,6 @@ def test_is_primitive_matches_wielandt_bound():
         assert is_primitive(sup.astype(float) * rng.uniform(0.1, 1.0, sup.shape)) == want
         results.add(want)
     assert results == {True, False}
-
-
-def test_bfs_levels_stop_at_goal():
-    rng = np.random.default_rng(27)
-    for _ in range(30):
-        support = rng.random((25, 25)) < 0.12
-        lists = _edge_lists(25, *_nonzero_slots(support))
-        full = _bfs_levels(*lists, 3)
-        for goal in range(25):
-            got = _bfs_levels(*lists, 3, goal)
-            assert got[goal] == full[goal]
-            if full[goal] >= 0:
-                # levels up to the goal's are complete, later ones unsearched
-                shallow = (full >= 0) & (full <= full[goal])
-                assert np.array_equal(got[shallow], full[shallow])
-                assert (got[~shallow] == -1).all()
-            else:
-                assert np.array_equal(got, full)
 
 
 def test_power_iteration_rejects_nonprimitive():

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -286,8 +287,8 @@ def test_report_counts_changes_on_first_read(monkeypatch):
     calls = []
 
     def recording(**fields):
-        counter = fields["count_changes"]
-        fields["count_changes"] = lambda: calls.append(counter) or counter()
+        counter = fields["count"]
+        fields["count"] = lambda: calls.append(counter) or counter()
         return CostReport(**fields)
 
     monkeypatch.setattr(update_module, "CostReport", recording)
@@ -305,12 +306,12 @@ def test_report_counts_changes_on_first_read(monkeypatch):
                 new, report = run_update(state, delta)
             except DeltaError:
                 continue
-        assert calls == [] and report.count_changes is not None
+        assert calls == [] and report.count is not None
         want = column_changes(state, new)
         assert (report.touched_branches, report.weight_updates) == want
         assert report.to_dict()["measured"] == {"touched_branches": want[0],
                                                 "weight_updates": want[1]}
-        assert len(calls) == 1 and report.count_changes is None
+        assert len(calls) == 1 and report.count is None
         calls.clear()
         kinds |= {op.kind for op in delta.ops}
         grew = set(new.structural.members) - set(state.structural.members)
@@ -319,6 +320,19 @@ def test_report_counts_changes_on_first_read(monkeypatch):
         state = new
         checked += 1
     assert kinds == set(DeltaOp.KINDS) and promotions and fallbacks
+
+
+def test_report_counts_ignore_roundoff():
+    # an update that changes nothing, against base columns one ulp off
+    rng = np.random.default_rng(63)
+    for _ in range(5):
+        state = StoredState.from_graph(random_stochastic_graph(40, 2.5, rng))
+        nudged = dataclasses.replace(state, columns=np.nextafter(state.columns,
+                                                                 2 * state.columns))
+        assert (nudged.columns != state.columns).any()
+        new, report = run_update(nudged, GraphDelta(()))
+        assert (report.touched_branches, report.weight_updates) == (0, 0)
+        assert column_changes(nudged, new) == (0, 0)
 
 
 def test_session_requires_apply_before_refresh():
@@ -384,7 +398,7 @@ def test_cost_report_from_reported_instance_measurements():
 def test_cost_report_validate_catches_violations():
     # step 6 must be at most k'*N^2/2 = 50; step 5 is ell*s'^3 = 80 by derivation
     report = CostReport(n=10, s=2, s_new=2, k=1, k_new=1, ell=10, p=1,
-                        step6_cost=1e6, count_m=lambda: 5)
+                        step6_cost=1e6, count=lambda: (5, 0, 0))
     with pytest.raises(ValueError):
         report.validate()
     assert report.step3_cost == report.step4_cost == 1 * 2 * 5
