@@ -5,16 +5,15 @@ member columns ``E[:, S]`` of the extended reduced matrix, and dominant
 eigenvectors.  A delta (a short list of vertex/edge insertions and
 removals) is applied one operation at a time to a writable copy of the
 graph's adjacency array: the entry is set and the touched columns
-renormalized, and the structural set grows by the promotion rule when a
-new edge closes a cycle outside it.  That is found by a walk, stopped at
-the edge's source, over the base graph's cached forward edge lists with
-the array's touched columns laid over them, on the edges that do not
-enter the set.  The edited array becomes
-the new graph through ``WeightedDigraph.from_matrix``, which validates and
-keeps it as the graph's float64 adjacency, with its edge arrays, without
-building a weight map.  The new graph's edge lists, derived once from
-those arrays, serve both the primitivity test and the depths, which come
-from one counting pass over the complement's edges.
+renormalized.  The edited array becomes the new graph through
+``WeightedDigraph.from_matrix``, which validates and keeps it as the
+graph's float64 adjacency, with its edge arrays, without building a weight
+map.  The new graph's edge lists, derived once from those arrays, serve the
+promotion rule, the primitivity test and the depths.  The structural set
+loses the removed vertices and grows by the promotion rule: each new edge,
+last op first, promotes its source when a depth-first walk over the new
+graph's forward lists finds that it closes a cycle outside the set.  The
+depths then come from one counting pass over the complement's edges.
 The columns ``E[:, S]`` are then recomputed in closed form by one
 depth-order sweep with member terminals, whose complement rows are
 ``E[C, S]`` as they stand, and one product for the s member rows; the
@@ -42,8 +41,8 @@ import numpy as np
 
 from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
                          StructuralSetError)
-from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, _nonzero_slots,
-                    compute_depths, find_structural_set)
+from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths,
+                    find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_columns,
                         extended_reduced_matrix)
@@ -388,18 +387,14 @@ class _Editor:
     """Step 1 on a writable float copy of the graph's adjacency.
 
     An edit sets entries of the array and renormalizes each touched column
-    to unit sum; tombstones and the slots of touched columns are kept beside
-    it, with the base graph, whose edges into untouched columns the edits
-    leave as they were.  Every edit check lives here, and an id is checked
-    active before it indexes the array, so that 0 or -1 cannot wrap around
-    to its last rows.
+    to unit sum; the tombstones are kept beside it.  Every edit check lives
+    here, and an id is checked active before it indexes the array, so that
+    0 or -1 cannot wrap around to its last rows.
     """
 
     def __init__(self, graph: WeightedDigraph):
-        self.base = graph
         self.a = graph.adjacency.real.copy()
         self.removed = set(graph.removed)
-        self.touched: set[int] = set()
 
     @property
     def n_vertices(self) -> int:
@@ -410,7 +405,6 @@ class _Editor:
     active = WeightedDigraph.is_active
 
     def _renorm(self, j: int) -> None:
-        self.touched.add(j - 1)
         col = self.a[:, j - 1]
         total = col.sum()
         if total > 0:
@@ -450,42 +444,9 @@ class _Editor:
         targets = np.flatnonzero(self.a[v - 1]) + 1
         self.a[v - 1, :] = 0.0
         self.a[:, v - 1] = 0.0
-        self.touched.add(v - 1)
         self.removed.add(v)
         for y in targets.tolist():
             self._renorm(y)
-
-    def reaches(self, start: int, goal: int, avoid: set[int]) -> bool:
-        """Whether a path leads from ``start`` to ``goal`` without entering
-        ``avoid``.
-
-        A depth-first walk, stopped at the goal, over the base graph's cached
-        forward ``edge_lists`` with the edited columns laid over them: a base
-        edge counts only when its head is in no touched column and not in
-        ``avoid``, and the touched columns outside ``avoid`` are read from
-        the array for the edges into them.  A slot past the base lists, a
-        vertex added by the delta, has only those edges.  Touched columns
-        include a removed vertex's and its former heads', so its old edges
-        are not followed.  O(n * touched) for the columns, then the edges
-        walked.
-        """
-        ptr, heads = self.base.edge_lists[0]
-        cut = self.touched | {v - 1 for v in avoid}
-        cols = [c for c in self.touched if c + 1 not in avoid]
-        edited: dict[int, list[int]] = {}
-        rows, at = _nonzero_slots(self.a[:, cols])
-        for row, c in zip(rows.tolist(), at.tolist()):
-            edited.setdefault(row, []).append(cols[c])
-        start, goal = start - 1, goal - 1
-        seen, todo = {start}, [start]
-        while todo and goal not in seen:
-            v = todo.pop()
-            out = heads[ptr[v]:ptr[v + 1]] if v < len(ptr) - 1 else []
-            for u in [u for u in out if u not in cut] + edited.get(v, []):
-                if u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        return goal in seen
 
     def graph(self) -> WeightedDigraph:
         """The edited graph, validated stochastic.
@@ -511,20 +472,34 @@ def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:
     return ed.graph()
 
 
+def _reaches(graph: WeightedDigraph, start: int, goal: int, avoid: set[int]) -> bool:
+    """Whether a path leads from ``start`` to ``goal`` without entering
+    ``avoid``: a depth-first walk, stopped at the goal, over the graph's
+    cached forward ``edge_lists``.  Tombstones have no edges."""
+    ptr, heads = graph.edge_lists[0]
+    cut = {v - 1 for v in avoid}
+    start, goal = start - 1, goal - 1
+    seen, todo = {start}, [start]
+    while todo and goal not in seen:
+        v = todo.pop()
+        for u in heads[ptr[v]:ptr[v + 1]]:
+            if u not in seen and u not in cut:
+                seen.add(u)
+                todo.append(u)
+    return goal in seen
+
+
 class UpdateSession:
     """Single-writer update of a stored state; readers keep the old snapshot.
 
-    The session carries the edited adjacency array and the structural set:
-    :meth:`apply` runs steps 1-2 per operation and then recomputes the
-    member columns ``E[:, S]`` (steps 3-4) in closed form; :meth:`refresh`
-    runs steps 5-6; :meth:`commit` returns the new state and the cost
-    report.  Any error leaves the base state untouched.
+    :meth:`apply` runs steps 1-2 on the graph and the structural set and
+    then recomputes the member columns ``E[:, S]`` (steps 3-4) in closed
+    form; :meth:`refresh` runs steps 5-6; :meth:`commit` returns the new
+    state and the cost report.  Any error leaves the base state untouched.
     """
 
     def __init__(self, state: StoredState):
         self._base = state
-        self._ed = _Editor(state.graph)
-        self._S = set(state.structural.members)
         self._p = 0
         self._fallback = False
         self._graph2: WeightedDigraph | None = None
@@ -534,35 +509,35 @@ class UpdateSession:
 
     # -- steps 1-4 ------------------------------------------------------
 
-    def apply(self, delta: GraphDelta, *, assume_primitive: bool = False) -> None:
-        """Edit the graph and structural set per operation, then recompute.
+    def apply(self, delta: GraphDelta) -> None:
+        """Edit the graph, keep the structural set structural, then recompute.
 
-        A new edge (i, j) with both ends outside the set promotes ``i`` when
-        j already reaches i outside the set, since the edge would close a
-        cycle there; a removed vertex leaves the set.
+        A removed vertex leaves the set.  The new edges are then checked on
+        the edited graph, last op first: an edge (i, j) with both ends
+        outside the set promotes ``i`` when j reaches i outside the set,
+        since the edge closes a cycle there.  A cycle outside the final set
+        would use a new edge, whose check would have fired, so the set stays
+        structural; last op first, an added vertex's out-edge is checked
+        before its in-edge, and the new vertex is promoted, not its source.
         """
         if self._graph2 is not None:
             raise RuntimeError("session already applied a delta")
         self._p = delta.size
-        for op in delta.ops:
-            self._ed.apply(op)
-            if op.kind == "add_edge":
-                if (op.i not in self._S and op.j not in self._S
-                        and self._ed.reaches(op.j, op.i, self._S)):
-                    self._S.add(op.i)
-            elif op.kind == "remove_vertex":
-                self._S.discard(op.v)
-        g2 = self._ed.graph()
-        if not self._S:
+        g2 = apply_ops(self._base.graph, delta)
+        members = set(self._base.structural.members) - g2.removed
+        for op in reversed(delta.ops):
+            if (op.kind == "add_edge" and op.i not in members and op.j not in members
+                    and _reaches(g2, op.j, op.i, members)):
+                members.add(op.i)
+        if not members:
             raise DeltaError("delta emptied the structural set")
-        if not assume_primitive and not is_primitive(g2):
+        if not is_primitive(g2):
             raise DeltaError("delta breaks primitivity of the adjacency matrix")
         try:
-            ss = compute_depths(g2, self._S, 1.0)
+            ss = compute_depths(g2, members, 1.0)
         except StructuralSetError:
             self._fallback = True
             ss = find_structural_set(g2, 1.0)
-            self._S = set(ss.members)
         self._graph2 = g2
         self._structural2 = ss
         self._cols = extended_columns(g2, ss)
@@ -611,11 +586,10 @@ class UpdateSession:
 
 
 def run_update(state: StoredState, delta: GraphDelta, *, ell: int = 200,
-               tol: float = 1e-13, assume_primitive: bool = False
-               ) -> tuple[StoredState, CostReport]:
+               tol: float = 1e-13) -> tuple[StoredState, CostReport]:
     """Apply a delta end to end and return the new state with its cost report;
     ``ell`` feeds only the cost model, ``tol`` bounds the committed residual."""
     session = UpdateSession(state)
-    session.apply(delta, assume_primitive=assume_primitive)
+    session.apply(delta)
     session.refresh(tol)
     return session.commit(ell=ell)

@@ -28,7 +28,7 @@ from isoreduce import (DeltaError, DeltaOp, GraphDelta, StoredState, UpdateSessi
                        WeightedDigraph, random_delta, random_stochastic_graph, run_update)
 from isoreduce.bench import scratch_equivalent
 from isoreduce.io import load_state, save_state
-from isoreduce.update import _Editor
+from isoreduce import update as update_module
 from oracles import apply_ops_dense, primitive_wielandt
 
 N0, UPDATES, CHECK_EVERY, MAX_DEV = 40, 60, 5, 3
@@ -139,7 +139,7 @@ def test_stored_columns_match_extended_through_promotions_fallbacks_and_tombston
             if u % 2:
                 # with the promotion search off, an edge that closes a cycle
                 # outside the set forces a fresh structural-set search
-                mp.setattr(_Editor, "reaches", lambda self, start, goal, avoid: False)
+                mp.setattr(update_module, "_reaches", lambda graph, start, goal, avoid: False)
             new, report = run_update(state, delta)
         grew = set(new.structural.members) - set(state.structural.members)
         fallbacks += report.structural_fallback

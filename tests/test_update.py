@@ -13,7 +13,7 @@ from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitive
                        random_stochastic_graph, run_update, scratch_equivalent, simplex_bound)
 from isoreduce.io import load_state, save_state
 from isoreduce import update as update_module
-from isoreduce.update import _Editor, _lift_full
+from isoreduce.update import _lift_full, _reaches
 from oracles import (column_changes, dominant_unit_vector, extended_columns_closed_form,
                      lift_full_embedded, promotion_candidates, promotion_rule, weights_loop)
 
@@ -22,6 +22,13 @@ def cycle_state(**kw) -> StoredState:
     g = WeightedDigraph.from_edges(
         3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)], stochastic=True)
     return StoredState.from_graph(g, assume_primitive=True, **kw)
+
+
+def chorded_cycle() -> WeightedDigraph:
+    """The 3-cycle with the chord 1 -> 3: cycles of lengths 2 and 3, so
+    primitive."""
+    return WeightedDigraph.from_edges(
+        3, [(1, 2, 1.0), (2, 3, 0.5), (3, 1, 1.0), (1, 3, 0.5)], stochastic=True)
 
 
 # -- step 1: matrix edits ----------------------------------------------------
@@ -156,9 +163,8 @@ def test_edge_removal_deletes_exactly_its_branches():
 
 
 def test_empty_delta_is_identity():
-    state = cycle_state(ell=3000, tol=1e-15)
-    new_state, report = run_update(state, GraphDelta(()), ell=3000, tol=1e-15,
-                                   assume_primitive=True)
+    state = StoredState.from_graph(chorded_cycle(), ell=3000, tol=1e-15)
+    new_state, report = run_update(state, GraphDelta(()), ell=3000, tol=1e-15)
     assert new_state.structural.members == state.structural.members
     assert new_state.branches.branches == state.branches.branches
     assert np.array_equal(new_state.columns, state.columns)
@@ -301,7 +307,7 @@ def test_report_counts_changes_on_first_read(monkeypatch):
             if checked % 3 == 2:
                 # with the promotion search off, an edge that closes a cycle
                 # outside the set forces a fresh structural-set search
-                mp.setattr(_Editor, "reaches", lambda self, start, goal, avoid: False)
+                mp.setattr(update_module, "_reaches", lambda graph, start, goal, avoid: False)
             try:
                 new, report = run_update(state, delta)
             except DeltaError:
@@ -336,11 +342,10 @@ def test_report_counts_ignore_roundoff():
 
 
 def test_session_requires_apply_before_refresh():
-    state = cycle_state()
-    session = UpdateSession(state)
+    session = UpdateSession(StoredState.from_graph(chorded_cycle()))
     with pytest.raises(RuntimeError):
         session.refresh()
-    session.apply(GraphDelta(()), assume_primitive=True)
+    session.apply(GraphDelta(()))
     with pytest.raises(RuntimeError):
         session.commit()
 
@@ -557,8 +562,7 @@ def test_reachability_promotion_matches_branch_rule():
                 continue
             want = promotion_rule(members, branches, i, j)
             new_state, report = run_update(
-                state, GraphDelta((DeltaOp.add_edge(i, j, 0.5),)), ell=200,
-                assume_primitive=True)
+                state, GraphDelta((DeltaOp.add_edge(i, j, 0.5),)), ell=200)
             assert not report.structural_fallback
             gained = set(new_state.structural.members) - set(members)
             assert gained == ({want} if want is not None else set())
@@ -583,52 +587,90 @@ def _dense_reaches(a: np.ndarray, start: int, goal: int, avoid) -> bool:
 def test_reaches_agrees_with_dense_search_through_edits(monkeypatch):
     rng = np.random.default_rng(83)
     state = StoredState.from_graph(random_stochastic_graph(24, 2.5, rng))
-    reaches, answers = _Editor.reaches, []
+    answers = []
 
-    def checked(self, start, goal, avoid):
-        got = reaches(self, start, goal, avoid)
-        assert got == _dense_reaches(self.a, start, goal, avoid)
+    def checked(graph, start, goal, avoid):
+        got = _reaches(graph, start, goal, avoid)
+        assert got == _dense_reaches(graph.adjacency, start, goal, avoid)
         answers.append(got)
         return got
 
-    monkeypatch.setattr(_Editor, "reaches", checked)
+    monkeypatch.setattr(update_module, "_reaches", checked)
     promotions = 0
     for _ in range(30):
         delta = random_delta(state.graph, rng, 4)
-        ed = _Editor(state.graph)
-        base = state.graph.adjacency
+        base, g2 = state.graph.adjacency, apply_ops(state.graph, delta)
+        live = list(g2.vertices())
+        for _ in range(12):
+            # the goal may be a tombstone, which no live vertex reaches
+            start, goal = int(rng.choice(live)), int(rng.integers(1, g2.n_vertices + 1))
+            checked(g2, start, goal, set(rng.choice(live, int(rng.integers(0, 5))).tolist()))
+        checked(g2, start, start, {start})
+        if g2.n_vertices > len(base):
+            # a vertex the delta added, in a slot the base graph lacks
+            checked(g2, g2.n_vertices, start, set())
+            checked(g2, start, g2.n_vertices, set())
         for op in delta.ops:
-            ed.apply(op)
-            live = [v for v in range(1, ed.n_vertices + 1) if ed.active(v)]
-            for _ in range(4):
-                # the goal may be a tombstone, which no live vertex reaches
-                start, goal = int(rng.choice(live)), int(rng.integers(1, ed.n_vertices + 1))
-                ed.reaches(start, goal, set(rng.choice(live, int(rng.integers(0, 5))).tolist()))
-            ed.reaches(start, start, {start})
-            if ed.n_vertices > len(base):
-                # a vertex the delta added has a slot past the base lists
-                ed.reaches(ed.n_vertices, start, set())
-                ed.reaches(start, ed.n_vertices, set())
-            if op.kind == "add_edge":
-                # j is a touched column: only the edited column reaches it
-                assert ed.reaches(op.i, op.j, set())
+            if op.kind == "add_edge" and g2.has_edge(op.i, op.j):
+                assert checked(g2, op.i, op.j, set())
             if op.kind == "remove_vertex":
                 # across the removed vertex by its former edges
                 for u in np.flatnonzero(base[:, op.v - 1])[:2].tolist():
                     for y in np.flatnonzero(base[op.v - 1])[:2].tolist():
-                        ed.reaches(u + 1, y + 1, set())
+                        checked(g2, u + 1, y + 1, set())
         asked = len(answers)
         state, _ = run_update(state, delta)
         promotions += sum(answers[asked:])
     assert state.graph.removed and state.graph.n_vertices > 24
     assert promotions and not all(answers)
-    # 1 -> 2 -> 3 is the only way from 1 to 3, and 5 is added by the delta
-    ed = _Editor(WeightedDigraph.from_edges(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),
-                                                 (4, 1, 1.0)]))
-    assert ed.reaches(1, 3, set()) and not ed.reaches(1, 3, {2})
-    for op in (DeltaOp.add_vertex(), DeltaOp.add_edge(3, 5, 1.0),
-               DeltaOp.add_edge(5, 1, 1.0), DeltaOp.remove_vertex(2)):
-        ed.apply(op)
-    assert not ed.reaches(1, 3, set()) and not ed.reaches(1, 2, set())
-    assert ed.reaches(3, 5, set()) and ed.reaches(5, 1, set()) and not ed.reaches(5, 4, set())
-    assert ed.reaches(3, 1, {4}) and not ed.reaches(3, 1, {4, 5}) and ed.reaches(5, 5, {5})
+    # 1 -> 2 -> 3 is the only way from 1 to 3; the delta adds 5 and removes 2
+    g = WeightedDigraph.from_edges(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0)],
+                                   stochastic=True)
+    assert checked(g, 1, 3, set()) and not checked(g, 1, 3, {2})
+    g2 = apply_ops(g, GraphDelta((DeltaOp.add_vertex(), DeltaOp.add_edge(3, 5, 1.0),
+                                  DeltaOp.add_edge(5, 1, 1.0), DeltaOp.add_edge(5, 3, 1.0),
+                                  DeltaOp.remove_vertex(2))))
+    assert not checked(g2, 1, 3, set()) and not checked(g2, 4, 2, set())
+    assert checked(g2, 3, 5, set()) and checked(g2, 5, 1, set()) and checked(g2, 5, 4, set())
+    assert checked(g2, 3, 1, {4}) and not checked(g2, 3, 1, {4, 5})
+    assert checked(g2, 5, 5, {5}) and not checked(g2, 5, 4, {3})
+
+
+def _member_one_graph() -> WeightedDigraph:
+    """A primitive graph on 1..4 with the set {1} structural: the complement
+    keeps only the path 2 -> 3 -> 4."""
+    m = np.zeros((4, 4))
+    for i, j in [(1, 2), (2, 3), (3, 4), (3, 1), (4, 1), (1, 4), (2, 1)]:
+        m[i - 1, j - 1] = 1.0
+    return WeightedDigraph.from_matrix(m / m.sum(axis=0), stochastic=True)
+
+
+def test_cycle_broken_later_in_the_delta_promotes_nothing():
+    state = StoredState.from_graph(_member_one_graph(), structural=[1])
+    # (4, 2) closes 2 -> 3 -> 4 -> 2 outside {1}; removing (3, 4) opens it again
+    delta = GraphDelta((DeltaOp.add_edge(4, 2, 0.5), DeltaOp.remove_edge(3, 4)))
+    new, report = run_update(state, delta)
+    assert new.structural.members == (1,)
+    assert not report.structural_fallback and scratch_equivalent(new)
+
+
+def test_added_vertex_closing_a_cycle_is_promoted_not_its_source():
+    state = StoredState.from_graph(_member_one_graph(), structural=[1])
+    # 5 enters from 3 and leaves to 2, which reaches 3 outside {1}
+    delta = GraphDelta((DeltaOp.add_vertex(), DeltaOp.add_edge(3, 5, 0.5),
+                        DeltaOp.add_edge(5, 2, 0.5)))
+    new, report = run_update(state, delta)
+    assert new.structural.members == (1, 5)
+    assert not report.structural_fallback and scratch_equivalent(new)
+
+
+def test_random_multi_op_deltas_keep_the_set_structural():
+    rng = np.random.default_rng(97)
+    promotions = 0
+    for _ in range(20):
+        state = StoredState.from_graph(random_stochastic_graph(40, 2.5, rng))
+        for _ in range(10):
+            new, report = run_update(state, random_delta(state.graph, rng, 6))
+            assert not report.structural_fallback and scratch_equivalent(new)
+            promotions += bool(set(new.structural.members) - set(state.structural.members))
+    assert promotions
