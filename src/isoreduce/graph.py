@@ -6,15 +6,20 @@ A constructor refuses, with ``ValueError``, an id or vertex count that is
 neither an integer nor a float with an integer value (a bool is neither),
 a negative count, and a tombstone outside ``1..n_vertices``.
 ``WeightedDigraph`` says what a graph stores; every graph built from edges
-passes ``_edge_matrix``, the one duplicate-edge check.
+passes ``_edge_matrix``, the one duplicate-edge check, which hands the
+validator, ``_check_edges``, the edges in the row-major order it sorted
+them into; a graph built from an array has them scanned from it.  The
+validator tests every edge with one mask and sums a stochastic graph's
+columns over the edges.
 One counting pass over the complement's kept edges (Kahn's topological
 sort, run from the sinks on the backward list), ``_peel``, gives the
 structural check, the nilpotency index and the depth layers, its rounds,
 in O(n + nnz); a ``StructuralSet`` stores those layers as they are.  The
 structural-set search runs the same peel incrementally to take out
 every vertex that can no longer reach a cycle, so its one depth-first
-search, ``_cycles``, walks only the vertices that still can; the search
-also gives the witness cycle once a counting pass has stalled.
+search per pick, ``_cycles``, walks only the vertices that still can, over
+loop-free successor lists derived once per search; the search also gives
+the witness cycle once a counting pass has stalled.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ DEFAULT_TOL = 1e-12
 STOCHASTIC_TOL = 1e-9
 
 
-def _nonzero_slots(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of a 2-D array's nonzero entries in row-major
-    order, as ``np.nonzero`` gives them; one flat scan of the boolean
-    support is several times faster than ``np.nonzero`` on a 2-D array."""
-    return np.divmod(np.flatnonzero(matrix != 0), matrix.shape[1])
+def _row_major_edges(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of an adjacency array in row-major order: tail ids, head
+    ids (both 1-based) and weights.  One flat scan of the boolean support is
+    several times faster than ``np.nonzero`` on a 2-D array."""
+    rows, cols = np.divmod(np.flatnonzero(adj != 0), adj.shape[1])
+    return rows + 1, cols + 1, adj[rows, cols]
 
 
 def _vertex_id(value) -> int:
@@ -69,8 +75,10 @@ def _weights_of(i: np.ndarray, j: np.ndarray,
     return dict(zip(zip(i.tolist(), j.tolist()), vals))
 
 
-def _edge_matrix(n_vertices, i, j, w) -> np.ndarray:
-    """The checked adjacency array of :meth:`WeightedDigraph.from_edge_arrays`."""
+def _edge_matrix(n_vertices, i, j, w) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The checked adjacency array of :meth:`WeightedDigraph.from_edge_arrays`
+    and its edges in row-major order, as :func:`_row_major_edges` gives
+    them: the order the duplicate check sorts them into."""
     try:
         n = _vertex_id(n_vertices)
     except ValueError:
@@ -105,49 +113,52 @@ def _edge_matrix(n_vertices, i, j, w) -> np.ndarray:
         w = w.real
     adj = np.zeros((n, n), dtype=w.dtype)
     adj[tails - 1, heads - 1] = w
-    return adj
+    return adj, (tails[order], heads[order], w[order])
 
 
-def _check_adjacency(adj: np.ndarray, active: np.ndarray,
-                     stochastic: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reject an adjacency array that no graph may hold; ``active`` flags the
-    live vertex slots.  Returns the edges the check scanned, in row-major
-    order: tail ids ``i``, head ids ``j`` (both 1-based) and weights ``w``.
+def _check_edges(i: np.ndarray, j: np.ndarray, w: np.ndarray, active: np.ndarray,
+                 stochastic: bool) -> None:
+    """Reject the row-major edges ``i, j, w`` of an adjacency array that no
+    graph may hold; ``active`` flags the live vertex slots.
 
-    The first faulty entry in row-major order is named, with its first
+    The first faulty edge in row-major order is named, with its first
     fault: it touches a tombstone or is not finite, and on a stochastic
-    graph it is non-real, outside (0, 1] or a loop.  A stochastic graph's
-    active columns must then sum to 1.
+    graph it is non-real, outside (0, 1] or a loop.  One mask tests every
+    fault at once; only a failing edge is taken apart.  A stochastic
+    graph's active columns, summed over the edges, must then sum to 1.
 
     Raises:
         ValueError: an edge at a tombstone or with a non-finite weight.
         NonStochasticError: a stochastic condition fails.
     """
-    rows, cols = _nonzero_slots(adj)
-    tails, heads, w = rows + 1, cols + 1, adj[rows, cols]
-    faults = [~(active[tails - 1] & active[heads - 1]), ~np.isfinite(w)]
     if stochastic:
-        faults += [w.imag != 0, ~((w.real > 0) & (w.real <= 1)), tails == heads]
-    faults = np.stack(faults)
-    bad = np.flatnonzero(faults.any(axis=0))
-    if bad.size:
-        t = bad[0]
-        i, j, wt = int(tails[t]), int(heads[t]), w[t].item()
-        kind, message = [
-            (ValueError, f"edge ({i},{j}) touches an inactive vertex"),
-            (ValueError, f"edge ({i},{j}) has non-finite weight {wt}"),
-            (NonStochasticError, f"edge ({i},{j}) has non-real weight {wt}"),
-            (NonStochasticError, f"edge ({i},{j}) weight {wt.real} outside (0, 1]"),
-            (NonStochasticError, f"stochastic graph may not contain loop ({i},{i})"),
-        ][int(np.argmax(faults[:, t]))]
-        raise kind(message)
+        # a weight in (0, 1] with no imaginary part is finite
+        ok = (w.real > 0) & (w.real <= 1) & (i != j)
+        if w.dtype.kind == "c":
+            ok &= w.imag == 0
+    else:
+        ok = np.isfinite(w)
+    if not active.all():
+        ok &= active[i - 1] & active[j - 1]
+    if not ok.all():
+        t = int(np.argmin(ok))
+        a, b, x = int(i[t]), int(j[t]), w[t].item()
+        for fault, kind, message in [
+                (not (active[a - 1] and active[b - 1]), ValueError,
+                 f"edge ({a},{b}) touches an inactive vertex"),
+                (not np.isfinite(x), ValueError, f"edge ({a},{b}) has non-finite weight {x}"),
+                (x.imag != 0, NonStochasticError, f"edge ({a},{b}) has non-real weight {x}"),
+                (not 0 < x.real <= 1, NonStochasticError,
+                 f"edge ({a},{b}) weight {x.real} outside (0, 1]"),
+                (a == b, NonStochasticError, f"stochastic graph may not contain loop ({a},{a})")]:
+            if fault:
+                raise kind(message)
     if stochastic:
-        sums = adj.real.sum(axis=0)
+        sums = np.bincount(j - 1, weights=w.real, minlength=len(active))
         off = np.flatnonzero(active & (np.abs(sums - 1.0) > STOCHASTIC_TOL))
         if off.size:
             raise NonStochasticError(
                 f"column {off[0] + 1} sums to {sums[off[0]]}, expected 1")
-    return tails, heads, w
 
 
 class WeightedDigraph:
@@ -157,7 +168,7 @@ class WeightedDigraph:
     adjacency matrix, read-only, with zero rows and columns at tombstones,
     float64 when every weight has zero imaginary part and complex128
     otherwise, checked by one validator however the graph is built.
-    ``edge_arrays`` keeps the validator's row-major scan of it:
+    ``edge_arrays`` keeps the edges the validator read, in row-major order:
     read-only arrays of tail ids ``i``, head ids ``j`` and weights ``w``,
     one entry per edge.  ``edge_lists`` turns them, on first read, into
     edge lists over vertex slots (slot ``v - 1`` for vertex ``v``), one
@@ -177,22 +188,24 @@ class WeightedDigraph:
 
     def __init__(self, n_vertices: int, weights: Mapping[tuple[int, int], complex],
                  stochastic: bool = False, removed: Iterable[int] = frozenset()):
-        self._keep(_edge_matrix(n_vertices, [i for i, _ in weights], [j for _, j in weights],
-                                list(weights.values())), stochastic, removed)
+        self._keep(*_edge_matrix(n_vertices, [i for i, _ in weights], [j for _, j in weights],
+                                 list(weights.values())), stochastic, removed)
 
-    def _keep(self, adj: np.ndarray, stochastic: bool, removed: Iterable[int]) -> None:
-        """Validate ``adj`` and make it, read-only, this graph's adjacency."""
+    def _keep(self, adj: np.ndarray, edges: tuple[np.ndarray, ...], stochastic: bool,
+              removed: Iterable[int]) -> None:
+        """Validate ``adj``, whose row-major edges are ``edges``, and make
+        both, read-only, this graph's adjacency and edge arrays."""
         n = adj.shape[0]
         removed = frozenset(map(_vertex_id, removed))
         if not all(1 <= v <= n for v in removed):
             raise ValueError(f"tombstones {sorted(removed)} are not all in 1..{n}")
         active = np.ones(n, dtype=bool)
         active[[v - 1 for v in removed]] = False
-        edges = _check_adjacency(adj, active, stochastic)
-        for array in (adj, *edges):
+        _check_edges(*edges, active, stochastic)
+        for array in (adj, *edges, active):
             array.flags.writeable = False
         vars(self).update(n_vertices=n, stochastic=stochastic, removed=removed,
-                          adjacency=adj, edge_arrays=edges,
+                          adjacency=adj, edge_arrays=edges, _active=active,
                           _ids=tuple((np.flatnonzero(active) + 1).tolist()))
 
     def __setattr__(self, name, value):
@@ -237,7 +250,7 @@ class WeightedDigraph:
                 weight, or a repeat of an earlier ``(i, j)``.
         """
         graph = cls.__new__(cls)
-        graph._keep(_edge_matrix(n, i, j, w), stochastic, removed)
+        graph._keep(*_edge_matrix(n, i, j, w), stochastic, removed)
         return graph
 
     @classmethod
@@ -255,8 +268,9 @@ class WeightedDigraph:
             raise ValueError("adjacency matrix must be square")
         if np.iscomplexobj(m) and not m.imag.any():
             m = m.real
+        m = m.astype(complex if np.iscomplexobj(m) else float)
         graph = cls.__new__(cls)
-        graph._keep(m.astype(complex if np.iscomplexobj(m) else float), stochastic, removed)
+        graph._keep(m, _row_major_edges(m), stochastic, removed)
         return graph
 
     # -- queries ------------------------------------------------------
@@ -388,10 +402,19 @@ class StructuralSet:
         return list(self.cut)
 
 
-def _cycles(graph: WeightedDigraph,
+def _successors(graph: WeightedDigraph) -> list[list[int]]:
+    """Per slot, its out-neighbour slots other than itself, ascending: the
+    forward edge list with the loops left out, one list per slot."""
+    i, j, _ = graph.edge_arrays
+    step = i != j
+    ptr, heads = _edge_lists(graph.n_vertices, i[step] - 1, j[step] - 1)
+    return [heads[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+
+def _cycles(succ: list[list[int]],
             live: list[bool]) -> tuple[tuple[int, ...] | None, list[int]]:
-    """One DFS along the forward edge list over the subgraph on the slots
-    that ``live`` flags, loops ignored.
+    """One DFS along the loop-free lists ``succ`` of :func:`_successors`
+    over the subgraph on the slots that ``live`` flags.
 
     Each back edge closes a cycle on the current DFS path.  Returns the first
     such cycle as vertex ids in closed tuple form (None when the subgraph has
@@ -399,30 +422,27 @@ def _cycles(graph: WeightedDigraph,
     through each vertex.  A back edge to path position k adds 1 to the
     positions k..top, kept as a difference array over path positions: +1 at
     the top, -1 below k, and each popped position hands its total down to
-    the one beneath.
+    the one beneath.  A slot off the subgraph starts as finished, so the
+    walk never enters it and each edge costs one test.
     """
-    ptr, heads = graph.edge_lists[0]
-    n = graph.n_vertices
+    n = len(succ)
     hits = [0] * n
     first = None
-    pos: list[int | None] = [None] * n
+    pos: list[int | None] = [None if x else -1 for x in live]
     for root in range(n):
-        if not live[root] or pos[root] is not None:
+        if pos[root] is not None:
             continue
         pos[root] = 0
-        path, diff = [root], [0]
-        stack = [(root, iter(heads[ptr[root]:ptr[root + 1]]))]
-        while stack:
-            v, it = stack[-1]
-            for u in it:
-                if u == v or not live[u]:
-                    continue
+        # the path's slots, their unread out-neighbours and their differences
+        path, todo, diff = [root], [iter(succ[root])], [0]
+        while todo:
+            for u in todo[-1]:
                 k = pos[u]
                 if k is None:
                     pos[u] = len(path)
                     path.append(u)
+                    todo.append(iter(succ[u]))
                     diff.append(0)
-                    stack.append((u, iter(heads[ptr[u]:ptr[u + 1]])))
                     break
                 if k >= 0:
                     if first is None:
@@ -431,9 +451,9 @@ def _cycles(graph: WeightedDigraph,
                     if k:
                         diff[k - 1] -= 1
             else:
+                v = path.pop()
                 pos[v] = -1
-                path.pop()
-                stack.pop()
+                todo.pop()
                 c = diff.pop()
                 hits[v] += c
                 if diff:
@@ -504,8 +524,7 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
     for v in members:
         if not graph.is_active(v):
             raise ValueError(f"structural member {v} is not an active vertex")
-    in_comp = np.zeros(graph.n_vertices, dtype=bool)
-    in_comp[np.array(graph.vertices(), dtype=np.int64) - 1] = True
+    in_comp = graph._active.copy()
     in_comp[np.array(members, dtype=np.int64) - 1] = False
     comp = np.flatnonzero(in_comp)
     loops = graph.adjacency.diagonal()[comp]
@@ -517,7 +536,7 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
             "loop weight equal to the parameter", vertex=vertex)
     layers = _layers(graph, in_comp)
     if layers is None:
-        cycle = _cycles(graph, in_comp.tolist())[0]
+        cycle = _cycles(_successors(graph), in_comp.tolist())[0]
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: cycle {cycle} avoids it",
             cycle=cycle)
@@ -558,21 +577,20 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     """
     if graph.n_active == 0:
         raise ValueError("graph has no active vertices")
-    slots = np.array(graph.vertices(), dtype=np.int64) - 1
-    forced = np.abs(graph.adjacency.diagonal()[slots] - lam) <= tol
-    chosen = set((slots[forced] + 1).tolist())
-    flags = np.zeros(graph.n_vertices, dtype=bool)
-    flags[slots[~forced]] = True
+    forced = graph._active & (np.abs(graph.adjacency.diagonal() - lam) <= tol)
+    chosen = set((np.flatnonzero(forced) + 1).tolist())
+    flags = graph._active & ~forced
     pending = _out_counts(graph, flags)
     live = flags.tolist()
-    _peel(graph, live, pending, [v for v in slots[~forced].tolist() if not pending[v]])
+    _peel(graph, live, pending, [v for v in np.flatnonzero(flags).tolist() if not pending[v]])
+    succ = _successors(graph)
     while True in live:
-        hits = _cycles(graph, live)[1]
+        hits = _cycles(succ, live)[1]
         v = hits.index(max(hits))
         chosen.add(v + 1)
         _peel(graph, live, pending, [v])
     if not chosen:
-        chosen.add(int(slots[0]) + 1)
+        chosen.add(graph.vertices()[0])
     return compute_depths(graph, chosen, lam, tol)
 
 

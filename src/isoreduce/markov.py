@@ -35,7 +35,8 @@ class MarkovChain:
         p = np.asarray(self.transition, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition matrix must be square")
-        if p.size and (p.min() < 0 or p.max() > 1):
+        # min and max carry a NaN through, and no comparison with NaN holds
+        if p.size and not (p.min() >= 0 and p.max() <= 1):
             raise ValueError("transition probabilities must lie in [0, 1]")
         sums = p.sum(axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL

@@ -13,7 +13,8 @@ a real graph at a real parameter gives real results.  It checks every
 denominator first, then scatters the graph's ``edge_arrays`` once into
 the structural set's stored depth order, members first and loops dropped,
 so that each depth layer is one product of a contiguous block with the
-rows already solved.
+rows already solved, written straight into the layer's rows when the
+terminal is zero on the complement and added to them otherwise.
 ``extended_columns`` runs it with member terminals for the update path's
 ``E[:, S]``: on a stochastic graph at parameter 1 the sweep's complement
 rows are already ``E[C, S]``, so only the s member rows take a product
@@ -171,9 +172,12 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     denominator, are then scattered into ``ap``: the active block permuted
     into the structural set's ``order``, members first, then each depth
     layer by ascending id.  A vertex only points at shallower ones, so the
-    layer in positions ``lo:hi`` of ``cut`` is one product of the contiguous block ``ap[lo:hi, :lo]``
-    with the rows already solved and one add, and ``lam I - A_CC`` is
-    never formed.
+    layer in positions ``lo:hi`` of ``cut`` is one product of the
+    contiguous block ``ap[lo:hi, :lo]`` with the rows already solved, and
+    ``lam I - A_CC`` is never formed.  The terminal selects the form: when
+    it is zero on the complement, as for every caller but
+    :func:`extended_reduced_matrix`, the product is written straight into
+    the layer's rows; otherwise it is added to the layer's terminal rows.
 
     With ``by_length`` the result is stacked by path length: slice ``q``
     holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
@@ -210,10 +214,14 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
         out[0] = terminal
         out[:, slots] = x
         return out
-    x = terminal[slots].astype(dtype)
+    x = terminal[slots].astype(dtype, copy=False)
+    add = x[s:].any()
     for d in range(1, len(cut)):
         lo, hi = cut[d - 1], cut[d]
-        x[lo:hi] += ap[lo:hi, :lo] @ x[:lo]
+        if add:
+            x[lo:hi] += ap[lo:hi, :lo] @ x[:lo]
+        else:
+            np.matmul(ap[lo:hi, :lo], x[:lo], out=x[lo:hi])
     out = terminal.astype(dtype)
     out[slots] = x
     return out

@@ -4,7 +4,10 @@ Every stationary vector the package commits or checks comes from one exact
 solve, :func:`stationary_vector`; power iteration and a damped co-iteration
 on reduced matrices remain, and dense eigensolvers are left to test oracles.
 The primitivity test and strong connectivity share one breadth-first
-search over edge lists, :func:`_bfs_levels`.  Both read a graph's cached
+search over edge lists, :func:`_bfs_levels`, which counts the slots it
+reaches: the active part is strongly connected when the searches along
+and against the edges each reach ``n_active`` slots, and only the forward
+levels become an array, for the period's gcd.  Both read a graph's cached
 ``edge_lists`` and skip its tombstones; a plain matrix is first made into
 the graph of its support.
 """
@@ -39,15 +42,16 @@ class EigenPair:
     converged: bool = True
 
 
-def _bfs_levels(ptr: list[int], heads: list[int], start: int) -> np.ndarray:
+def _bfs_levels(ptr: list[int], heads: list[int], start: int) -> tuple[list[int], int]:
     """Breadth-first levels from slot ``start`` over the edge lists
-    ``(ptr, heads)`` of :func:`_edge_lists`; -1 marks a slot that ``start``
-    does not reach."""
+    ``(ptr, heads)`` of :func:`_edge_lists`, -1 marking a slot that
+    ``start`` does not reach, and the number of slots it reaches."""
     level = [-1] * (len(ptr) - 1)
     level[start] = 0
     frontier = [start]
-    d = 0
+    count = d = 0
     while frontier:
+        count += len(frontier)
         d += 1
         reached = []
         for v in frontier:
@@ -56,7 +60,7 @@ def _bfs_levels(ptr: list[int], heads: list[int], start: int) -> np.ndarray:
                     level[u] = d
                     reached.append(u)
         frontier = reached
-    return np.array(level, dtype=np.int64)
+    return level, count
 
 
 def _support_graph(matrix) -> WeightedDigraph:
@@ -66,16 +70,20 @@ def _support_graph(matrix) -> WeightedDigraph:
     return WeightedDigraph.from_matrix(np.asarray(matrix) != 0)
 
 
-def _strong_levels(graph: WeightedDigraph) -> np.ndarray | None:
+def _strong_levels(graph: WeightedDigraph) -> list[int] | None:
     """The breadth-first levels over slots from the graph's first active
     slot when its active part is strongly connected, that slot reaching
-    every active slot along the edges and against them; else None."""
+    every active slot along the edges and against them; else None.  A
+    tombstone has no edges, so a search reaches every active slot when it
+    reaches ``n_active`` slots."""
     if not graph.n_active:
         return None
-    slots = np.array(graph.vertices(), dtype=np.int64) - 1
-    start = int(slots[0])
-    forward, backward = (_bfs_levels(*lists, start) for lists in graph.edge_lists)
-    return forward if (forward[slots] >= 0).all() and (backward[slots] >= 0).all() else None
+    start = graph.vertices()[0] - 1
+    forward, back = graph.edge_lists
+    level, count = _bfs_levels(*forward, start)
+    if count < graph.n_active or _bfs_levels(*back, start)[1] < graph.n_active:
+        return None
+    return level
 
 
 def strongly_connected(matrix) -> bool:
@@ -100,6 +108,7 @@ def is_primitive(matrix) -> bool:
     level = _strong_levels(g)
     if level is None:
         return False
+    level = np.array(level, dtype=np.int64)
     i, j, _ = g.edge_arrays
     return int(np.gcd.reduce(level[i - 1] + 1 - level[j - 1])) == 1
 

@@ -567,15 +567,21 @@ class UpdateSession:
         new, now = self._cols, self._structural2.members
 
         def count() -> tuple[int, int, int]:
-            # the base column of each kept member; both member tuples are sorted
-            was = base.structural.members
-            kept = set(was) & set(now)
+            # the base column of each kept member, zeros for a promoted one;
+            # every index is in range, and "clip" lets take write unbuffered
+            column = {v: c for c, v in enumerate(base.structural.members)}
             old = np.zeros_like(new)
-            old[:base.columns.shape[0], [v in kept for v in now]] = \
-                base.columns[:, [v in kept for v in was]]
-            changed = np.abs(new - old) > DEFAULT_TOL * np.maximum(np.abs(new), np.abs(old))
+            base.columns.take([column.get(v, 0) for v in now], axis=1,
+                              out=old[:base.columns.shape[0]], mode="clip")
+            old[:, [v not in column for v in now]] = 0.0
+            # an entry that did not move is unchanged by the rule, so the
+            # rule is applied to the moved entries alone
+            new_flat, old_flat = new.ravel(), old.ravel()
+            moved = np.flatnonzero(new_flat != old_flat)
+            a, b = new_flat[moved], old_flat[moved]
+            changed = moved[np.abs(a - b) > DEFAULT_TOL * np.maximum(np.abs(a), np.abs(b))]
             return (branch_counts(base.graph, base.structural)[1],
-                    int(changed.any(axis=1).sum()), int(changed.sum()))
+                    len(np.unique(changed // new.shape[1])), len(changed))
 
         return CostReport(
             n=self._graph2.n_active, s=len(base.structural.members),

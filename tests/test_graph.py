@@ -113,6 +113,26 @@ def test_stochastic_validation():
                                    stochastic=True)
 
 
+@pytest.mark.parametrize("short, refused", [(5e-10, False), (-5e-10, False),
+                                             (2e-9, True), (-2e-9, True)])
+def test_column_sum_tolerance_from_every_builder(short, refused):
+    # column 1 sums to 1 - short; vertex 4 is a tombstone with an empty column
+    edges = [(1, 2, 1.0), (2, 1, 0.5), (3, 1, 0.5 - short), (1, 3, 1.0)]
+    i, j, w = zip(*edges)
+    m = np.zeros((4, 4))
+    m[np.array(i) - 1, np.array(j) - 1] = w
+    for build in (lambda: WeightedDigraph.from_matrix(m, stochastic=True, removed=[4]),
+                  lambda: WeightedDigraph.from_edges(4, edges, stochastic=True, removed=[4]),
+                  lambda: WeightedDigraph.from_edge_arrays(4, i, j, w, stochastic=True,
+                                                           removed=[4])):
+        if refused:
+            with pytest.raises(NonStochasticError,
+                               match=rf"column 1 sums to {1 - short:.9f}\d*, expected 1"):
+                build()
+        else:
+            assert build().vertices() == (1, 2, 3)
+
+
 def test_tombstones_and_compact():
     g = WeightedDigraph.from_edges(4, [(1, 2, 1.0), (2, 4, 1.0), (4, 1, 1.0)],
                                    removed=[3])

@@ -28,6 +28,11 @@ def test_chain_validation():
         MarkovChain(np.array([[1.5, -0.5], [0.5, 0.5]]))
 
 
+def test_chain_refuses_nan_entries():
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        MarkovChain(np.array([[0.5, np.nan], [0.5, 0.5]]))
+
+
 def test_from_stochastic_graph_transposes(two_cycle):
     chain = MarkovChain.from_stochastic_graph(two_cycle)
     assert np.array_equal(chain.transition, two_cycle.matrix().real.T)
