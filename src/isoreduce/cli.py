@@ -32,13 +32,12 @@ from .update import run_update
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        z = complex(*map(float, parts)) if len(parts) <= 2 else None
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+        z = None
+    if z is None or not np.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected finite RE or RE,IM, got {text!r}")
+    return z
 
 
 def _parse_tolerance(text: str) -> float:
@@ -232,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=10, help="iterations the cost model charges")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--csv", help="write per-trial savings as CSV")
-    p.add_argument("--check-equivalence", action="store_true",
-                   help="compare every trial against scratch recomputation")
+    p.add_argument("--check-equivalence", action="store_true", default=None,
+                   help="compare every trial against scratch recomputation "
+                        "(default: only when n <= 15)")
     p.set_defaults(func=cmd_bench)
 
     p = add_command("verify", "run the named invariant checks", seed=True)

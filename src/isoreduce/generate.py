@@ -124,13 +124,15 @@ def random_delta(graph: WeightedDigraph, rng: np.random.Generator, p: int) -> Gr
                          DeltaOp.add_edge(new_id, dst, float(rng.uniform(0.2, 1.0)))]
         elif r < 0.30 and len(vertices) > 3:
             candidate = [DeltaOp.remove_vertex(int(rng.choice(vertices)))]
-        elif r < 0.60 and working.edges():
-            i, j = map(int, working.edges()[int(rng.integers(0, len(working.edges())))])
-            candidate = [DeltaOp.remove_edge(i, j)]
+        elif r < 0.60 and len(working.edge_arrays[0]):
+            # the edge arrays are row-major, the order of the sorted edges
+            tails, heads, _ = working.edge_arrays
+            k = int(rng.integers(0, len(tails)))
+            candidate = [DeltaOp.remove_edge(int(tails[k]), int(heads[k]))]
         else:
             i = int(rng.choice(vertices))
             j = int(rng.choice(vertices))
-            if i == j or working.has_edge(i, j):
+            if i == j or working.adjacency[i - 1, j - 1]:
                 continue
             candidate = [DeltaOp.add_edge(i, j, float(rng.uniform(0.2, 1.0)))]
         g2 = _op_stays_valid(working, candidate)

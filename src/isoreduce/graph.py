@@ -11,15 +11,17 @@ validator, ``_check_edges``, the edges in the row-major order it sorted
 them into; a graph built from an array has them scanned from it.  The
 validator tests every edge with one mask and sums a stochastic graph's
 columns over the edges.
+A graph derives, once, one pair of loop-free edge lists over its vertex
+slots, ``edge_lists``, and every traversal of the package indexes them.
 One counting pass over the complement's kept edges (Kahn's topological
-sort, run from the sinks on the backward list), ``_peel``, gives the
+sort, run from the sinks on the backward lists), ``_peel``, gives the
 structural check, the nilpotency index and the depth layers, its rounds,
 in O(n + nnz); a ``StructuralSet`` stores those layers as they are.  The
 structural-set search runs the same peel incrementally to take out
 every vertex that can no longer reach a cycle, so its one depth-first
 search per pick, ``_cycles``, walks only the vertices that still can, over
-loop-free successor lists derived once per search; the search also gives
-the witness cycle once a counting pass has stalled.
+the forward lists; the search also gives the witness cycle once a
+counting pass has stalled.
 """
 
 from __future__ import annotations
@@ -56,13 +58,6 @@ def _vertex_id(value) -> int:
     if is_int or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"vertex id {value!r} is not an integer")
-
-
-def _edge_lists(n: int, tails: np.ndarray,
-                heads: np.ndarray) -> tuple[list[int], list[int]]:
-    """Edge lists over indices ``0..n-1`` from edges sorted by tail: the
-    heads of index ``v``'s edges are ``heads[ptr[v]:ptr[v + 1]]``."""
-    return np.searchsorted(tails, np.arange(n + 1)).tolist(), heads.tolist()
 
 
 def _weights_of(i: np.ndarray, j: np.ndarray,
@@ -171,9 +166,9 @@ class WeightedDigraph:
     ``edge_arrays`` keeps the edges the validator read, in row-major order:
     read-only arrays of tail ids ``i``, head ids ``j`` and weights ``w``,
     one entry per edge.  ``edge_lists`` turns them, on first read, into
-    edge lists over vertex slots (slot ``v - 1`` for vertex ``v``), one
-    along the edges and one against them.  Passes that follow edges read
-    these, and matrix products read ``adjacency``.
+    loop-free edge lists over vertex slots (slot ``v - 1`` for vertex
+    ``v``), one along the edges and one against them.  Passes that follow
+    edges read these, and matrix products read ``adjacency``.
 
     ``weights`` maps ordered pairs ``(i, j)`` (an edge from i to j) to a
     finite nonzero weight; absent pairs read as weight 0.  It is derived
@@ -301,22 +296,29 @@ class WeightedDigraph:
         return self.weights.get((i, j), 0)
 
     @cached_property
-    def edge_lists(self) -> tuple[tuple[list[int], list[int]], ...]:
-        """The forward and backward edge lists over slots ``0..n-1``, derived
-        from ``edge_arrays`` on first read.  Each is a pair ``(ptr, ends)``
-        as :func:`_edge_lists` builds it: slot ``v``'s out-neighbour slots
-        are ``ends[ptr[v]:ptr[v + 1]]`` of the first pair, its in-neighbour
-        slots the same slice of the second, both ascending."""
+    def edge_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The forward and backward loop-free edge lists over slots
+        ``0..n-1``, derived from ``edge_arrays`` on first read: entry ``v``
+        of the first lists slot ``v``'s out-neighbour slots other than
+        ``v``, entry ``v`` of the second its in-neighbour slots other than
+        ``v``, both ascending; a tombstone's entries are empty."""
         i, j, _ = self.edge_arrays
-        back = np.argsort(j, kind="stable")
-        n = self.n_vertices
-        return _edge_lists(n, i - 1, j - 1), _edge_lists(n, j[back] - 1, i[back] - 1)
+        step = i != j
+        forward, back = [[] for _ in range(self.n_vertices)], [[] for _ in range(self.n_vertices)]
+        # the edges are row-major, so both lists fill in ascending order
+        for a, b in zip((i[step] - 1).tolist(), (j[step] - 1).tolist()):
+            forward[a].append(b)
+            back[b].append(a)
+        return forward, back
 
     @cached_property
     def _neighbors(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """Out- and in-neighbour ids per active vertex id, from ``edge_lists``."""
-        return tuple({v: tuple(u + 1 for u in ends[ptr[v - 1]:ptr[v]]) for v in self._ids}
-                     for ptr, ends in self.edge_lists)
+        """Out- and in-neighbour ids per active vertex id: ``edge_lists``
+        with each loop put back in its place."""
+        i, j, _ = self.edge_arrays
+        loops = set(i[i == j].tolist())
+        return tuple({v: tuple(sorted([u + 1 for u in lists[v - 1]] + [v] * (v in loops)))
+                      for v in self._ids} for lists in self.edge_lists)
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[0][i]
@@ -402,18 +404,9 @@ class StructuralSet:
         return list(self.cut)
 
 
-def _successors(graph: WeightedDigraph) -> list[list[int]]:
-    """Per slot, its out-neighbour slots other than itself, ascending: the
-    forward edge list with the loops left out, one list per slot."""
-    i, j, _ = graph.edge_arrays
-    step = i != j
-    ptr, heads = _edge_lists(graph.n_vertices, i[step] - 1, j[step] - 1)
-    return [heads[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-
-
 def _cycles(succ: list[list[int]],
             live: list[bool]) -> tuple[tuple[int, ...] | None, list[int]]:
-    """One DFS along the loop-free lists ``succ`` of :func:`_successors`
+    """One DFS along the graph's loop-free forward ``edge_lists``, ``succ``,
     over the subgraph on the slots that ``live`` flags.
 
     Each back edge closes a cycle on the current DFS path.  Returns the first
@@ -475,8 +468,8 @@ def _peel(graph: WeightedDigraph, live: list[bool], pending: list[int],
     leave the live set as round 0, and each live slot whose ``pending``
     count of non-loop out-edges to live slots reaches zero in round r
     leaves in round r + 1.  Returns the rounds.  It is one pass over the
-    backward edge list into the slots taken out."""
-    ptr, preds = graph.edge_lists[1]
+    backward edge lists into the slots taken out."""
+    preds = graph.edge_lists[1]
     for v in queue:
         live[v] = False
     rounds = []
@@ -484,7 +477,7 @@ def _peel(graph: WeightedDigraph, live: list[bool], pending: list[int],
         rounds.append(queue)
         queue = []
         for v in rounds[-1]:
-            for u in preds[ptr[v]:ptr[v + 1]]:
+            for u in preds[v]:
                 if live[u]:
                     pending[u] -= 1
                     if not pending[u]:
@@ -536,7 +529,7 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
             "loop weight equal to the parameter", vertex=vertex)
     layers = _layers(graph, in_comp)
     if layers is None:
-        cycle = _cycles(_successors(graph), in_comp.tolist())[0]
+        cycle = _cycles(graph.edge_lists[0], in_comp.tolist())[0]
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: cycle {cycle} avoids it",
             cycle=cycle)
@@ -583,9 +576,8 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     pending = _out_counts(graph, flags)
     live = flags.tolist()
     _peel(graph, live, pending, [v for v in np.flatnonzero(flags).tolist() if not pending[v]])
-    succ = _successors(graph)
     while True in live:
-        hits = _cycles(succ, live)[1]
+        hits = _cycles(graph.edge_lists[0], live)[1]
         v = hits.index(max(hits))
         chosen.add(v + 1)
         _peel(graph, live, pending, [v])

@@ -20,7 +20,8 @@ terminal is zero on the complement and added to them otherwise.
 rows are already ``E[C, S]``, so only the s member rows take a product
 with the adjacency.  ``branch_counts`` counts branches for the update
 cost model by the same recursion in exact integers, one walk each way over
-the graph's edge lists in the stored depth order;
+the graph's loop-free edge lists in the stored depth order, adding each
+loop's one-step branch afterwards;
 ``enumerate_branches`` lists the paths themselves, as a reference.
 """
 
@@ -331,19 +332,19 @@ def extended_columns(graph: WeightedDigraph, structural: StructuralSet, *,
     return x
 
 
-def _branch_ends(ptr: list[int], ends: list[int], walk: list[int]) -> list[int]:
-    """Per slot, the loop-free branches that leave it along the edge lists
-    ``(ptr, ends)``, with ``walk`` listing the complement's slots so that
-    each comes after every complement slot its list points at.
+def _branch_ends(lists: list[list[int]], walk: list[int]) -> list[int]:
+    """Per slot, the loop-free branches that leave it along one of a graph's
+    loop-free ``edge_lists``, with ``walk`` listing the complement's slots
+    so that each comes after every complement slot its list points at.
 
     ``reach[v]`` counts the paths from ``v`` that stop at once or go on
     through the complement: 1 for a member or a tombstone, and for a
     complement slot 1 plus the branches leaving it, the sum of its
     neighbours' counts."""
-    reach = [1] * (len(ptr) - 1)
+    reach = [1] * len(lists)
 
     def leaving(v: int) -> int:
-        return sum(reach[u] for u in ends[ptr[v]:ptr[v + 1]] if u != v)
+        return sum(reach[u] for u in lists[v])
 
     for v in walk:
         reach[v] += leaving(v)
@@ -353,7 +354,7 @@ def _branch_ends(ptr: list[int], ends: list[int], walk: list[int]) -> list[int]:
 def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[int, int]:
     """Number of branches and their ``m`` statistic, without listing one.
 
-    Counted exactly, in Python ints, on the graph's cached ``edge_lists``
+    Counted exactly, in Python ints, on the graph's loop-free ``edge_lists``
     and the structural set's stored layering: a complement vertex points
     only at shallower ones, so one walk in increasing depth over the
     forward lists counts the branches leaving each vertex, and one in
@@ -365,8 +366,8 @@ def branch_counts(graph: WeightedDigraph, structural: StructuralSet) -> tuple[in
     ``enumerate_branches(graph, structural)`` and its ``m_statistic``.
     """
     walk = [v - 1 for v in structural.order[structural.cut[0]:]]
-    out = _branch_ends(*graph.edge_lists[0], walk)
-    into = _branch_ends(*graph.edge_lists[1], walk[::-1])
+    out = _branch_ends(graph.edge_lists[0], walk)
+    into = _branch_ends(graph.edge_lists[1], walk[::-1])
     through = max((out[v] * into[v] for v in walk), default=0)
     i, j, _ = graph.edge_arrays
     for v in (i[i == j] - 1).tolist():

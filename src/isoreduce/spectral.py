@@ -4,12 +4,13 @@ Every stationary vector the package commits or checks comes from one exact
 solve, :func:`stationary_vector`; power iteration and a damped co-iteration
 on reduced matrices remain, and dense eigensolvers are left to test oracles.
 The primitivity test and strong connectivity share one breadth-first
-search over edge lists, :func:`_bfs_levels`, which counts the slots it
-reaches: the active part is strongly connected when the searches along
-and against the edges each reach ``n_active`` slots, and only the forward
-levels become an array, for the period's gcd.  Both read a graph's cached
-``edge_lists`` and skip its tombstones; a plain matrix is first made into
-the graph of its support.
+search, :func:`_bfs_levels`, which indexes one of a graph's cached
+loop-free ``edge_lists`` and counts the slots it reaches: the active part
+is strongly connected when the searches along and against the edges each
+reach ``n_active`` slots, and only the forward levels become an array, for
+the period's gcd, which reads every edge, loops too, from ``edge_arrays``.
+A tombstone's lists are empty; a plain matrix is first made into the
+graph of its support.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ class EigenPair:
     converged: bool = True
 
 
-def _bfs_levels(ptr: list[int], heads: list[int], start: int) -> tuple[list[int], int]:
-    """Breadth-first levels from slot ``start`` over the edge lists
-    ``(ptr, heads)`` of :func:`_edge_lists`, -1 marking a slot that
-    ``start`` does not reach, and the number of slots it reaches."""
-    level = [-1] * (len(ptr) - 1)
+def _bfs_levels(lists: list[list[int]], start: int) -> tuple[list[int], int]:
+    """Breadth-first levels from slot ``start`` over one of a graph's
+    ``edge_lists``, -1 marking a slot that ``start`` does not reach, and the
+    number of slots it reaches."""
+    level = [-1] * len(lists)
     level[start] = 0
     frontier = [start]
     count = d = 0
@@ -55,7 +56,7 @@ def _bfs_levels(ptr: list[int], heads: list[int], start: int) -> tuple[list[int]
         d += 1
         reached = []
         for v in frontier:
-            for u in heads[ptr[v]:ptr[v + 1]]:
+            for u in lists[v]:
                 if level[u] < 0:
                     level[u] = d
                     reached.append(u)
@@ -79,9 +80,8 @@ def _strong_levels(graph: WeightedDigraph) -> list[int] | None:
     if not graph.n_active:
         return None
     start = graph.vertices()[0] - 1
-    forward, back = graph.edge_lists
-    level, count = _bfs_levels(*forward, start)
-    if count < graph.n_active or _bfs_levels(*back, start)[1] < graph.n_active:
+    level, count = _bfs_levels(graph.edge_lists[0], start)
+    if count < graph.n_active or _bfs_levels(graph.edge_lists[1], start)[1] < graph.n_active:
         return None
     return level
 

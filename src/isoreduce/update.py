@@ -8,12 +8,13 @@ graph's adjacency array: the entry is set and the touched columns
 renormalized.  The edited array becomes the new graph through
 ``WeightedDigraph.from_matrix``, which validates and keeps it as the
 graph's float64 adjacency, with its edge arrays, without building a weight
-map.  The new graph's edge lists, derived once from those arrays, serve the
-promotion rule, the primitivity test and the depths.  The structural set
-loses the removed vertices and grows by the promotion rule: each new edge,
-last op first, promotes its source when a depth-first walk over the new
-graph's forward lists finds that it closes a cycle outside the set.  The
-depths then come from one counting pass over the complement's edges.
+map.  The new graph's loop-free edge lists, derived once from those
+arrays, serve the promotion rule, the primitivity test and the depths.
+The structural set loses the removed vertices and grows by the promotion
+rule: each new edge, last op first, promotes its source when a depth-first
+walk, ``_reaches``, indexing the new graph's forward lists, finds that it
+closes a cycle outside the set.  The depths then come from one counting
+pass over the complement's edges.
 The columns ``E[:, S]`` are then recomputed in closed form by one
 depth-order sweep with member terminals, whose complement rows are
 ``E[C, S]`` as they stand, and one product for the s member rows; the
@@ -232,7 +233,8 @@ class CostReport:
     ``count`` returns ``(m, touched_branches, weight_updates)``; it is
     called once, on the first read of any of them or of a figure built on
     ``m``, and then dropped, so a report nobody reads counts nothing and a
-    kept report does not pin the base state.
+    kept report does not pin the base state.  ``ell`` below 1 is a
+    ``ValueError``: the baseline ``ell * n^3`` would be zero or negative.
     """
 
     n: int
@@ -245,6 +247,10 @@ class CostReport:
     step6_cost: float
     count: Callable[[], tuple[int, int, int]] | None = field(repr=False, compare=False)
     structural_fallback: bool = False
+
+    def __post_init__(self):
+        if self.ell < 1:
+            raise ValueError("modelled iteration count ell must be positive")
 
     @cached_property
     def _counts(self) -> tuple[int, int, int]:
@@ -475,14 +481,14 @@ def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:
 def _reaches(graph: WeightedDigraph, start: int, goal: int, avoid: set[int]) -> bool:
     """Whether a path leads from ``start`` to ``goal`` without entering
     ``avoid``: a depth-first walk, stopped at the goal, over the graph's
-    cached forward ``edge_lists``.  Tombstones have no edges."""
-    ptr, heads = graph.edge_lists[0]
+    cached loop-free forward ``edge_lists``.  Tombstones have no edges."""
+    succ = graph.edge_lists[0]
     cut = {v - 1 for v in avoid}
     start, goal = start - 1, goal - 1
     seen, todo = {start}, [start]
     while todo and goal not in seen:
         v = todo.pop()
-        for u in heads[ptr[v]:ptr[v + 1]]:
+        for u in succ[v]:
             if u not in seen and u not in cut:
                 seen.add(u)
                 todo.append(u)

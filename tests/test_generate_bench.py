@@ -80,6 +80,16 @@ def test_random_delta_is_applicable():
         apply_ops(g, delta)
 
 
+def test_random_delta_builds_no_weight_map():
+    """Edges are drawn from the edge arrays and tested on the adjacency."""
+    rng = np.random.default_rng(66)
+    for _ in range(10):
+        g = random_stochastic_graph(10, 2.5, rng)
+        assert "weights" not in vars(g)
+        random_delta(g, rng, 3)
+        assert "weights" not in vars(g)
+
+
 def test_random_delta_deterministic():
     g = random_stochastic_graph(10, 2.5, np.random.default_rng(64))
     d1 = random_delta(g, np.random.default_rng(65), 3)

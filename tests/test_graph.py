@@ -20,6 +20,30 @@ def test_graph_construction_and_queries(three_cycle):
     assert m[0, 1] == 1.0 and m[1, 0] == 0
 
 
+def test_edge_lists_are_loop_free_slot_lists():
+    rng = np.random.default_rng(91)
+    m = random_complex_graph(rng, 8).matrix()
+    m[4] = m[:, 4] = 0
+    graphs = [chain_graph(rng, 12, tombstones=3), chain_graph(rng, 9, tombstones=2),
+              random_complex_graph(rng, 7), WeightedDigraph.from_matrix(m, removed={5})]
+    assert [bool(g.removed) for g in graphs] == [True, True, False, True]
+    for g in graphs:
+        i, j, _ = g.edge_arrays
+        assert (i == j).any()
+        edges = list(zip(i.tolist(), j.tolist()))
+        forward, back = g.edge_lists
+        assert len(forward) == len(back) == g.n_vertices
+        for v in range(1, g.n_vertices + 1):
+            assert forward[v - 1] == sorted(b - 1 for a, b in edges if a == v and b != v)
+            assert back[v - 1] == sorted(a - 1 for a, b in edges if b == v and a != v)
+            if v in g.removed:
+                assert forward[v - 1] == back[v - 1] == []
+            else:
+                # the neighbour queries still list a loop
+                assert g.out_neighbors(v) == tuple(sorted(b for a, b in edges if a == v))
+                assert g.in_neighbors(v) == tuple(sorted(a for a, b in edges if b == v))
+
+
 def test_vertex_queries_accept_only_integer_ids(three_cycle):
     assert not three_cycle.is_active(1.5)
     assert not three_cycle.is_active(2.0)

@@ -250,6 +250,32 @@ def test_cli_update_and_verify_state(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_update_refuses_ell_below_one_and_saves_nothing(tmp_path, capsys):
+    g = random_stochastic_graph(9, 2.5, np.random.default_rng(72))
+    state_dir = str(tmp_path / "st")
+    iio.save_state(StoredState.from_graph(g), state_dir)
+    delta_path = str(tmp_path / "d.json")
+    iio.write_delta(random_delta(g, np.random.default_rng(73), 2), delta_path)
+    for ell in ("0", "-5"):
+        out_dir = tmp_path / f"st{ell}"
+        assert main(["update", "--state", state_dir, "--delta", delta_path,
+                     f"--ell={ell}", "--save", str(out_dir)]) == 2
+        assert not out_dir.exists()
+        assert "ell must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["nan", "1,nan", "nan,0", "inf", "-inf", "0,inf"])
+def test_cli_refuses_a_non_finite_lambda(tmp_path, capsys, lam):
+    graph_path = write(tmp_path, "g.txt", LOOP_PAIR_EDGELIST)
+    vec_path = write(tmp_path, "v.json", iio.dumps(iio.vector_to_dict([1], [1.0], "none", 0.0)))
+    for argv in (["reduce", "--graph", graph_path],
+                 ["lift", "--graph", graph_path, "--vector", vec_path]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--structural", "1", f"--lam={lam}"])
+        assert info.value.code == 2
+    assert "expected finite RE or RE,IM" in capsys.readouterr().err
+
+
 def test_cli_simulate(tmp_path, capsys):
     g = random_stochastic_graph(6, 2.5, np.random.default_rng(74))
     path = str(tmp_path / "g.json")
@@ -288,6 +314,15 @@ def test_cli_bench_deterministic_reports(tmp_path):
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_cli_bench_checks_equivalence_by_the_api_default(capsys):
+    """Without --check-equivalence a small bench checks scratch equivalence,
+    as ``run_experiment`` does when asked nothing; a larger one does not."""
+    for n, expected in (("10", True), ("16", None)):
+        assert main(["bench", "--n", n, "--trials", "2"]) == 0
+        trials = json.loads(capsys.readouterr().out)["trials"]
+        assert [t["equivalence_ok"] for t in trials] == [expected] * 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):

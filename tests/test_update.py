@@ -410,6 +410,18 @@ def test_cost_report_validate_catches_violations():
     assert report.step5_cost == 80.0
 
 
+def test_cost_report_refuses_ell_below_one():
+    for ell in (0, -5):
+        with pytest.raises(ValueError, match="ell must be positive"):
+            CostReport(n=10, s=2, s_new=2, k=1, k_new=1, ell=ell, p=1,
+                       step6_cost=0.0, count=lambda: (5, 0, 0))
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 0.5), (2, 1, 0.5)],
+                                   stochastic=True)
+    delta = GraphDelta((DeltaOp.add_edge(1, 3, 0.5),))
+    with pytest.raises(ValueError, match="ell must be positive"):
+        run_update(StoredState.from_graph(g), delta, ell=0)
+
+
 def count_calls(monkeypatch, name: str) -> list:
     """Record each call of the package function ``name``, wherever a module
     of the package binds it."""
