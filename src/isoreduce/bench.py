@@ -304,8 +304,11 @@ def verify_suite(*, seed: int = 0, rounds: int = 5, state_dir: str | None = None
     Covers the restriction/lift round trip, the taboo identity, stationary
     restriction, the simplex cost bound, incremental-versus-scratch
     equality, a stopped-chain statistical check, and (optionally) stored
-    states and graph files supplied by the caller.
+    states and graph files supplied by the caller.  ``rounds`` below 1 is a
+    ``ValueError``: the round-based checks would check nothing.
     """
+    if rounds < 1:
+        raise ValueError(f"verify needs at least one round, got {rounds}")
     checks = [
         _check_fixture(),
         _check_roundtrip(seed, rounds),

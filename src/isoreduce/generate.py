@@ -26,8 +26,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 vertices")
-        if self.avg_degree < 1:
-            raise ValueError("average degree must be at least 1")
+        if not (np.isfinite(self.avg_degree) and self.avg_degree >= 1):
+            raise ValueError(f"average degree must be a finite number at least 1, "
+                             f"got {self.avg_degree}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.p < 0:

@@ -12,7 +12,10 @@ them into; a graph built from an array has them scanned from it.  The
 validator tests every edge with one mask and sums a stochastic graph's
 columns over the edges.
 A graph derives, once, one pair of loop-free edge lists over its vertex
-slots, ``edge_lists``, and every traversal of the package indexes them.
+slots, ``edge_lists``, and every traversal of the package indexes them;
+a graph an update edited inherits its base graph's lists instead, with
+only the slots the edit touched copied and patched, so a published list
+is never mutated.
 One counting pass over the complement's kept edges (Kahn's topological
 sort, run from the sinks on the backward lists), ``_peel``, gives the
 structural check, the nilpotency index and the depth layers, its rounds,
@@ -167,8 +170,9 @@ class WeightedDigraph:
     read-only arrays of tail ids ``i``, head ids ``j`` and weights ``w``,
     one entry per edge.  ``edge_lists`` turns them, on first read, into
     loop-free edge lists over vertex slots (slot ``v - 1`` for vertex
-    ``v``), one along the edges and one against them.  Passes that follow
-    edges read these, and matrix products read ``adjacency``.
+    ``v``), one along the edges and one against them, or inherits them
+    patched from the graph an update edited.  Passes that follow edges read
+    these, and matrix products read ``adjacency``.
 
     ``weights`` maps ordered pairs ``(i, j)`` (an edge from i to j) to a
     finite nonzero weight; absent pairs read as weight 0.  It is derived
@@ -187,9 +191,10 @@ class WeightedDigraph:
                                  list(weights.values())), stochastic, removed)
 
     def _keep(self, adj: np.ndarray, edges: tuple[np.ndarray, ...], stochastic: bool,
-              removed: Iterable[int]) -> None:
+              removed: Iterable[int], lists: tuple[list[list[int]], ...] | None = None) -> None:
         """Validate ``adj``, whose row-major edges are ``edges``, and make
-        both, read-only, this graph's adjacency and edge arrays."""
+        both, read-only, this graph's adjacency and edge arrays; ``lists``,
+        when given, are its ``edge_lists`` as they stand."""
         n = adj.shape[0]
         removed = frozenset(map(_vertex_id, removed))
         if not all(1 <= v <= n for v in removed):
@@ -202,6 +207,8 @@ class WeightedDigraph:
         vars(self).update(n_vertices=n, stochastic=stochastic, removed=removed,
                           adjacency=adj, edge_arrays=edges, _active=active,
                           _ids=tuple((np.flatnonzero(active) + 1).tolist()))
+        if lists is not None:
+            vars(self)["edge_lists"] = lists
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -301,7 +308,10 @@ class WeightedDigraph:
         ``0..n-1``, derived from ``edge_arrays`` on first read: entry ``v``
         of the first lists slot ``v``'s out-neighbour slots other than
         ``v``, entry ``v`` of the second its in-neighbour slots other than
-        ``v``, both ascending; a tombstone's entries are empty."""
+        ``v``, both ascending; a tombstone's entries are empty.  A graph an
+        update edited is handed them instead: its base graph's lists, with
+        each slot the edit touched copied and patched.  A slot's list may
+        be shared by every graph that inherited it, so none is mutated."""
         i, j, _ = self.edge_arrays
         step = i != j
         forward, back = [[] for _ in range(self.n_vertices)], [[] for _ in range(self.n_vertices)]

@@ -143,8 +143,11 @@ def simulate_stopped_chain(chain: MarkovChain, members, steps: int, seed: int, *
     """Run the chain and record it at successive visits to ``members``.
 
     Reproducible for a fixed seed.  Raises SimulationError when the set is
-    never reached within the step budget.
+    never reached within the step budget, and ValueError when ``steps`` is
+    below 1.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     members = tuple(sorted(set(members)))
     s_pos = {v: t for t, v in enumerate(members)}
     n = chain.n_states

@@ -18,10 +18,13 @@ terminal is zero on the complement and added to them otherwise.
 ``extended_columns`` runs it with member terminals for the update path's
 ``E[:, S]``: on a stochastic graph at parameter 1 the sweep's complement
 rows are already ``E[C, S]``, so only the s member rows take a product
-with the adjacency.  ``branch_counts`` counts branches for the update
-cost model by the same recursion in exact integers, one walk each way over
-the graph's loop-free edge lists in the stored depth order, adding each
-loop's one-step branch afterwards;
+with the adjacency.  A member-terminal sweep, there and in
+``reduced_matrix``, starts from the identity block on the members'
+positions of the depth order and builds no n x s terminal.
+``branch_counts`` counts branches for the update cost model by the same
+recursion in exact integers, one walk each way over the graph's loop-free
+edge lists in the stored depth order, adding each loop's one-step branch
+afterwards;
 ``enumerate_branches`` lists the paths themselves, as a reference.
 """
 
@@ -160,7 +163,7 @@ class ExtendedReducedMatrix:
 
 
 def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex,
-                 terminal: np.ndarray, *, by_length: bool = False,
+                 terminal: np.ndarray | None = None, *, by_length: bool = False,
                  tol: float = DEFAULT_TOL) -> np.ndarray:
     """The depth-order recursion behind every reduction and the lift.
 
@@ -179,6 +182,10 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     it is zero on the complement, as for every caller but
     :func:`extended_reduced_matrix`, the product is written straight into
     the layer's rows; otherwise it is added to the layer's terminal rows.
+    No ``terminal`` means the member terminals, the identity on the
+    members in member order: the sweep then starts from the identity block
+    on the first s positions of ``order`` and never builds an n x s
+    terminal to gather from.
 
     With ``by_length`` the result is stacked by path length: slice ``q``
     holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
@@ -204,18 +211,26 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     at = at[step]
     ap = np.zeros((len(slots), len(slots)), dtype=np.result_type(a, den))
     ap[at, pos[j[step] - 1]] = w[step] / den[at - s, 0]
-    dtype = np.result_type(ap, terminal)
+    if terminal is None:
+        dtype = ap.dtype
+        start = np.eye(len(order), s, dtype=dtype)
+        shape = (len(a), s)
+    else:
+        dtype = np.result_type(ap, terminal)
+        start = terminal[slots].astype(dtype, copy=False)
+        shape = terminal.shape
     if by_length:
-        x = np.zeros((len(cut), len(order), terminal.shape[1]), dtype)
-        x[0] = terminal[slots]
+        x = np.zeros((len(cut),) + start.shape, dtype)
+        x[0] = start
         for d in range(1, len(cut)):
             lo, hi = cut[d - 1], cut[d]
             x[1:d + 1, lo:hi] = ap[lo:hi, :lo] @ x[:d, :lo]
-        out = np.zeros((len(x),) + terminal.shape, dtype)
-        out[0] = terminal
+        out = np.zeros((len(x),) + shape, dtype)
+        if terminal is not None:
+            out[0] = terminal
         out[:, slots] = x
         return out
-    x = terminal[slots].astype(dtype, copy=False)
+    x = start
     add = x[s:].any()
     for d in range(1, len(cut)):
         lo, hi = cut[d - 1], cut[d]
@@ -223,16 +238,9 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
             x[lo:hi] += ap[lo:hi, :lo] @ x[:lo]
         else:
             np.matmul(ap[lo:hi, :lo], x[:lo], out=x[lo:hi])
-    out = terminal.astype(dtype)
+    out = np.zeros(shape, dtype) if terminal is None else terminal.astype(dtype)
     out[slots] = x
     return out
-
-
-def _member_rows(n: int, members: tuple[int, ...]) -> np.ndarray:
-    """Terminal rows with the identity on the members and zeros elsewhere."""
-    t = np.zeros((n, len(members)))
-    t[[v - 1 for v in members], np.arange(len(members))] = 1.0
-    return t
 
 
 def reduced_matrix(graph: WeightedDigraph, structural: StructuralSet,
@@ -247,7 +255,7 @@ def reduced_matrix(graph: WeightedDigraph, structural: StructuralSet,
     if lam is None:
         lam = structural.lam
     members = structural.members
-    x = _depth_sweep(graph, structural, lam, _member_rows(graph.n_vertices, members), tol=tol)
+    x = _depth_sweep(graph, structural, lam, tol=tol)
     return ReducedMatrix(members, lam, graph.adjacency[[v - 1 for v in members]] @ x)
 
 
@@ -263,8 +271,7 @@ def reduced_matrices_by_length(graph: WeightedDigraph, structural: StructuralSet
     if lam is None:
         lam = structural.lam
     members = structural.members
-    x = _depth_sweep(graph, structural, lam, _member_rows(graph.n_vertices, members),
-                     by_length=True, tol=tol)
+    x = _depth_sweep(graph, structural, lam, by_length=True, tol=tol)
     terms = np.zeros((len(structural.complement()) + 1, len(members), len(members)),
                      dtype=x.dtype)
     terms[:len(x)] = graph.adjacency[[v - 1 for v in members]] @ x
@@ -286,9 +293,10 @@ def reduced_matrix_by_length(graph: WeightedDigraph, structural: StructuralSet,
 
 
 def _stochastic_sweep(graph: WeightedDigraph, structural: StructuralSet,
-                      terminal: np.ndarray, tol: float) -> np.ndarray:
+                      terminal: np.ndarray | None, tol: float) -> np.ndarray:
     """The parameter-1 sweep ``X`` of a stochastic graph with terminal rows
-    ``terminal``; the columns of ``E`` those rows select are ``A X``."""
+    ``terminal`` (None for the member terminals); the columns of ``E``
+    those rows select are ``A X``."""
     if not graph.stochastic:
         raise NonStochasticError("extended reduced matrix requires a stochastic graph")
     if abs(structural.lam - 1) > tol:
@@ -325,8 +333,7 @@ def extended_columns(graph: WeightedDigraph, structural: StructuralSet, *,
     ``extended_reduced_matrix(graph, structural).entries[:, idx]`` to
     roundoff, not bit for bit, since the sums run in another order.
     """
-    x = _stochastic_sweep(graph, structural,
-                          _member_rows(graph.n_vertices, structural.members), tol)
+    x = _stochastic_sweep(graph, structural, None, tol)
     idx = [v - 1 for v in structural.members]
     x[idx] = graph.adjacency[idx] @ x
     return x

@@ -7,8 +7,9 @@ The primitivity test and strong connectivity share one breadth-first
 search, :func:`_bfs_levels`, which indexes one of a graph's cached
 loop-free ``edge_lists`` and counts the slots it reaches: the active part
 is strongly connected when the searches along and against the edges each
-reach ``n_active`` slots, and only the forward levels become an array, for
-the period's gcd, which reads every edge, loops too, from ``edge_arrays``.
+reach ``n_active`` slots.  The forward levels then give the period's gcd:
+a loop settles it at once, and otherwise it runs over the forward lists
+and stops as soon as it reaches 1.
 A tombstone's lists are empty; a plain matrix is first made into the
 graph of its support.
 """
@@ -16,6 +17,7 @@ graph of its support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -97,10 +99,13 @@ def is_primitive(matrix) -> bool:
     (some power entrywise positive).
 
     Decided on the support digraph: strong connectivity plus an aperiodicity
-    test, the gcd over all edges (v, u) of ``level[v] + 1 - level[u]`` for
-    the BFS levels from the first active vertex, which is the period.  A
-    graph is read through its cached ``edge_lists``; tombstones are left
-    out, as if the active block had been compacted.
+    test.  The period is the gcd of the cycle lengths, and so the gcd over
+    all edges (v, u) of ``level[v] + 1 - level[u]`` for the BFS levels from
+    the first active vertex.  A loop is a cycle of length 1, so a graph
+    with one is aperiodic at once; otherwise the gcd runs over the forward
+    lists and stops as soon as it reaches 1.  A graph is read through its
+    cached ``edge_lists``; tombstones are left out, as if the active block
+    had been compacted.
     """
     g = _support_graph(matrix)
     if g.n_active < 2:
@@ -108,9 +113,16 @@ def is_primitive(matrix) -> bool:
     level = _strong_levels(g)
     if level is None:
         return False
-    level = np.array(level, dtype=np.int64)
-    i, j, _ = g.edge_arrays
-    return int(np.gcd.reduce(level[i - 1] + 1 - level[j - 1])) == 1
+    if g.adjacency.diagonal().any():
+        return True
+    period = 0
+    for v, succ in enumerate(g.edge_lists[0]):
+        step = level[v] + 1
+        for u in succ:
+            period = gcd(period, step - level[u])
+            if period == 1:
+                return True
+    return False
 
 
 def stationary_vector(matrix, tol: float = 1e-13) -> EigenPair:

@@ -5,11 +5,13 @@ member columns ``E[:, S]`` of the extended reduced matrix, and dominant
 eigenvectors.  A delta (a short list of vertex/edge insertions and
 removals) is applied one operation at a time to a writable copy of the
 graph's adjacency array: the entry is set and the touched columns
-renormalized.  The edited array becomes the new graph through
-``WeightedDigraph.from_matrix``, which validates and keeps it as the
-graph's float64 adjacency, with its edge arrays, without building a weight
-map.  The new graph's loop-free edge lists, derived once from those
-arrays, serve the promotion rule, the primitivity test and the depths.
+renormalized, and each change of support is patched into the base
+graph's loop-free edge lists, a slot's list copied on its first patch.
+The edited array, without a further copy, goes through the validator
+``WeightedDigraph.from_matrix`` runs and becomes the new graph's float64
+adjacency, with its edge arrays, without building a weight map; the
+patched lists become its ``edge_lists`` and serve the promotion rule, the
+primitivity test and the depths.
 The structural set loses the removed vertices and grows by the promotion
 rule: each new edge, last op first, promotes its source when a depth-first
 walk, ``_reaches``, indexing the new graph's forward lists, finds that it
@@ -34,6 +36,7 @@ No branch is listed on the way.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -42,8 +45,8 @@ import numpy as np
 
 from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
                          StructuralSetError)
-from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, compute_depths,
-                    find_structural_set)
+from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, _row_major_edges,
+                    compute_depths, find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_columns,
                         extended_reduced_matrix)
@@ -395,12 +398,25 @@ class _Editor:
     An edit sets entries of the array and renormalizes each touched column
     to unit sum; the tombstones are kept beside it.  Every edit check lives
     here, and an id is checked active before it indexes the array, so that
-    0 or -1 cannot wrap around to its last rows.
+    0 or -1 cannot wrap around to its last rows.  Each change of support is
+    patched into copies of the base graph's two outer ``edge_lists``; a
+    slot's own list is copied on its first patch, since the base graph and
+    every graph that inherited it share the list.
     """
 
     def __init__(self, graph: WeightedDigraph):
         self.a = graph.adjacency.real.copy()
         self.removed = set(graph.removed)
+        self.lists = tuple(map(list, graph.edge_lists))
+        self._own: tuple[set[int], set[int]] = (set(), set())
+
+    def _slot(self, side: int, v: int) -> list[int]:
+        """Slot ``v``'s list on one side (0 forward, 1 backward), this
+        editor's own copy."""
+        if v not in self._own[side]:
+            self._own[side].add(v)
+            self.lists[side][v] = list(self.lists[side][v])
+        return self.lists[side][v]
 
     @property
     def n_vertices(self) -> int:
@@ -431,18 +447,25 @@ class _Editor:
             raise DeltaError(f"edge weight must be positive, got {w}")
         self.a[i - 1, j - 1] = w
         self._renorm(j)
+        insort(self._slot(0, i - 1), j - 1)
+        insort(self._slot(1, j - 1), i - 1)
 
     def remove_edge(self, i: int, j: int) -> None:
         if not (self.active(i) and self.active(j) and self.a[i - 1, j - 1]):
             raise DeltaError(f"edge ({i},{j}) does not exist")
         self.a[i - 1, j - 1] = 0.0
         self._renorm(j)
+        self._slot(0, i - 1).remove(j - 1)
+        self._slot(1, j - 1).remove(i - 1)
 
     def add_vertex(self) -> None:
         n = self.n_vertices
         grown = np.zeros((n + 1, n + 1))
         grown[:n, :n] = self.a
         self.a = grown
+        for lists, own in zip(self.lists, self._own):
+            lists.append([])
+            own.add(n)
 
     def remove_vertex(self, v: int) -> None:
         if not self.active(v):
@@ -453,17 +476,29 @@ class _Editor:
         self.removed.add(v)
         for y in targets.tolist():
             self._renorm(y)
+        for side, lists in enumerate(self.lists):
+            for u in lists[v - 1]:
+                self._slot(1 - side, u).remove(v - 1)
+            lists[v - 1] = []
+            self._own[side].add(v - 1)
 
     def graph(self) -> WeightedDigraph:
-        """The edited graph, validated stochastic.
+        """The edited graph, validated stochastic: the editor's own array
+        and patched lists, kept without a copy.
 
         Raises:
             DeltaError: the edits leave the graph non-stochastic.
         """
+        edges = _row_major_edges(self.a)
+        # a renormalization that underflows drops an edge from the array
+        # alone; the lists then hold more edges and are derived afresh
+        lists = self.lists if sum(map(len, self.lists[0])) == len(edges[0]) else None
+        graph = WeightedDigraph.__new__(WeightedDigraph)
         try:
-            return WeightedDigraph.from_matrix(self.a, stochastic=True, removed=self.removed)
+            graph._keep(self.a, edges, True, self.removed, lists)
         except NonStochasticError as exc:
             raise DeltaError(f"delta leaves the graph non-stochastic: {exc}") from exc
+        return graph
 
 
 def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:

@@ -8,8 +8,8 @@ listing, recursive depths, primitivity by matrix powers, the embedded lift,
 entry-by-entry matrix reading) are kept here as references, and so are the
 branch-by-branch forms of the reduction's weights and the promotion rule,
 the dense solve for the stored columns ``E[:, S]``, the dense closed form
-of the branch counts and the eager compare behind an update report's
-change counts.
+of the branch counts, the eager compare behind an update report's
+change counts and a sorted derivation of a graph's edge lists.
 """
 
 from __future__ import annotations
@@ -325,6 +325,19 @@ def weights_loop(m) -> dict[tuple[int, int], complex]:
 def from_matrix_loop(m, *, stochastic: bool = False) -> WeightedDigraph:
     """Graph of a square matrix, built from its entry-by-entry weight map."""
     return WeightedDigraph(np.asarray(m).shape[0], weights_loop(m), stochastic=stochastic)
+
+
+def edge_lists_derived(graph: WeightedDigraph) -> list[list[list[int]]]:
+    """A graph's loop-free forward and backward slot lists, derived afresh
+    from its ``edge_arrays`` and sorted."""
+    i, j, _ = graph.edge_arrays
+    forward = [[] for _ in range(graph.n_vertices)]
+    back = [[] for _ in range(graph.n_vertices)]
+    for a, b in zip(i.tolist(), j.tolist()):
+        if a != b:
+            forward[a - 1].append(b - 1)
+            back[b - 1].append(a - 1)
+    return [[sorted(x) for x in forward], [sorted(x) for x in back]]
 
 
 def apply_ops_dense(matrix: np.ndarray, delta) -> np.ndarray:

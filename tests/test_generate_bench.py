@@ -23,6 +23,13 @@ def test_config_validation():
         ExperimentConfig(n=10, avg_degree=2.0, p=3, ell=10, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("degree", [float("nan"), float("inf"), float("-inf")])
+def test_config_refuses_a_non_finite_avg_degree(degree):
+    # NaN fails every comparison, so a plain ``< 1`` check let it through
+    with pytest.raises(ValueError, match="average degree"):
+        ExperimentConfig(n=10, avg_degree=degree, p=3, ell=10, trials=1, seed=0)
+
+
 def test_generator_deterministic_and_valid():
     a = random_stochastic_graph(12, 2.5, np.random.default_rng(60))
     b = random_stochastic_graph(12, 2.5, np.random.default_rng(60))
@@ -131,6 +138,12 @@ def test_verify_suite_passes_on_defaults():
     assert {"fixture-three-cycle", "restriction-roundtrip", "taboo-identity",
             "stationary-restriction", "lemma-bound", "incremental-vs-scratch",
             "stopped-chain-bands"} <= names
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_verify_suite_refuses_rounds_below_one(rounds):
+    with pytest.raises(ValueError, match="round"):
+        verify_suite(seed=1, rounds=rounds)
 
 
 def test_verify_suite_seed_sweep():

@@ -289,6 +289,18 @@ def test_cli_simulate(tmp_path, capsys):
     assert np.abs(emp - exp).max() < 0.05
 
 
+def test_cli_refuses_counts_that_check_nothing(tmp_path, capsys):
+    path = str(tmp_path / "g.json")
+    iio.write_graph(random_stochastic_graph(6, 2.5, np.random.default_rng(74)), path)
+    for args in (["bench", "--n", "10", "--trials", "1", "--avg-degree", "nan"],
+                 ["bench", "--n", "10", "--trials", "1", "--avg-degree", "inf"],
+                 ["verify", "--rounds", "0"], ["verify", "--rounds", "-1"],
+                 ["simulate", "--graph", path, "--steps", "0"],
+                 ["simulate", "--graph", path, "--steps", "-5"]):
+        assert main(args) == 2, args
+        assert capsys.readouterr().out == "", args
+
+
 #: Column sums 0.9999999999: stochastic for a graph (1e-9), not for a
 #: transition matrix given directly (1e-12).
 NEAR_STOCHASTIC_EDGELIST = ("N 4\n2 1 0.3333333333\n3 1 0.3333333333\n4 1 0.3333333333\n"

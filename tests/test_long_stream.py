@@ -29,7 +29,7 @@ from isoreduce import (DeltaError, DeltaOp, GraphDelta, StoredState, UpdateSessi
 from isoreduce.bench import scratch_equivalent
 from isoreduce.io import load_state, save_state
 from isoreduce import update as update_module
-from oracles import apply_ops_dense, primitive_wielandt
+from oracles import apply_ops_dense, edge_lists_derived, primitive_wielandt
 
 N0, UPDATES, CHECK_EVERY, MAX_DEV = 40, 60, 5, 3
 TOL = 1e-12
@@ -207,11 +207,14 @@ class StreamMachine(RuleBasedStateMachine):
     @rule(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4))
     def commit(self, sizes):
         for p in sizes:
+            base = self.state.graph
             try:
-                self.state, _ = run_update(self.state, random_delta(self.state.graph,
-                                                                    self.rng, p))
+                self.state, _ = run_update(self.state, random_delta(base, self.rng, p))
             except DeltaError:
                 pass
+            # the committed graph's inherited lists, and its base graph's
+            for g in (self.state.graph, base):
+                assert list(g.edge_lists) == edge_lists_derived(g)
 
     @rule(p=st.integers(0, 2), bad=st.integers(0, 3), at=st.integers(0, 2))
     def refuse(self, p, bad, at):

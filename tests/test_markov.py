@@ -127,6 +127,12 @@ def test_simulate_flip_chain():
     assert sample.empirical_transition[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("steps", [0, -5])
+def test_simulate_refuses_steps_below_one(steps):
+    with pytest.raises(ValueError, match="steps"):
+        simulate_stopped_chain(flip_chain(), [1], steps, seed=9)
+
+
 def test_simulate_full_set_observes_every_step():
     lazy = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
     sample = simulate_stopped_chain(lazy, [1, 2], 5000, seed=10)

@@ -7,7 +7,7 @@ from isoreduce import (Branch, BranchSet, DeltaError, NonStochasticError,
                        find_structural_set, random_delta, random_stochastic_graph,
                        reduced_matrices_by_length, reduced_matrix,
                        reduced_matrix_by_length, run_update)
-from isoreduce.reduction import _depth_sweep, _member_rows
+from isoreduce.reduction import _depth_sweep
 from oracles import (all_branches_bruteforce, branch_counts_closed_form, branch_weight,
                      chain_graph, random_complex_graph)
 
@@ -148,7 +148,11 @@ def test_stacked_lengths_match_single_length_sweeps():
         terms = reduced_matrices_by_length(g, ss, lam)
         assert terms.shape == (m + 1, s, s)
         a, rows = g.matrix(), [v - 1 for v in ss.members]
-        x = _depth_sweep(g, ss, lam, _member_rows(n, ss.members), by_length=True)
+        # the member terminals as explicit rows, against the sweep's own
+        # identity start that the reductions use
+        terminal = np.zeros((n, s))
+        terminal[[v - 1 for v in ss.members], np.arange(s)] = 1.0
+        x = _depth_sweep(g, ss, lam, terminal, by_length=True)
         for p in range(1, m + 2):
             single = reduced_matrix_by_length(g, ss, lam, p)
             assert np.array_equal(terms[p - 1], single)

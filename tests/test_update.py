@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitive
 from isoreduce.io import load_state, save_state
 from isoreduce import update as update_module
 from isoreduce.update import _lift_full, _reaches
-from oracles import (column_changes, dominant_unit_vector, extended_columns_closed_form,
-                     lift_full_embedded, promotion_candidates, promotion_rule, weights_loop)
+from oracles import (column_changes, dominant_unit_vector, edge_lists_derived,
+                     extended_columns_closed_form, lift_full_embedded, promotion_candidates,
+                     promotion_rule, weights_loop)
 
 
 def cycle_state(**kw) -> StoredState:
@@ -89,6 +91,77 @@ def test_apply_ops_accepts_numpy_integer_ids(three_cycle):
     as_numpy = tuple(DeltaOp(op.kind, *map(np.int64, (op.i, op.j)), w=op.w) for op in ops)
     assert apply_ops(three_cycle, GraphDelta(as_numpy)) == apply_ops(three_cycle, GraphDelta(ops))
     assert compute_depths(three_cycle, [np.int64(1)], 1.0) == compute_depths(three_cycle, [1], 1.0)
+
+
+def lists_hold(graph: WeightedDigraph) -> bool:
+    """Whether a graph's edge lists are those its edge arrays give."""
+    return list(graph.edge_lists) == edge_lists_derived(graph)
+
+
+def test_edited_graphs_inherit_and_patch_their_base_lists():
+    """330 seeded deltas over all four op kinds, on fresh graphs and on
+    graphs with tombstones: every committed graph's lists are those its
+    edge arrays give, and its base graph's lists are untouched, also when
+    a delta is refused mid-delta or by the validator."""
+    rng = np.random.default_rng(127)
+    committed, refused = Counter(), Counter()
+    shared = tombstoned = 0
+    for t in range(330):
+        if t % 55 == 0:
+            state = StoredState.from_graph(random_stochastic_graph(int(rng.integers(10, 25)),
+                                                                   2.5, rng))
+        g = state.graph
+        ids, n = g.vertices(), g.n_vertices
+        tails, heads, _ = g.edge_arrays
+        k = int(rng.integers(len(tails)))
+        src, dst = (int(v) for v in rng.choice(ids, 2, replace=False))
+        degree = [len(f) + len(b) for f, b in zip(*g.edge_lists)]
+        case = t % 6
+        if case == 0:
+            ops = list(random_delta(g, rng, 3).ops)
+        elif case == 1:
+            # removed and added again in one delta
+            i, j = int(tails[k]), int(heads[k])
+            ops = [DeltaOp.remove_edge(i, j), DeltaOp.add_edge(i, j, 0.5)]
+        elif case == 2:
+            ops = [DeltaOp.remove_vertex(degree.index(max(degree)) + 1)]
+        elif case == 3:
+            ops = [DeltaOp.add_vertex(), DeltaOp.add_edge(src, n + 1, 0.4),
+                   DeltaOp.add_edge(n + 1, dst, 0.7)]
+        elif case == 4:
+            # valid edits, then one the editor refuses
+            ops = list(random_delta(g, rng, 2).ops) + [DeltaOp.remove_edge(src, src)]
+        else:
+            # the new vertex's column stays empty, so the validator refuses
+            ops = [DeltaOp.remove_edge(int(tails[k]), int(heads[k])), DeltaOp.add_vertex(),
+                   DeltaOp.add_edge(n + 1, dst, 0.5)]
+        try:
+            new, _ = run_update(state, GraphDelta(ops))
+        except DeltaError as exc:
+            refused["validator" if "non-stochastic" in str(exc) else case] += 1
+            assert lists_hold(g)
+            continue
+        g2 = new.graph
+        assert lists_hold(g2) and lists_hold(g)
+        shared += sum(a is b for a, b in zip(g.edge_lists[0], g2.edge_lists[0]))
+        committed[case] += 1
+        tombstoned += bool(g2.removed)
+        state = new
+    # every commit kind, the highest-degree removal too, and both refusals
+    assert sorted(committed) == [0, 1, 2, 3] and sum(committed.values()) >= 150, committed
+    assert refused[4] == 55 and refused["validator"] >= 55 and tombstoned >= 55, refused
+    # untouched slots are inherited, not copied
+    assert shared > 0
+
+
+def test_edge_lost_to_renormalization_underflow_leaves_the_lists():
+    # 1 -> 3 weighs 1e-300; a weight of 1e308 into column 3 rounds it to 0
+    g = WeightedDigraph.from_edges(4, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1e-300), (3, 4, 1.0),
+                                       (4, 1, 1.0)], stochastic=True)
+    g2 = apply_ops(g, GraphDelta((DeltaOp.add_edge(4, 3, 1e308),)))
+    assert not g2.has_edge(1, 3) and g2.has_edge(4, 3)
+    assert lists_hold(g2) and lists_hold(g)
+    assert g2.edge_lists[0][0] == [1]
 
 
 def test_remove_vertex_renormalizes_former_targets():
