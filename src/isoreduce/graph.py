@@ -20,11 +20,14 @@ One counting pass over the complement's kept edges (Kahn's topological
 sort, run from the sinks on the backward lists), ``_peel``, gives the
 structural check, the nilpotency index and the depth layers, its rounds,
 in O(n + nnz); a ``StructuralSet`` stores those layers as they are.  The
-structural-set search runs the same peel incrementally to take out
-every vertex that can no longer reach a cycle, so its one depth-first
-search per pick, ``_cycles``, walks only the vertices that still can, over
-the forward lists; the search also gives the witness cycle once a
-counting pass has stalled.
+structural-set search, ``find_structural_set``, runs the same rule
+incrementally, ``_peel_depths``, to take out every vertex that can no
+longer reach a cycle, so its one depth-first search per pick, ``_cycles``,
+walks only the vertices that still can, over the forward lists; the
+depth-first search also gives the witness cycle once a counting pass has
+stalled.  A vertex leaves the search's peel only after all its
+out-neighbours, so the search records each depth as the vertex leaves and
+returns its own layering, without a second peel.
 """
 
 from __future__ import annotations
@@ -563,6 +566,29 @@ def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: com
     return ValidationResult(True)
 
 
+def _peel_depths(graph: WeightedDigraph, live: list[bool], pending: list[int],
+                 depth: list[int], queue: list[int]) -> None:
+    """:func:`_peel` for the structural-set search, which keeps depths and
+    no rounds: the slots in ``queue`` leave the live set, and so does each
+    live slot whose ``pending`` count reaches zero.  A slot is taken up only
+    after every live out-neighbour it had has left, so ``depth[u]``, raised
+    to 1 plus the depth of each of them as it leaves, is final by then."""
+    preds = graph.edge_lists[1]
+    for v in queue:
+        live[v] = False
+    while queue:
+        v = queue.pop()
+        d = depth[v] + 1
+        for u in preds[v]:
+            if live[u]:
+                if depth[u] < d:
+                    depth[u] = d
+                pending[u] -= 1
+                if not pending[u]:
+                    live[u] = False
+                    queue.append(u)
+
+
 def find_structural_set(graph: WeightedDigraph, lam: complex,
                         tol: float = DEFAULT_TOL) -> StructuralSet:
     """Search for a structural set at ``lam``; valid but not minimum-cardinality.
@@ -571,12 +597,17 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     non-loop cycles are broken greedily by the vertex covering the most
     cycles detected per sweep (the smallest id among ties).  Between sweeps
     the vertices that reach no cycle outside the set are peeled off by
-    :func:`_peel`, the depth layering's rule, kept up to date as the set
-    grows: each chosen vertex leaves the live set, and so does every live
-    vertex left with no live out-neighbour (its rounds go unused).  Such a
-    vertex only ever finishes in the search, so the sweep over the
-    live vertices meets the same back edges, counts and choices; the search
-    ends when no vertex is live.
+    :func:`_peel_depths`, the depth layering's rule, kept up to date as the
+    set grows: each chosen vertex leaves the live set, and so does every
+    live vertex left with no live out-neighbour.  Such a vertex only ever
+    finishes in the search, so the sweep over the live vertices meets the
+    same back edges, counts and choices; the search ends when no vertex is
+    live.  By then every complement vertex has left after all its
+    out-neighbours, and its depth, 1 plus its deepest out-neighbour's with
+    the members at 0, was recorded as it left: the search returns the
+    layering :func:`compute_depths` would give, without its peel.  A graph
+    with no cycle and no forced vertex takes its first vertex as the only
+    member, and that set goes through :func:`compute_depths`.
     """
     if graph.n_active == 0:
         raise ValueError("graph has no active vertices")
@@ -585,15 +616,24 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     flags = graph._active & ~forced
     pending = _out_counts(graph, flags)
     live = flags.tolist()
-    _peel(graph, live, pending, [v for v in np.flatnonzero(flags).tolist() if not pending[v]])
+    depth = [1] * graph.n_vertices
+    _peel_depths(graph, live, pending, depth,
+                 [v for v in np.flatnonzero(flags).tolist() if not pending[v]])
     while True in live:
         hits = _cycles(graph.edge_lists[0], live)[1]
         v = hits.index(max(hits))
         chosen.add(v + 1)
-        _peel(graph, live, pending, [v])
+        depth[v] = 0
+        _peel_depths(graph, live, pending, depth, [v])
     if not chosen:
-        chosen.add(graph.vertices()[0])
-    return compute_depths(graph, chosen, lam, tol)
+        return compute_depths(graph, [graph.vertices()[0]], lam, tol)
+    for v in chosen:
+        depth[v - 1] = 0
+    slots = sorted([v - 1 for v in graph.vertices()], key=depth.__getitem__)
+    counts = [0] * (depth[slots[-1]] + 1)
+    for v in slots:
+        counts[depth[v]] += 1
+    return StructuralSet(lam, tuple(v + 1 for v in slots), tuple(accumulate(counts)))
 
 
 def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | None:

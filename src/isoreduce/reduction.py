@@ -7,20 +7,30 @@ fixed spectral parameter, and computed in closed form,
 ``R(lam) = A_SS + A_SC (lam I - A_CC)^-1 A_CS``: the isospectral reduction
 of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
 complement.  The complement carries no non-loop cycle, so the solve is one
-sweep over the complement in increasing depth, the same recursion that
-lifts an eigenvector.  The sweep reads the graph's weights as stored, so
-a real graph at a real parameter gives real results.  It checks every
-denominator first, then scatters the graph's ``edge_arrays`` once into
-the structural set's stored depth order, members first and loops dropped,
-so that each depth layer is one product of a contiguous block with the
-rows already solved, written straight into the layer's rows when the
-terminal is zero on the complement and added to them otherwise.
-``extended_columns`` runs it with member terminals for the update path's
-``E[:, S]``: on a stochastic graph at parameter 1 the sweep's complement
-rows are already ``E[C, S]``, so only the s member rows take a product
-with the adjacency.  A member-terminal sweep, there and in
-``reduced_matrix``, starts from the identity block on the members'
-positions of the depth order and builds no n x s terminal.
+sweep over the complement in increasing depth.  The sweep reads the
+graph's weights as stored, so a real graph at a real parameter gives real
+results.  It refuses a non-finite parameter and checks every denominator
+first, then scatters the graph's ``edge_arrays`` once into the structural
+set's stored depth order, members first and loops dropped, so that each
+depth layer is one product of a contiguous block with the rows already
+solved.  With member terminals it starts from the identity block on the
+members' positions of the depth order, builds no n x s terminal, and
+writes each product straight into the layer's rows; its result is the
+member sweep ``X(lam) = [I; (lam I - A_CC)^-1 A_CS]``, so the reduction
+is ``A[S, :] X`` and the lift of an eigenvector ``X u_S``.
+``reduced_matrix`` reads that sweep through ``_member_sweep``, which
+remembers it on the graph, one read-only entry, until a lift at the same
+key takes it with ``_take_member_sweep``: a lift after a reduction at the
+same parameter is one product, and the n x s array lives from the
+reduction to that lift, or until the next reduction replaces it.
+``extended_columns`` runs the member-terminal sweep itself for the
+update path's ``E[:, S]`` and writes into it, so a stored state's graph
+remembers nothing: on a stochastic graph at parameter 1 the sweep's
+complement rows are already ``E[C, S]``, so only the s member rows take
+a product with the adjacency.  An explicit terminal serves a lift with
+no remembered sweep, one column that is zero on the complement, and
+``extended_reduced_matrix``, whose identity terminal has each layer's
+product added to it.
 ``branch_counts`` counts branches for the update cost model by the same
 recursion in exact integers, one walk each way over the graph's loop-free
 edge lists in the stored depth order, adding each loop's one-step branch
@@ -30,6 +40,7 @@ afterwards;
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,30 +181,34 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     ``a`` is the graph's n x n adjacency and ``terminal`` holds one row per
     vertex slot (row ``v - 1`` for vertex ``v``).  Members keep their
     terminal row; complement vertices, in increasing depth, take
-    ``x_v = t_v + sum_{j != v} (a_vj / (lam - a_vv)) x_j``.  Every
-    denominator is checked first.  The complement rows' off-diagonal
-    edges, read from ``edge_arrays`` and each divided by its row's
-    denominator, are then scattered into ``ap``: the active block permuted
-    into the structural set's ``order``, members first, then each depth
-    layer by ascending id.  A vertex only points at shallower ones, so the
-    layer in positions ``lo:hi`` of ``cut`` is one product of the
-    contiguous block ``ap[lo:hi, :lo]`` with the rows already solved, and
-    ``lam I - A_CC`` is never formed.  The terminal selects the form: when
-    it is zero on the complement, as for every caller but
-    :func:`extended_reduced_matrix`, the product is written straight into
-    the layer's rows; otherwise it is added to the layer's terminal rows.
-    No ``terminal`` means the member terminals, the identity on the
-    members in member order: the sweep then starts from the identity block
-    on the first s positions of ``order`` and never builds an n x s
-    terminal to gather from.
+    ``x_v = t_v + sum_{j != v} (a_vj / (lam - a_vv)) x_j``.  A non-finite
+    ``lam`` is refused, and every denominator is checked first.  The
+    complement rows' off-diagonal edges, read from ``edge_arrays`` and each
+    divided by its row's denominator, are then scattered into ``ap``: the
+    active block permuted into the structural set's ``order``, members
+    first, then each depth layer by ascending id.  A vertex only points at
+    shallower ones, so the layer in positions ``lo:hi`` of ``cut`` is one
+    product of the contiguous block ``ap[lo:hi, :lo]`` with the rows
+    already solved, and ``lam I - A_CC`` is never formed.  No ``terminal``
+    means the member terminals, the identity on the members in member
+    order: the sweep then starts from the identity block on the first s
+    positions of ``order`` and never builds an n x s terminal to gather
+    from.  A given ``terminal`` is one column from a lift with no
+    remembered sweep, or the identity from :func:`extended_reduced_matrix`.
+    Each layer's product is written straight into its rows when the
+    terminal is zero on the complement, as for every caller but
+    :func:`extended_reduced_matrix`, and added to them otherwise.
 
     With ``by_length`` the result is stacked by path length: slice ``q``
     holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
     ``terminal``), and the slices sum to the plain result.
 
     Raises:
+        ValueError: ``lam`` is not finite.
         SingularWeightError: a complement denominator is within ``tol`` of zero.
     """
+    if not cmath.isfinite(lam):
+        raise ValueError(f"spectral parameter {lam} is not finite")
     a = graph.adjacency
     order, cut = structural.order, structural.cut
     s = cut[0]
@@ -231,7 +246,7 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
         out[:, slots] = x
         return out
     x = start
-    add = x[s:].any()
+    add = terminal is not None and x[s:].any()
     for d in range(1, len(cut)):
         lo, hi = cut[d - 1], cut[d]
         if add:
@@ -243,19 +258,66 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     return out
 
 
+def _sweep_key(graph: WeightedDigraph, structural: StructuralSet, lam: complex,
+               tol: float) -> tuple:
+    """Everything a member sweep depends on: the set's ``order`` and
+    ``cut``, ``lam``, ``tol`` and the result dtype, since ``1.0 == 1 + 0j``
+    while a real graph at a real parameter gives real results."""
+    return (structural.order, structural.cut, lam, tol,
+            np.result_type(graph.adjacency, lam))
+
+
+def _member_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex,
+                  tol: float) -> np.ndarray:
+    """The read-only n x s member sweep ``X(lam)``, remembered on the graph.
+
+    ``X(lam) = [I; (lam I - A_CC)^-1 A_CS]`` in slot order: the reduction
+    is ``A[S, :] X`` and the lift ``X u_S``, so a reduce and a lift at the
+    same parameter share one sweep.  The graph keeps one entry, in the way
+    it caches ``edge_lists``, under :func:`_sweep_key`, until a lift at
+    that key takes it or the next sweep replaces it; a failed sweep leaves
+    it as it was.  The update path calls :func:`_depth_sweep` itself, so a
+    stored state's graph pins no second n x s array.
+    """
+    key = _sweep_key(graph, structural, lam, tol)
+    memo = vars(graph).get("_member_sweep")
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    x = _depth_sweep(graph, structural, lam, tol=tol)
+    x.flags.writeable = False
+    vars(graph)["_member_sweep"] = (key, x)
+    return x
+
+
+def _take_member_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex,
+                       tol: float) -> np.ndarray | None:
+    """The member sweep remembered at this key, removed from the graph, or
+    None when the graph remembers another key or none."""
+    memo = vars(graph).get("_member_sweep")
+    if memo is None or memo[0] != _sweep_key(graph, structural, lam, tol):
+        return None
+    del vars(graph)["_member_sweep"]
+    return memo[1]
+
+
 def reduced_matrix(graph: WeightedDigraph, structural: StructuralSet,
                    lam: complex | None = None, *,
                    tol: float = DEFAULT_TOL) -> ReducedMatrix:
-    """Reduced matrix over the structural members at ``lam``.
+    """Reduced matrix over the structural members at ``lam``, ``A[S, :] X``
+    for the member sweep ``X`` that :func:`_member_sweep` remembers.
 
     ``lam`` defaults to the structural set's own parameter; passing another
     value re-evaluates the same reduction there (used by the eigenvalue
     co-iteration).
+
+    Raises:
+        ValueError: ``lam`` is not finite.
+        SingularWeightError: a complement loop weight is within ``tol`` of ``lam``.
     """
     if lam is None:
         lam = structural.lam
     members = structural.members
-    x = _depth_sweep(graph, structural, lam, tol=tol)
+    x = _member_sweep(graph, structural, lam, tol)
     return ReducedMatrix(members, lam, graph.adjacency[[v - 1 for v in members]] @ x)
 
 

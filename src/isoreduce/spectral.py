@@ -3,6 +3,11 @@
 Every stationary vector the package commits or checks comes from one exact
 solve, :func:`stationary_vector`; power iteration and a damped co-iteration
 on reduced matrices remain, and dense eigensolvers are left to test oracles.
+After a reduction at the same parameter, the lift,
+:func:`lift_eigenvector`, is one product ``X(lam) u_S`` with the member
+sweep that :func:`~isoreduce.reduction.reduced_matrix` left on the graph,
+and it takes that sweep off the graph; with none remembered it sweeps one
+column.  :func:`verify_restriction` reads the sweep through the reduction.
 The primitivity test and strong connectivity share one breadth-first
 search, :func:`_bfs_levels`, which indexes one of a graph's cached
 loop-free ``edge_lists`` and counts the slots it reaches: the active part
@@ -24,7 +29,7 @@ import numpy as np
 from .exceptions import (DegenerateRestrictionError, IterationError,
                          NotPrimitiveError, SingularWeightError)
 from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
-from .reduction import _depth_sweep, reduced_matrix
+from .reduction import _depth_sweep, _take_member_sweep, reduced_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +227,19 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
                      lambda0: complex, u_s, *, tol: float = DEFAULT_TOL) -> EigenPair:
     """Reconstruct a full eigenvector from its values on the structural set.
 
-    Vertices are filled in increasing depth order: each complement vertex
-    takes the weighted sum of its (already filled) out-neighbors divided by
-    (lambda0 - its loop weight).  The input values are kept verbatim on the
-    structural members, so the restriction of the result is the input.
+    A complement vertex takes the weighted sum of its shallower
+    out-neighbours divided by (lambda0 - its loop weight).  After
+    :func:`~isoreduce.reduction.reduced_matrix` at the same parameter,
+    set and ``tol``, that is one product ``X(lambda0) u_S`` with the
+    member sweep the reduction left on the graph, which the lift takes
+    off it; otherwise it is one sweep of a single column, and nothing is
+    remembered.  The member rows of ``X`` are identity rows, so the input
+    values are kept verbatim on the structural members and the restriction
+    of the result is the input.
 
     Raises:
+        ValueError: ``lambda0`` or an entry of ``u_s`` is not finite, or
+            ``u_s`` does not match the structural set in length.
         SingularWeightError: a complement loop weight coincides with lambda0
             (impossible while the structural set is valid).
     """
@@ -235,10 +247,16 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
     u_s = np.asarray(u_s, dtype=complex)
     if u_s.shape != (len(members),):
         raise ValueError("restricted vector length does not match the structural set")
+    if not np.isfinite(u_s).all():
+        raise ValueError("restricted vector has a non-finite entry")
     a = graph.adjacency
-    terminal = np.zeros((graph.n_vertices, 1), dtype=complex)
-    terminal[[v - 1 for v in members], 0] = u_s
-    full = _depth_sweep(graph, structural, lambda0, terminal, tol=tol)[:, 0]
+    x = _take_member_sweep(graph, structural, lambda0, tol)
+    if x is not None:
+        full = x @ u_s
+    else:
+        terminal = np.zeros((graph.n_vertices, 1), dtype=complex)
+        terminal[[v - 1 for v in members], 0] = u_s
+        full = _depth_sweep(graph, structural, lambda0, terminal, tol=tol)[:, 0]
     ids = graph.vertices()
     vec = full[[v - 1 for v in ids]]
     scale = np.linalg.norm(vec)

@@ -393,7 +393,8 @@ def simplex_bound(x) -> tuple[float, float]:
 
 
 class _Editor:
-    """Step 1 on a writable float copy of the graph's adjacency.
+    """Step 1 on a writable float copy of the graph's adjacency; a graph
+    with a non-real weight is refused, naming its first such edge.
 
     An edit sets entries of the array and renormalizes each touched column
     to unit sum; the tombstones are kept beside it.  Every edit check lives
@@ -405,7 +406,12 @@ class _Editor:
     """
 
     def __init__(self, graph: WeightedDigraph):
-        self.a = graph.adjacency.real.copy()
+        i, j, w = graph.edge_arrays
+        if w.dtype.kind == "c":
+            t = np.flatnonzero(w.imag)[0]
+            raise DeltaError(f"edge ({i[t]},{j[t]}) has non-real weight {w[t]}; "
+                             "an update edits real weights only")
+        self.a = graph.adjacency.copy()
         self.removed = set(graph.removed)
         self.lists = tuple(map(list, graph.edge_lists))
         self._own: tuple[set[int], set[int]] = (set(), set())
@@ -505,7 +511,8 @@ def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:
     """Apply a delta to the matrix alone (step 1), atomically.
 
     Columns touched by an edit are renormalized to unit sum.  The result is
-    validated stochastic; any failure rejects the whole delta.
+    validated stochastic; any failure rejects the whole delta, and a graph
+    with a non-real weight is refused before any edit.
     """
     ed = _Editor(graph)
     for op in delta.ops:

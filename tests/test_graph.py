@@ -318,6 +318,7 @@ def test_find_structural_set_always_valid():
         lam = complex(rng.normal(), rng.normal())
         ss = find_structural_set(g, lam)
         assert validate_structural(g, ss.members, lam)
+        assert ss == compute_depths(g, ss.members, lam)
 
 
 def test_from_matrix_matches_entry_loop():
@@ -543,7 +544,9 @@ def test_find_structural_set_matches_listing_greedy():
         g = random_complex_graph(rng, n, float(rng.uniform(0.05, 0.5)), loops=t % 2 == 0)
         v = g.vertices()[int(rng.integers(n))]
         lam = g.weight(v, v) if t % 4 == 0 else complex(rng.normal(), rng.normal())
-        assert find_structural_set(g, lam).members == greedy_structural_members(g, lam)
+        found = find_structural_set(g, lam)
+        assert found.members == greedy_structural_members(g, lam)
+        assert found == compute_depths(g, found.members, lam)
     # benchmark-sized stochastic draws, and chains whose tombstones sit
     # between live slots and whose greedy leaves long dead-end tails
     graphs = [(random_stochastic_graph(int(rng.integers(60, 81)), 2.5, rng), 1.0)
@@ -553,8 +556,19 @@ def test_find_structural_set_matches_listing_greedy():
                         chords=int(rng.integers(2, 8)), ups=int(rng.integers(1, 6)),
                         stochastic=t % 2 == 1)
         graphs.append((g, 1.0 if g.stochastic else complex(rng.normal(), rng.normal())))
+    # acyclic graphs, loops and tombstones among them: no vertex is forced,
+    # so the first vertex is the only member
+    for t in range(12):
+        m = np.triu(random_complex_graph(rng, int(rng.integers(2, 12)), 0.4).matrix())
+        removed = [1 + t % len(m)] if t % 3 == 0 else []
+        for v in removed:
+            m[v - 1] = m[:, v - 1] = 0
+        graphs.append((WeightedDigraph.from_matrix(m, removed=removed),
+                       complex(rng.normal(), rng.normal())))
     for g, lam in graphs:
-        assert find_structural_set(g, lam).members == greedy_structural_members(g, lam)
+        found = find_structural_set(g, lam)
+        assert found.members == greedy_structural_members(g, lam)
+        assert found == compute_depths(g, found.members, lam)
 
 
 def test_nilpotency_matches_dfs():

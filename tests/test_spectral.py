@@ -5,7 +5,9 @@ from isoreduce import (DegenerateRestrictionError, EigenPair, IterationError,
                        NotPrimitiveError, SingularWeightError, WeightedDigraph,
                        compute_depths, find_structural_set, is_primitive,
                        lift_eigenvector, power_iteration,
-                       reduced_eigen_co_iteration, verify_restriction)
+                       reduced_eigen_co_iteration, reduced_matrix, verify_restriction)
+from isoreduce import reduction as reduction_module
+from isoreduce import spectral as spectral_module
 from oracles import (dense_eigenpairs, dominant_unit_vector, primitive_wielandt,
                      random_complex_graph)
 
@@ -163,9 +165,97 @@ def test_lift_singular_denominator():
     ss = compute_depths(g, [1], 1.0)
     with pytest.raises(SingularWeightError):
         lift_eigenvector(g, ss, 4.0, [1.0])
-    from isoreduce import reduced_matrix
     with pytest.raises(SingularWeightError):
         reduced_matrix(g, ss, 4.0)
+    # a failed sweep is not remembered, before or after a good one
+    reduced_matrix(g, ss, 1.0)
+    for _ in range(3):
+        with pytest.raises(SingularWeightError):
+            reduced_matrix(g, ss, 4.0)
+        with pytest.raises(SingularWeightError):
+            lift_eigenvector(g, ss, 4.0, [1.0])
+
+
+def test_lift_and_reduction_refuse_non_finite_input(three_cycle):
+    ss = compute_depths(three_cycle, [1], 1.0)
+    nan, inf = float("nan"), float("inf")
+    for lam, u_s in [(nan, [1.0]), (inf, [1.0]), (complex(1, nan), [1.0]),
+                     (1.0, [nan]), (1.0, [inf]), (1.0, [complex(1, -inf)])]:
+        with pytest.raises(ValueError, match="not finite|non-finite"):
+            lift_eigenvector(three_cycle, ss, lam, u_s)
+    for lam in (nan, inf, -inf, complex(nan, 0)):
+        with pytest.raises(ValueError, match="not finite"):
+            reduced_matrix(three_cycle, ss, lam)
+
+
+def test_lift_takes_the_reductions_member_sweep(monkeypatch):
+    calls = []
+    sweep = reduction_module._depth_sweep
+
+    def counted(*args, **kw):
+        terminal = args[3] if len(args) > 3 else None
+        calls.append((args[2], None if terminal is None else terminal.shape))
+        return sweep(*args, **kw)
+
+    monkeypatch.setattr(reduction_module, "_depth_sweep", counted)
+    monkeypatch.setattr(spectral_module, "_depth_sweep", counted)
+    g = random_complex_graph(np.random.default_rng(38), 12, 0.3)
+    lam = 0.3 + 0.7j
+    ss = find_structural_set(g, lam)
+    u_s = np.linspace(1, 2, len(ss.members)) - 0.5j
+    # a reduction leaves its n x s sweep; the lift at its key takes it
+    reduced_matrix(g, ss, lam)
+    pair = lift_eigenvector(g, ss, lam, u_s)
+    assert calls == [(lam, None)] and "_member_sweep" not in vars(g)
+    # a lift with no remembered sweep, or another key's, sweeps one column
+    # and leaves what the graph remembers as it was
+    again = lift_eigenvector(g, ss, lam, u_s)
+    reduced_matrix(g, ss, 0.5)
+    other = lift_eigenvector(g, ss, lam, u_s)
+    assert calls[1:] == [(lam, (12, 1)), (0.5, None), (lam, (12, 1))]
+    assert vars(g)["_member_sweep"][0][2] == 0.5
+    fresh = lift_eigenvector(WeightedDigraph.from_matrix(g.adjacency), ss, lam, u_s)
+    assert np.array_equal(again.vector, fresh.vector) and np.array_equal(other.vector, fresh.vector)
+    assert np.linalg.norm(pair.vector - fresh.vector) <= 1e-13 * np.linalg.norm(fresh.vector)
+    assert abs(pair.residual - fresh.residual) <= 1e-13
+    on_members = pair.vector[[g.vertices().index(v) for v in ss.members]]
+    assert np.array_equal(on_members, u_s)
+
+
+def test_remembered_sweep_matches_a_fresh_graph():
+    rng = np.random.default_rng(39)
+    m = (rng.random((10, 10)) < 0.3) * rng.normal(size=(10, 10))
+    np.fill_diagonal(m, 2.0)
+    g = WeightedDigraph.from_matrix(m)
+    small = find_structural_set(g, 1.0)
+    extra = next(v for v in g.vertices() if v not in small.members)
+    big = compute_depths(g, small.members + (extra,), 1.0)
+    # each call changes one part of the key: the set, lam, or lam's type alone
+    calls = [(small, 1.0), (small, 1 + 0j), (small, 1.0), (big, 1.0), (small, 1.0),
+             (small, 0.5), (small, 1.0), (big, np.complex128(1.0)), (big, np.float64(1.0)),
+             (big, -0.25j), (big, 0.5), (small, 0.5), (small, 1 + 0j)]
+    for ss, lam in calls:
+        u_s = rng.normal(size=len(ss.members))
+        fresh = WeightedDigraph.from_matrix(g.adjacency)
+        got, want = reduced_matrix(g, ss, lam).entries, reduced_matrix(fresh, ss, lam).entries
+        assert got.dtype == want.dtype == (float if np.isrealobj(lam) else complex)
+        assert np.array_equal(got, want)
+        got, want = lift_eigenvector(g, ss, lam, u_s), lift_eigenvector(fresh, ss, lam, u_s)
+        assert np.array_equal(got.vector, want.vector) and got.residual == want.residual
+        pair = EigenPair(lam, got.vector, got.vertices)
+        assert verify_restriction(g, ss, pair) == verify_restriction(fresh, ss, pair)
+
+
+def test_update_path_keeps_no_member_sweep():
+    from isoreduce import StoredState, random_delta, random_stochastic_graph, run_update
+    rng = np.random.default_rng(40)
+    g = random_stochastic_graph(20, 2.5, rng)
+    state = StoredState.from_graph(g)
+    new, _ = run_update(state, random_delta(g, rng, 3))
+    for graph in (g, new.graph):
+        assert "_member_sweep" not in vars(graph)
+    reduced_matrix(g, state.structural)
+    assert not vars(g)["_member_sweep"][1].flags.writeable
 
 
 def test_co_iteration_stochastic_fixed_point():

@@ -85,6 +85,17 @@ def test_apply_ops_reference_errors(three_cycle):
             assert graph.weights == weights and np.array_equal(graph.adjacency, adjacency)
 
 
+def test_apply_ops_refuses_a_graph_with_a_non_real_weight():
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1 + 0.5j), (2, 3, 1.0), (3, 1, 1.0), (1, 3, 2j)])
+    with pytest.raises(DeltaError, match=r"edge \(1,2\) has non-real weight"):
+        apply_ops(g, GraphDelta((DeltaOp.add_edge(2, 1, 1.0),)))
+    # only the weight (3, 1) is non-real, and it is named
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1j), (2, 1, 0.5)])
+    for delta in (GraphDelta(()), GraphDelta((DeltaOp.remove_edge(3, 1),))):
+        with pytest.raises(DeltaError, match=r"edge \(3,1\)"):
+            apply_ops(g, delta)
+
+
 def test_apply_ops_accepts_numpy_integer_ids(three_cycle):
     ops = (DeltaOp.add_edge(3, 2, 0.5), DeltaOp.add_edge(2, 1, 0.5),
            DeltaOp.remove_edge(3, 1))
