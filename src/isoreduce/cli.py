@@ -68,7 +68,7 @@ def _emit(payload, args) -> None:
 
 
 def _structural_for(graph, args, lam):
-    if args.structural:
+    if args.structural is not None:
         return compute_depths(graph, args.structural, lam, args.tol)
     return find_structural_set(graph, lam, args.tol)
 

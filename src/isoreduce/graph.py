@@ -16,25 +16,26 @@ slots, ``edge_lists``, and every traversal of the package indexes them;
 a graph an update edited inherits its base graph's lists instead, with
 only the slots the edit touched copied and patched, so a published list
 is never mutated.
-One counting pass over the complement's kept edges (Kahn's topological
-sort, run from the sinks on the backward lists), ``_peel``, gives the
-structural check, the nilpotency index and the depth layers, its rounds,
-in O(n + nnz); a ``StructuralSet`` stores those layers as they are.  The
-structural-set search, ``find_structural_set``, runs the same rule
-incrementally, ``_peel_depths``, to take out every vertex that can no
-longer reach a cycle, so its one depth-first search per pick, ``_cycles``,
-walks only the vertices that still can, over the forward lists; the
-depth-first search also gives the witness cycle once a counting pass has
-stalled.  A vertex leaves the search's peel only after all its
-out-neighbours, so the search records each depth as the vertex leaves and
-returns its own layering, without a second peel.
+One peel, ``_peel`` (Kahn's topological sort, turned around to run from
+the sinks over the backward lists), records each vertex's depth as it
+leaves: 1 plus its deepest out-neighbour's, with the structural set at 0.
+Started from the sinks of the complement by ``_peel_sinks``, it gives the
+structural check, the depths and the nilpotency index in O(n + nnz); one
+builder, ``_layering``, turns a depth list into a ``StructuralSet``'s
+``order`` and ``cut``.  The structural-set search, ``find_structural_set``,
+starts the same peel and carries it on as its set grows, taking out every
+vertex that can no longer reach a cycle, so its one depth-first search per
+pick, ``_cycles``, walks only the vertices that still can, over the
+forward lists; when it ends, the peel's depths are the layering the same
+builder returns.  The depth-first search also gives the witness cycle once
+a peel has stalled.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -383,8 +384,8 @@ class StructuralSet:
     depth layer ascending.  ``cut[d]`` counts the vertices of depth <= d, so
     layer d sits in ``order[cut[d - 1]:cut[d]]`` and the members in
     ``order[:cut[0]]``.  Members sit at depth 0, and a complement vertex lies
-    one level above the deepest of its non-loop out-neighbors: layer d is
-    round d - 1 of the peel from the complement's sinks.
+    one level above the deepest of its non-loop out-neighbors (depth 1 when
+    they are all members).
     """
 
     lam: complex
@@ -467,45 +468,55 @@ def _cycles(succ: list[list[int]],
     return first, hits
 
 
-def _out_counts(graph: WeightedDigraph, flags: np.ndarray) -> list[int]:
-    """Per slot, its non-loop out-edges to the slots that ``flags`` marks,
-    counted for the marked slots only."""
-    i, j, _ = graph.edge_arrays
-    keep = flags[i - 1] & flags[j - 1] & (i != j)
-    return np.bincount(i[keep] - 1, minlength=graph.n_vertices).tolist()
-
-
 def _peel(graph: WeightedDigraph, live: list[bool], pending: list[int],
-          queue: list[int]) -> list[list[int]]:
-    """Kahn's counting rule, turned around, in rounds: the slots in ``queue``
-    leave the live set as round 0, and each live slot whose ``pending``
-    count of non-loop out-edges to live slots reaches zero in round r
-    leaves in round r + 1.  Returns the rounds.  It is one pass over the
-    backward edge lists into the slots taken out."""
+          depth: list[int], queue: list[int]) -> None:
+    """Kahn's counting rule, turned around, over the backward edge lists:
+    the slots in ``queue`` leave the live set, and so does each live slot
+    whose ``pending`` count of non-loop out-edges to live slots reaches
+    zero.  A slot is taken up only after every live out-neighbour it had
+    has left, so ``depth[u]``, raised to 1 plus the depth of each of them
+    as it leaves, is final by then."""
     preds = graph.edge_lists[1]
     for v in queue:
         live[v] = False
-    rounds = []
     while queue:
-        rounds.append(queue)
-        queue = []
-        for v in rounds[-1]:
-            for u in preds[v]:
-                if live[u]:
-                    pending[u] -= 1
-                    if not pending[u]:
-                        live[u] = False
-                        queue.append(u)
-    return rounds
+        v = queue.pop()
+        d = depth[v] + 1
+        for u in preds[v]:
+            if live[u]:
+                if depth[u] < d:
+                    depth[u] = d
+                pending[u] -= 1
+                if not pending[u]:
+                    live[u] = False
+                    queue.append(u)
 
 
-def _layers(graph: WeightedDigraph, in_comp: np.ndarray) -> list[list[int]] | None:
-    """The depth layers 1, 2, ... of the complement that ``in_comp`` flags,
-    each as ascending slots, or None when it carries a non-loop cycle: the
-    rounds of a peel from its sinks, which stalls on any such cycle."""
-    live, pending = in_comp.tolist(), _out_counts(graph, in_comp)
-    rounds = _peel(graph, live, pending, [v for v, c in enumerate(pending) if live[v] and not c])
-    return None if True in live else [sorted(r) for r in rounds]
+def _peel_sinks(graph: WeightedDigraph,
+                flags: np.ndarray) -> tuple[list[bool], list[int], list[int]]:
+    """:func:`_peel` of the subgraph on the slots that ``flags`` marks, from
+    its sinks.  Returns ``live``, still set at each slot that reaches a
+    non-loop cycle of the subgraph, the ``pending`` counts, and ``depth``:
+    0 at an unmarked slot, and at a slot taken out 1 plus the deepest of
+    its non-loop out-neighbours' depths (1 at a sink)."""
+    i, j, _ = graph.edge_arrays
+    keep = flags[i - 1] & flags[j - 1] & (i != j)
+    pending = np.bincount(i[keep] - 1, minlength=graph.n_vertices).tolist()
+    live = flags.tolist()
+    depth = list(map(int, live))
+    _peel(graph, live, pending, depth, [v for v, c in enumerate(pending) if live[v] and not c])
+    return live, pending, depth
+
+
+def _layering(graph: WeightedDigraph, lam: complex, depth: list[int]) -> StructuralSet:
+    """The ``StructuralSet`` at ``lam`` whose depths, by slot, are ``depth``:
+    the active vertices bucketed by depth, the members (depth 0) first and
+    then each layer, every bucket ascending."""
+    layers: list[list[int]] = [[] for _ in range(max(depth) + 1)]
+    for v in graph.vertices():
+        layers[depth[v - 1]].append(v)
+    return StructuralSet(lam, tuple(chain.from_iterable(layers)),
+                         tuple(accumulate(map(len, layers))))
 
 
 def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -514,9 +525,10 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
 
     Condition one: every non-loop cycle of the graph meets the set.
     Condition two: no complement vertex has loop weight within ``tol``
-    of ``lam``.  One counting pass over the complement's edges checks the
-    first, and its rounds are the depth layers; only when it stalls does a
-    depth-first search look for the witness cycle.
+    of ``lam``.  One peel of the complement from its sinks,
+    :func:`_peel_sinks`, checks the first and records the depths, which
+    :func:`_layering` turns into the layering; only when the peel stalls
+    does a depth-first search look for the witness cycle.
 
     Raises:
         ValueError: empty set, or members that are not integers in the
@@ -540,14 +552,14 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: vertex {vertex} has "
             "loop weight equal to the parameter", vertex=vertex)
-    layers = _layers(graph, in_comp)
-    if layers is None:
-        cycle = _cycles(graph.edge_lists[0], in_comp.tolist())[0]
+    live, _, depth = _peel_sinks(graph, in_comp)
+    if True in live:
+        # every cycle, and every DFS path reaching one, stays live
+        cycle = _cycles(graph.edge_lists[0], live)[0]
         raise StructuralSetError(
             f"set {members} is not structural at {lam}: cycle {cycle} avoids it",
             cycle=cycle)
-    order = tuple(map(int, members)) + tuple(v + 1 for layer in layers for v in layer)
-    return StructuralSet(lam, order, tuple(accumulate(map(len, layers), initial=len(members))))
+    return _layering(graph, lam, depth)
 
 
 def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: complex,
@@ -566,29 +578,6 @@ def validate_structural(graph: WeightedDigraph, members: Iterable[int], lam: com
     return ValidationResult(True)
 
 
-def _peel_depths(graph: WeightedDigraph, live: list[bool], pending: list[int],
-                 depth: list[int], queue: list[int]) -> None:
-    """:func:`_peel` for the structural-set search, which keeps depths and
-    no rounds: the slots in ``queue`` leave the live set, and so does each
-    live slot whose ``pending`` count reaches zero.  A slot is taken up only
-    after every live out-neighbour it had has left, so ``depth[u]``, raised
-    to 1 plus the depth of each of them as it leaves, is final by then."""
-    preds = graph.edge_lists[1]
-    for v in queue:
-        live[v] = False
-    while queue:
-        v = queue.pop()
-        d = depth[v] + 1
-        for u in preds[v]:
-            if live[u]:
-                if depth[u] < d:
-                    depth[u] = d
-                pending[u] -= 1
-                if not pending[u]:
-                    live[u] = False
-                    queue.append(u)
-
-
 def find_structural_set(graph: WeightedDigraph, lam: complex,
                         tol: float = DEFAULT_TOL) -> StructuralSet:
     """Search for a structural set at ``lam``; valid but not minimum-cardinality.
@@ -597,51 +586,39 @@ def find_structural_set(graph: WeightedDigraph, lam: complex,
     non-loop cycles are broken greedily by the vertex covering the most
     cycles detected per sweep (the smallest id among ties).  Between sweeps
     the vertices that reach no cycle outside the set are peeled off by
-    :func:`_peel_depths`, the depth layering's rule, kept up to date as the
-    set grows: each chosen vertex leaves the live set, and so does every
-    live vertex left with no live out-neighbour.  Such a vertex only ever
-    finishes in the search, so the sweep over the live vertices meets the
-    same back edges, counts and choices; the search ends when no vertex is
-    live.  By then every complement vertex has left after all its
-    out-neighbours, and its depth, 1 plus its deepest out-neighbour's with
-    the members at 0, was recorded as it left: the search returns the
-    layering :func:`compute_depths` would give, without its peel.  A graph
-    with no cycle and no forced vertex takes its first vertex as the only
-    member, and that set goes through :func:`compute_depths`.
+    :func:`_peel_sinks`, the peel :func:`compute_depths` runs, kept up to
+    date by :func:`_peel` as the set grows: each chosen vertex leaves the live
+    set at depth 0, and so does every live vertex left with no live
+    out-neighbour.  Such a vertex only ever finishes in the search, so the
+    sweep over the live vertices meets the same back edges, counts and
+    choices; the search ends when no vertex is live.  By then every
+    complement vertex has left after all its out-neighbours, with the depth
+    :func:`compute_depths` would give it, and the same builder,
+    :func:`_layering`, returns the layering.  A graph with no cycle and no
+    forced vertex takes its first vertex as the only member, and that set
+    goes through :func:`compute_depths`.
     """
     if graph.n_active == 0:
         raise ValueError("graph has no active vertices")
     forced = graph._active & (np.abs(graph.adjacency.diagonal() - lam) <= tol)
-    chosen = set((np.flatnonzero(forced) + 1).tolist())
-    flags = graph._active & ~forced
-    pending = _out_counts(graph, flags)
-    live = flags.tolist()
-    depth = [1] * graph.n_vertices
-    _peel_depths(graph, live, pending, depth,
-                 [v for v in np.flatnonzero(flags).tolist() if not pending[v]])
+    live, pending, depth = _peel_sinks(graph, graph._active & ~forced)
+    if True not in live and not forced.any():
+        return compute_depths(graph, [graph.vertices()[0]], lam, tol)
     while True in live:
         hits = _cycles(graph.edge_lists[0], live)[1]
         v = hits.index(max(hits))
-        chosen.add(v + 1)
         depth[v] = 0
-        _peel_depths(graph, live, pending, depth, [v])
-    if not chosen:
-        return compute_depths(graph, [graph.vertices()[0]], lam, tol)
-    for v in chosen:
-        depth[v - 1] = 0
-    slots = sorted([v - 1 for v in graph.vertices()], key=depth.__getitem__)
-    counts = [0] * (depth[slots[-1]] + 1)
-    for v in slots:
-        counts[depth[v]] += 1
-    return StructuralSet(lam, tuple(v + 1 for v in slots), tuple(accumulate(counts)))
+        _peel(graph, live, pending, depth, [v])
+    return _layering(graph, lam, depth)
 
 
 def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | None:
     """Nilpotency index of the adjacency matrix restricted to the complement.
 
-    Returns the number of vertices on the longest chain inside the complement
-    (0 for an empty complement), or None when the complement contains any
-    cycle or loop, in which case no power of the restriction vanishes.
+    Returns the number of vertices on the longest chain inside the complement,
+    its largest depth from the peel of :func:`compute_depths` (0 for an empty
+    complement), or None when the complement contains any cycle or loop, in
+    which case no power of the restriction vanishes.
     """
     ids = np.array(graph.vertices(), dtype=np.int64)
     comp = ids[~np.isin(ids, list(set(members)))] - 1
@@ -649,5 +626,5 @@ def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | No
         return None
     in_comp = np.zeros(graph.n_vertices, dtype=bool)
     in_comp[comp] = True
-    layers = _layers(graph, in_comp)
-    return None if layers is None else len(layers)
+    live, _, depth = _peel_sinks(graph, in_comp)
+    return None if True in live else max(depth, default=0)

@@ -235,7 +235,11 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
     off it; otherwise it is one sweep of a single column, and nothing is
     remembered.  The member rows of ``X`` are identity rows, so the input
     values are kept verbatim on the structural members and the restriction
-    of the result is the input.
+    of the result is the input.  ``residual`` is the relative residual
+    ``norm(A x - lambda0 x) / norm(x)`` of the lifted vector ``x``, and
+    ``converged`` means it is at most ``tol``: a ``lambda0`` that is no
+    eigenvalue, or a ``u_s`` that is no reduced eigenvector, lifts to a
+    vector that reads False.
 
     Raises:
         ValueError: ``lambda0`` or an entry of ``u_s`` is not finite, or
@@ -261,7 +265,7 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
     vec = full[[v - 1 for v in ids]]
     scale = np.linalg.norm(vec)
     residual = float(np.linalg.norm(a @ full - lambda0 * full) / scale) if scale > 0 else 0.0
-    return EigenPair(lambda0, vec, ids, "none", residual, 0, True)
+    return EigenPair(lambda0, vec, ids, "none", residual, 0, residual <= tol)
 
 
 def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet,

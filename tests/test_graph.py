@@ -547,6 +547,7 @@ def test_find_structural_set_matches_listing_greedy():
         found = find_structural_set(g, lam)
         assert found.members == greedy_structural_members(g, lam)
         assert found == compute_depths(g, found.members, lam)
+        assert dict(found.depth_of) == depths_recursive(g, found.members)
     # benchmark-sized stochastic draws, and chains whose tombstones sit
     # between live slots and whose greedy leaves long dead-end tails
     graphs = [(random_stochastic_graph(int(rng.integers(60, 81)), 2.5, rng), 1.0)
@@ -569,6 +570,7 @@ def test_find_structural_set_matches_listing_greedy():
         found = find_structural_set(g, lam)
         assert found.members == greedy_structural_members(g, lam)
         assert found == compute_depths(g, found.members, lam)
+        assert dict(found.depth_of) == depths_recursive(g, found.members)
 
 
 def test_nilpotency_matches_dfs():

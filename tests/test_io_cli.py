@@ -2,6 +2,7 @@ import base64
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,7 +326,7 @@ def test_cli_bench_deterministic_reports(tmp_path):
     out2 = str(tmp_path / "r2.json")
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_cli_bench_checks_equivalence_by_the_api_default(capsys):
@@ -341,7 +342,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["reduce", "--graph", str(tmp_path / "missing.txt")]) == 2
     bad = write(tmp_path, "bad.txt", "not a graph\n")
     assert main(["reduce", "--graph", bad]) == 2
+    # an explicit empty member list is refused, not searched
+    graph_path = write(tmp_path, "cycle.txt", THREE_CYCLE_EDGELIST)
+    vec_path = write(tmp_path, "v.json", iio.dumps(iio.vector_to_dict([1], [1.0], "none", 1.0)))
     capsys.readouterr()
+    for argv in (["reduce", "--graph", graph_path],
+                 ["lift", "--graph", graph_path, "--vector", vec_path],
+                 ["simulate", "--graph", graph_path, "--steps", "10"]):
+        for empty in ("", ","):
+            assert main(argv + ["--structural", empty]) == 2, (argv, empty)
+            assert "structural set must be nonempty" in capsys.readouterr().err
 
 
 def test_cli_takes_each_common_flag_only_on_the_commands_that_read_it(tmp_path, capsys):
@@ -533,7 +543,7 @@ def test_save_state_overwrites_only_state_directories(tmp_path, capsys):
             iio.save_state(state, str(target))
     assert [f.name for f in notes.iterdir()] == ["notes.txt"]
     assert (notes / "notes.txt").read_text() == "keep me"
-    assert open(loose, encoding="utf-8").read() == "keep me too"
+    assert Path(loose).read_text(encoding="utf-8") == "keep me too"
     # The CLI reports the refusal and still leaves the directory alone.
     g = random_stochastic_graph(9, 2.5, rng)
     state_dir = str(tmp_path / "st")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isoreduce import (DegenerateRestrictionError, EigenPair, IterationError,
+from isoreduce import (DEFAULT_TOL, DegenerateRestrictionError, EigenPair, IterationError,
                        NotPrimitiveError, SingularWeightError, WeightedDigraph,
                        compute_depths, find_structural_set, is_primitive,
                        lift_eigenvector, power_iteration,
@@ -123,6 +123,15 @@ def test_lift_three_cycle(three_cycle):
     assert pair.vertices == (1, 2, 3)
     assert pair.residual < 1e-14
     assert pair.normalization == "none"
+
+
+def test_lift_converged_reads_its_residual(three_cycle):
+    """A lift at a parameter that is no eigenvalue leaves a large residual
+    and does not read as converged; the dominant lift does."""
+    bad = lift_eigenvector(three_cycle, compute_depths(three_cycle, [1], 2.0), 2.0, [1.0])
+    assert bad.residual > 1.0 and not bad.converged
+    good = lift_eigenvector(three_cycle, compute_depths(three_cycle, [1], 1.0), 1.0, [1.0])
+    assert good.residual <= DEFAULT_TOL and good.converged
 
 
 def test_lift_full_set_is_identity():
