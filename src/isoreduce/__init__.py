@@ -9,9 +9,8 @@ re-iteration.
 
 from .exceptions import (AmbiguousStationaryError, DegenerateRestrictionError,
                          DeltaError, GenerationError, GraphFormatError,
-                         IsoreduceError, IterationError, NonStochasticError,
-                         NotPrimitiveError, SimulationError, SingularWeightError,
-                         StructuralSetError)
+                         IsoreduceError, NonStochasticError, NotPrimitiveError,
+                         SimulationError, SingularWeightError, StructuralSetError)
 from .generate import (ExperimentConfig, check_assumptions, random_delta,
                        random_stochastic_graph)
 from .graph import (DEFAULT_TOL, StructuralSet, ValidationResult, WeightedDigraph,
@@ -28,7 +27,7 @@ from .reduction import (Branch, BranchSet, ExtendedReducedMatrix, ReducedMatrix,
                         reduced_matrices_by_length,
                         reduced_matrix, reduced_matrix_by_length)
 from .spectral import (EigenPair, is_primitive, lift_eigenvector, power_iteration,
-                       reduced_eigen_co_iteration, stationary_vector, verify_restriction)
+                       stationary_vector, verify_restriction)
 from .update import (CostReport, DeltaOp, GraphDelta, StoredState, UpdateSession,
                      apply_ops, run_update, simplex_bound)
 from .bench import (ExperimentSummary, TrialResult, VerificationReport,
@@ -41,7 +40,7 @@ __all__ = [
     "DegenerateRestrictionError", "DeltaError", "DeltaOp", "EigenPair",
     "ExperimentConfig", "ExperimentSummary", "ExtendedReducedMatrix",
     "GenerationError", "GraphDelta", "GraphFormatError", "IsoreduceError",
-    "IterationError", "MarkovChain", "NonStochasticError", "NotPrimitiveError",
+    "MarkovChain", "NonStochasticError", "NotPrimitiveError",
     "ReducedMatrix", "SimulationError", "SingularWeightError", "StoppedChainSample",
     "StoredState", "StructuralSet", "StructuralSetError", "TrialResult",
     "UpdateSession", "ValidationResult", "VerificationReport", "WeightedDigraph",
@@ -50,7 +49,7 @@ __all__ = [
     "find_structural_set",
     "is_irreducible", "is_primitive", "lift_eigenvector", "nilpotency_index",
     "power_iteration", "random_delta",
-    "random_stochastic_graph", "reduced_eigen_co_iteration", "reduced_matrices_by_length",
+    "random_stochastic_graph", "reduced_matrices_by_length",
     "reduced_matrix", "reduced_matrix_by_length", "reduced_matrix_of_chain", "run_experiment",
     "run_update", "scratch_equivalent", "simplex_bound", "simulate_stopped_chain",
     "stationary_distribution", "stationary_vector", "taboo_matrix", "taboo_probability",

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``StructuralSetError`` covers both a vertex set that is not structural and
+a structural set whose stored layering does not belong to the graph it is
+swept over.
+"""
 
 
 class IsoreduceError(Exception):
@@ -14,6 +19,8 @@ class StructuralSetError(IsoreduceError):
 
     Carries the failure witness: either a non-loop cycle avoiding the set,
     or a complement vertex whose loop weight equals the spectral parameter.
+    A layering refused by the depth sweep, one built for another graph,
+    carries neither.
     """
 
     def __init__(self, message, *, cycle=None, vertex=None):
@@ -36,17 +43,6 @@ class NonStochasticError(IsoreduceError):
 
 class DegenerateRestrictionError(IsoreduceError):
     """An eigenvector restricts to (numerically) zero on the structural set."""
-
-
-class IterationError(IsoreduceError):
-    """An iterative solve diverged or hit its cap without converging.
-
-    The ``trace`` attribute holds the eigenvalue estimates seen so far.
-    """
-
-    def __init__(self, message, *, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
 
 
 class DeltaError(IsoreduceError):

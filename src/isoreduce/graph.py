@@ -15,24 +15,27 @@ A graph derives, once, one pair of loop-free edge lists over its vertex
 slots, ``edge_lists``, and every traversal of the package indexes them;
 a graph an update edited inherits its base graph's lists instead, with
 only the slots the edit touched copied and patched, so a published list
-is never mutated.
+is never mutated.  They are the graph's only list form: ``out_neighbors``
+and ``in_neighbors`` read a vertex's entry and put its loop back.
 One peel, ``_peel`` (Kahn's topological sort, turned around to run from
 the sinks over the backward lists), records each vertex's depth as it
 leaves: 1 plus its deepest out-neighbour's, with the structural set at 0.
 Started from the sinks of the complement by ``_peel_sinks``, it gives the
-structural check, the depths and the nilpotency index in O(n + nnz); one
-builder, ``_layering``, turns a depth list into a ``StructuralSet``'s
-``order`` and ``cut``.  The structural-set search, ``find_structural_set``,
-starts the same peel and carries it on as its set grows, taking out every
-vertex that can no longer reach a cycle, so its one depth-first search per
-pick, ``_cycles``, walks only the vertices that still can, over the
-forward lists; when it ends, the peel's depths are the layering the same
-builder returns.  The depth-first search also gives the witness cycle once
+structural check, the depths and the nilpotency index in O(n + nnz);
+``compute_depths`` and ``nilpotency_index`` check their members by one
+rule, ``_complement``.  One builder, ``_layering``, turns a depth list
+into a ``StructuralSet``'s ``order`` and ``cut``.  The structural-set
+search, ``find_structural_set``, starts the same peel and carries it on as
+its set grows, taking out every vertex that can no longer reach a cycle,
+so its one depth-first search per pick, ``_cycles``, walks only the
+vertices that still can, over the forward lists; when it ends, the peel's
+depths are the layering the same builder returns.  The depth-first search also gives the witness cycle once
 a peel has stalled.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain
@@ -325,20 +328,21 @@ class WeightedDigraph:
             back[b].append(a)
         return forward, back
 
-    @cached_property
-    def _neighbors(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """Out- and in-neighbour ids per active vertex id: ``edge_lists``
-        with each loop put back in its place."""
-        i, j, _ = self.edge_arrays
-        loops = set(i[i == j].tolist())
-        return tuple({v: tuple(sorted([u + 1 for u in lists[v - 1]] + [v] * (v in loops)))
-                      for v in self._ids} for lists in self.edge_lists)
+    def _neighbor_ids(self, side: int, v: int) -> tuple[int, ...]:
+        """Active vertex ``v``'s neighbour ids on one side of ``edge_lists``
+        (0 out, 1 in), ascending, with its loop put back in its place."""
+        if not self.is_active(v):
+            raise KeyError(v)
+        ids = [u + 1 for u in self.edge_lists[side][v - 1]]
+        if self.adjacency[v - 1, v - 1]:
+            insort(ids, v)
+        return tuple(ids)
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return self._neighbors[0][i]
+        return self._neighbor_ids(0, i)
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return self._neighbors[1][j]
+        return self._neighbor_ids(1, j)
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.weights)
@@ -519,6 +523,23 @@ def _layering(graph: WeightedDigraph, lam: complex, depth: list[int]) -> Structu
                          tuple(accumulate(map(len, layers))))
 
 
+def _complement(graph: WeightedDigraph,
+                members: Iterable[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """``members`` as ascending ids, each checked to be an active vertex's
+    integer id, and the flags of the active slots outside them.
+
+    Raises:
+        ValueError: a member that is not an active vertex.
+    """
+    members = tuple(sorted(set(members)))
+    for v in members:
+        if not graph.is_active(v):
+            raise ValueError(f"structural member {v} is not an active vertex")
+    in_comp = graph._active.copy()
+    in_comp[np.array(members, dtype=np.int64) - 1] = False
+    return members, in_comp
+
+
 def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
                    tol: float = DEFAULT_TOL) -> StructuralSet:
     """Validate ``members`` as a structural set at ``lam`` and assign depths.
@@ -535,15 +556,9 @@ def compute_depths(graph: WeightedDigraph, members: Iterable[int], lam: complex,
             active vertex range.
         StructuralSetError: the set is not structural; carries the witness.
     """
-    member_set = set(members)
-    members = tuple(sorted(member_set))
+    members, in_comp = _complement(graph, members)
     if not members:
         raise ValueError("structural set must be nonempty")
-    for v in members:
-        if not graph.is_active(v):
-            raise ValueError(f"structural member {v} is not an active vertex")
-    in_comp = graph._active.copy()
-    in_comp[np.array(members, dtype=np.int64) - 1] = False
     comp = np.flatnonzero(in_comp)
     loops = graph.adjacency.diagonal()[comp]
     bad = np.flatnonzero(np.abs(loops - lam) <= tol)
@@ -618,13 +633,14 @@ def nilpotency_index(graph: WeightedDigraph, members: Iterable[int]) -> int | No
     Returns the number of vertices on the longest chain inside the complement,
     its largest depth from the peel of :func:`compute_depths` (0 for an empty
     complement), or None when the complement contains any cycle or loop, in
-    which case no power of the restriction vanishes.
+    which case no power of the restriction vanishes.  The members are
+    checked as :func:`compute_depths` checks them, though they may be none.
+
+    Raises:
+        ValueError: a member that is not an active vertex.
     """
-    ids = np.array(graph.vertices(), dtype=np.int64)
-    comp = ids[~np.isin(ids, list(set(members)))] - 1
-    if graph.adjacency.diagonal()[comp].any():
+    _, in_comp = _complement(graph, members)
+    if graph.adjacency.diagonal()[in_comp].any():
         return None
-    in_comp = np.zeros(graph.n_vertices, dtype=bool)
-    in_comp[comp] = True
     live, _, depth = _peel_sinks(graph, in_comp)
     return None if True in live else max(depth, default=0)

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import AmbiguousStationaryError, SimulationError, StructuralSetError
-from .graph import StructuralSet, WeightedDigraph, compute_depths
+from .graph import StructuralSet, WeightedDigraph, _vertex_id, compute_depths
 from .reduction import reduced_matrices_by_length, reduced_matrix
 from .spectral import stationary_vector, strongly_connected
 
@@ -79,16 +79,32 @@ class StoppedChainSample:
     empirical_transition: np.ndarray
 
 
+def _state_ids(chain: MarkovChain, states) -> list[int]:
+    """``states`` as state ids, each an integer by the package's vertex-id
+    rule (a float with an integer value passes, a bool does not) in
+    ``1..n_states``.
+
+    Raises:
+        ValueError: an id that breaks either rule.
+    """
+    ids = [_vertex_id(v) for v in states]
+    for v in ids:
+        if not 1 <= v <= chain.n_states:
+            raise ValueError(f"state {v} outside 1..{chain.n_states}")
+    return ids
+
+
 def _taboo_steps(chain: MarkovChain, taboo_set) -> Iterator[np.ndarray]:
     """All-pairs taboo matrices for steps 1, 2, 3, ... without end.
 
     Step ``n >= 2`` is ``P[:, C] Q^(n-2) P[C, :]`` with ``Q = P[C, C]`` over
     the complement ``C`` of the taboo set; one running product ``P[:, C]
-    Q^(n-2)`` (N x |C|) carries from each step to the next.
+    Q^(n-2)`` (N x |C|) carries from each step to the next.  The taboo
+    states are checked by :func:`_state_ids` before the first step.
     """
+    taboo = set(_state_ids(chain, taboo_set))
     p = chain.transition
     yield p.copy()
-    taboo = set(taboo_set)
     comp = [s for s in range(chain.n_states) if (s + 1) not in taboo]
     if not comp:
         while True:
@@ -103,12 +119,19 @@ def _taboo_steps(chain: MarkovChain, taboo_set) -> Iterator[np.ndarray]:
 
 def taboo_probability(chain: MarkovChain, taboo_set, i: int, j: int, n: int) -> float:
     """Probability of standing at ``j`` after ``n`` steps from ``i`` without
-    visiting the taboo set at any strictly intermediate time."""
+    visiting the taboo set at any strictly intermediate time; ``i``, ``j``
+    and the taboo states are checked as :func:`_state_ids` checks them."""
+    i, j = _state_ids(chain, (i, j))
     return float(taboo_matrix(chain, taboo_set, n)[i - 1, j - 1])
 
 
 def taboo_matrix(chain: MarkovChain, taboo_set, n: int) -> np.ndarray:
-    """All-pairs taboo probabilities at step ``n`` as an N x N matrix."""
+    """All-pairs taboo probabilities at step ``n`` as an N x N matrix.
+
+    Raises:
+        ValueError: ``n`` is below 1, or a taboo state is no state id in
+            ``1..N`` (see :func:`_state_ids`).
+    """
     if n < 1:
         raise ValueError("step count must be at least 1")
     return next(islice(_taboo_steps(chain, taboo_set), n - 1, None))
@@ -144,21 +167,15 @@ def simulate_stopped_chain(chain: MarkovChain, members, steps: int, seed: int, *
 
     Reproducible for a fixed seed.  Raises SimulationError when the set is
     never reached within the step budget, and ValueError when ``steps`` is
-    below 1.
+    below 1 or ``start`` or a member is no state id (see :func:`_state_ids`).
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    members = tuple(sorted(set(members)))
+    members = tuple(sorted(set(_state_ids(chain, members))))
     s_pos = {v: t for t, v in enumerate(members)}
-    n = chain.n_states
-    for v in members:
-        if not 1 <= v <= n:
-            raise ValueError(f"state {v} outside 1..{n}")
+    (state,) = _state_ids(chain, [1 if start is None else start])
     rng = np.random.default_rng(seed)
-    cums = [np.cumsum(chain.transition[i]).tolist() for i in range(n)]
-    state = 1 if start is None else start
-    if not 1 <= state <= n:
-        raise ValueError(f"start state {state} outside 1..{n}")
+    cums = [np.cumsum(row).tolist() for row in chain.transition]
     visits: list[int] = []
     counts = np.zeros((len(members), len(members)), dtype=np.int64)
     prev = -1

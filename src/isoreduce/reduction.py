@@ -7,17 +7,19 @@ fixed spectral parameter, and computed in closed form,
 ``R(lam) = A_SS + A_SC (lam I - A_CC)^-1 A_CS``: the isospectral reduction
 of Bunimovich and Webb, which at ``lam = 1`` is Meyer's stochastic
 complement.  The complement carries no non-loop cycle, so the solve is one
-sweep over the complement in increasing depth.  The sweep reads the
-graph's weights as stored, so a real graph at a real parameter gives real
-results.  It refuses a non-finite parameter and checks every denominator
-first, then scatters the graph's ``edge_arrays`` once into the structural
-set's stored depth order, members first and loops dropped, so that each
-depth layer is one product of a contiguous block with the rows already
-solved.  With member terminals it starts from the identity block on the
-members' positions of the depth order, builds no n x s terminal, and
-writes each product straight into the layer's rows; its result is the
-member sweep ``X(lam) = [I; (lam I - A_CC)^-1 A_CS]``, so the reduction
-is ``A[S, :] X`` and the lift of an eigenvector ``X u_S``.
+sweep over the complement in increasing depth.  The sweep reads the graph's
+weights as stored, so a real graph at a real parameter gives real results.
+It refuses a non-finite parameter, and a structural set whose layering is
+not the graph's own: an ``order`` that is not exactly the graph's active
+vertices, or a complement edge that does not point at a shallower layer.  It
+checks every denominator first, then scatters the graph's ``edge_arrays``
+once into the structural set's stored depth order, members first and loops
+dropped, so that each depth layer is one product of a contiguous block with
+the rows already solved.  With member terminals it starts from the identity
+block on the members' positions of the depth order, builds no n x s
+terminal, and writes each product straight into the layer's rows; its result
+is the member sweep ``X(lam) = [I; (lam I - A_CC)^-1 A_CS]``, so the
+reduction is ``A[S, :] X`` and the lift of an eigenvector ``X u_S``.
 ``reduced_matrix`` reads that sweep through ``_member_sweep``, which
 remembers it on the graph, one read-only entry, until a lift at the same
 key takes it with ``_take_member_sweep``: a lift after a reduction at the
@@ -35,17 +37,23 @@ product added to it.
 recursion in exact integers, one walk each way over the graph's loop-free
 edge lists in the stored depth order, adding each loop's one-step branch
 afterwards;
-``enumerate_branches`` lists the paths themselves, as a reference.
+``enumerate_branches`` lists the paths themselves, as a reference, by a
+depth-first walk over the forward edge lists, and returns them as a
+``BranchSet``: the branches sorted by vertex sequence and indexed by
+endpoint pair, with the ``m`` statistic counted on read.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .exceptions import NonStochasticError, SingularWeightError
+from .exceptions import NonStochasticError, SingularWeightError, StructuralSetError
 from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
 
 
@@ -78,35 +86,24 @@ class Branch:
 
 @dataclass(frozen=True)
 class BranchSet:
-    """All branches of a graph/structural-set pair, with endpoint indices.
+    """All branches of a graph/structural-set pair, sorted by vertex
+    sequence, with an index by endpoint pair.
 
-    Buckets are lexicographically sorted for reproducible output.  The
-    ``m_statistic`` is the largest number of branches starting at, ending
-    at, or passing through any single vertex.
+    The ``m_statistic`` is the largest number of branches starting at,
+    ending at, or passing through any single vertex.
     """
 
     branches: tuple[Branch, ...]
     by_endpoints: dict = field(init=False, repr=False, compare=False)
-    from_vertex: dict = field(init=False, repr=False, compare=False)
-    to_vertex: dict = field(init=False, repr=False, compare=False)
-    through_vertex: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(sorted(self.branches)))
+        # the vertex tuple gives the order of Branch.__lt__ at a fraction of its cost
+        branches = tuple(sorted(self.branches, key=attrgetter("vertices")))
         ends: dict[tuple[int, int], list[Branch]] = {}
-        outs: dict[int, list[Branch]] = {}
-        ins: dict[int, list[Branch]] = {}
-        through: dict[int, list[Branch]] = {}
-        for b in self.branches:
-            ends.setdefault((b.start, b.end), []).append(b)
-            outs.setdefault(b.start, []).append(b)
-            ins.setdefault(b.end, []).append(b)
-            for v in set(b.interior):
-                through.setdefault(v, []).append(b)
+        for b in branches:
+            ends.setdefault((b.vertices[0], b.vertices[-1]), []).append(b)
+        object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "by_endpoints", {k: tuple(v) for k, v in ends.items()})
-        object.__setattr__(self, "from_vertex", {k: tuple(v) for k, v in outs.items()})
-        object.__setattr__(self, "to_vertex", {k: tuple(v) for k, v in ins.items()})
-        object.__setattr__(self, "through_vertex", {k: tuple(v) for k, v in through.items()})
 
     def __len__(self) -> int:
         return len(self.branches)
@@ -121,10 +118,12 @@ class BranchSet:
 
     @property
     def m_statistic(self) -> int:
-        candidates = [len(v) for v in self.from_vertex.values()]
-        candidates += [len(v) for v in self.to_vertex.values()]
-        candidates += [len(v) for v in self.through_vertex.values()]
-        return max(candidates, default=0)
+        """Counted on read: three tallies over the vertex sequences, of the
+        starts, the ends and each branch's distinct interior vertices."""
+        seqs = [b.vertices for b in self.branches]
+        tallies = (Counter(map(itemgetter(0), seqs)), Counter(map(itemgetter(-1), seqs)),
+                   Counter(chain.from_iterable({*v[1:-1]} for v in seqs)))
+        return max((c for tally in tallies for c in tally.values()), default=0)
 
     def sequences(self) -> list[list[int]]:
         """Plain vertex-sequence lists."""
@@ -134,23 +133,28 @@ class BranchSet:
 def enumerate_branches(graph: WeightedDigraph, structural: StructuralSet) -> BranchSet:
     """Enumerate every branch of the pair, complete and duplicate-free.
 
-    Depth-first from each start vertex, descending only into the complement;
-    since the complement carries no non-loop cycles the search terminates
-    with interiors no longer than the structural depth.
+    Depth-first from each start vertex over the graph's loop-free forward
+    ``edge_lists``, descending only into the complement; since the
+    complement carries no non-loop cycles the search terminates with
+    interiors no longer than the structural depth.  A loop gives one
+    branch, ``(v, v)`` at its own vertex, and none through an interior.
     """
-    comp = set(structural.complement())
-    found: list[Branch] = []
+    succ = graph.edge_lists[0]
+    comp = set(structural.order[structural.cut[0]:])
+    i, j, _ = graph.edge_arrays
+    found = [Branch((v, v)) for v in i[i == j].tolist()]
     for i0 in graph.vertices():
         stack: list[tuple[int, ...]] = [(i0,)]
         while stack:
             path = stack.pop()
-            interior = set(path[1:])
-            for y in graph.out_neighbors(path[-1]):
-                if y in interior:
+            for u in succ[path[-1] - 1]:
+                y = u + 1
+                if y in path[1:]:
                     continue
-                found.append(Branch(path + (y,)))
+                longer = path + (y,)
+                found.append(Branch(longer))
                 if y != i0 and y in comp:
-                    stack.append(path + (y,))
+                    stack.append(longer)
     return BranchSet(tuple(found))
 
 
@@ -182,22 +186,25 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     vertex slot (row ``v - 1`` for vertex ``v``).  Members keep their
     terminal row; complement vertices, in increasing depth, take
     ``x_v = t_v + sum_{j != v} (a_vj / (lam - a_vv)) x_j``.  A non-finite
-    ``lam`` is refused, and every denominator is checked first.  The
+    ``lam`` is refused, and so is a layering that is not the graph's own:
+    ``order`` and ``cut`` must list exactly the active vertices, and each
+    complement edge must point at a shallower layer than its tail's, or the
+    product below would drop it.  Every denominator is checked first.  The
     complement rows' off-diagonal edges, read from ``edge_arrays`` and each
     divided by its row's denominator, are then scattered into ``ap``: the
     active block permuted into the structural set's ``order``, members
     first, then each depth layer by ascending id.  A vertex only points at
     shallower ones, so the layer in positions ``lo:hi`` of ``cut`` is one
-    product of the contiguous block ``ap[lo:hi, :lo]`` with the rows
-    already solved, and ``lam I - A_CC`` is never formed.  No ``terminal``
-    means the member terminals, the identity on the members in member
-    order: the sweep then starts from the identity block on the first s
-    positions of ``order`` and never builds an n x s terminal to gather
-    from.  A given ``terminal`` is one column from a lift with no
-    remembered sweep, or the identity from :func:`extended_reduced_matrix`.
-    Each layer's product is written straight into its rows when the
-    terminal is zero on the complement, as for every caller but
-    :func:`extended_reduced_matrix`, and added to them otherwise.
+    product of the contiguous block ``ap[lo:hi, :lo]`` with the rows already
+    solved, and ``lam I - A_CC`` is never formed.  No ``terminal`` means the
+    member terminals, the identity on the members in member order: the sweep
+    then starts from the identity block on the first s positions of
+    ``order`` and never builds an n x s terminal to gather from.  A given
+    ``terminal`` is one column from a lift with no remembered sweep, or the
+    identity from :func:`extended_reduced_matrix`.  Each layer's product is
+    written straight into its rows when the terminal is zero on the
+    complement, as for every caller but :func:`extended_reduced_matrix`, and
+    added to them otherwise.
 
     With ``by_length`` the result is stacked by path length: slice ``q``
     holds the paths of exactly ``q`` steps into a terminal row (slice 0 is
@@ -205,6 +212,7 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
 
     Raises:
         ValueError: ``lam`` is not finite.
+        StructuralSetError: the layering is not the graph's own.
         SingularWeightError: a complement denominator is within ``tol`` of zero.
     """
     if not cmath.isfinite(lam):
@@ -212,6 +220,8 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     a = graph.adjacency
     order, cut = structural.order, structural.cut
     s = cut[0]
+    if cut[-1] != len(order) or tuple(sorted(order)) != graph.vertices():
+        raise StructuralSetError("the layering does not list exactly the graph's active vertices")
     slots = np.array(order, dtype=np.int64) - 1
     den = (lam - a.diagonal()[slots[s:]])[:, None]
     bad = np.flatnonzero(np.abs(den) <= tol)
@@ -223,9 +233,15 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     i, j, w = graph.edge_arrays
     at = pos[i - 1]
     step = (at >= s) & (i != j)
-    at = at[step]
+    at, to = at[step], pos[j[step] - 1]
+    layer = np.searchsorted(cut, np.arange(len(slots)), side="right")
+    up = np.flatnonzero(layer[to] >= layer[at])
+    if up.size:
+        raise StructuralSetError(
+            f"complement vertex {order[at[up[0]]]} points at vertex {order[to[up[0]]]} "
+            "in its own depth layer or a deeper one")
     ap = np.zeros((len(slots), len(slots)), dtype=np.result_type(a, den))
-    ap[at, pos[j[step] - 1]] = w[step] / den[at - s, 0]
+    ap[at, to] = w[step] / den[at - s, 0]
     if terminal is None:
         dtype = ap.dtype
         start = np.eye(len(order), s, dtype=dtype)
@@ -307,11 +323,11 @@ def reduced_matrix(graph: WeightedDigraph, structural: StructuralSet,
     for the member sweep ``X`` that :func:`_member_sweep` remembers.
 
     ``lam`` defaults to the structural set's own parameter; passing another
-    value re-evaluates the same reduction there (used by the eigenvalue
-    co-iteration).
+    value re-evaluates the same reduction there.
 
     Raises:
         ValueError: ``lam`` is not finite.
+        StructuralSetError: the set's layering is not the graph's own.
         SingularWeightError: a complement loop weight is within ``tol`` of ``lam``.
     """
     if lam is None:

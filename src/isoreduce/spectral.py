@@ -1,8 +1,9 @@
 """Dominant eigenpairs of reduced matrices and eigenvector reconstruction.
 
 Every stationary vector the package commits or checks comes from one exact
-solve, :func:`stationary_vector`; power iteration and a damped co-iteration
-on reduced matrices remain, and dense eigensolvers are left to test oracles.
+solve, :func:`stationary_vector`; power iteration remains as a reference,
+and dense eigensolvers and the damped eigenvalue co-iteration on reduced
+matrices are left to test oracles.
 After a reduction at the same parameter, the lift,
 :func:`lift_eigenvector`, is one product ``X(lam) u_S`` with the member
 sweep that :func:`~isoreduce.reduction.reduced_matrix` left on the graph,
@@ -26,8 +27,7 @@ from math import gcd
 
 import numpy as np
 
-from .exceptions import (DegenerateRestrictionError, IterationError,
-                         NotPrimitiveError, SingularWeightError)
+from .exceptions import DegenerateRestrictionError, NotPrimitiveError
 from .graph import DEFAULT_TOL, StructuralSet, WeightedDigraph
 from .reduction import _depth_sweep, _take_member_sweep, reduced_matrix
 
@@ -267,53 +267,3 @@ def lift_eigenvector(graph: WeightedDigraph, structural: StructuralSet,
     residual = float(np.linalg.norm(a @ full - lambda0 * full) / scale) if scale > 0 else 0.0
     return EigenPair(lambda0, vec, ids, "none", residual, 0, residual <= tol)
 
-
-def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet,
-                               initial_lambda: complex, initial_us, max_iters: int = 200,
-                               tol: float = 1e-12, *, relax: float = 0.5
-                               ) -> tuple[complex, np.ndarray]:
-    """Joint fixed-point iteration for an eigenvalue of the reduced matrix.
-
-    Updates the unit vector to the normalized image under the reduced matrix
-    evaluated at the previous eigenvalue estimate, and the eigenvalue to the
-    image's norm, relaxed by ``relax`` (1.0 applies the raw update, which
-    oscillates around some fixed points; 0.5 damps it).
-
-    Returns the fixed point ``(lambda, u)`` with ``R(lambda) u = lambda u``
-    within ``tol``.
-
-    Raises:
-        IterationError: divergence, a singular branch weight at some
-            eigenvalue estimate, or no convergence within ``max_iters``;
-            carries the eigenvalue trace.
-    """
-    if not 0 < relax <= 1:
-        raise ValueError("relax must be in (0, 1]")
-    lam = complex(initial_lambda)
-    u = np.asarray(initial_us, dtype=complex)
-    nu = np.linalg.norm(u)
-    if nu == 0:
-        raise ValueError("initial vector must be nonzero")
-    u = u / nu
-    trace = [lam]
-    for _ in range(max_iters):
-        try:
-            r = reduced_matrix(graph, structural, lam).entries
-        except SingularWeightError as exc:
-            raise IterationError(
-                f"reduced matrix singular at estimate {lam}", trace=trace) from exc
-        w = r @ u
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0:
-            raise IterationError(f"iterate degenerated at estimate {lam}", trace=trace)
-        lam_raw = complex(nw)
-        u_new = w / nw
-        top = u_new[int(np.argmax(np.abs(u_new)))]
-        u_new = u_new * (abs(top) / top)
-        lam_new = (1 - relax) * lam + relax * lam_raw
-        done = abs(lam_raw - lam) < tol and np.linalg.norm(u_new - u) < tol
-        lam, u = lam_new, u_new
-        trace.append(lam)
-        if done:
-            return lam, u
-    raise IterationError(f"no fixed point within {max_iters} iterations", trace=trace)

@@ -13,10 +13,10 @@ adjacency, with its edge arrays, without building a weight map; the
 patched lists become its ``edge_lists`` and serve the promotion rule, the
 primitivity test and the depths.
 The structural set loses the removed vertices and grows by the promotion
-rule: each new edge, last op first, promotes its source when a depth-first
-walk, ``_reaches``, indexing the new graph's forward lists, finds that it
-closes a cycle outside the set.  The depths then come from one counting
-pass over the complement's edges.
+rule: each new edge the edited graph still holds, last op first, promotes
+its source when a depth-first walk, ``_reaches``, indexing the new graph's
+forward lists, finds that it closes a cycle outside the set.  The depths
+then come from one counting pass over the complement's edges.
 The columns ``E[:, S]`` are then recomputed in closed form by one
 depth-order sweep with member terminals, whose complement rows are
 ``E[C, S]`` as they stand, and one product for the s member rows; the
@@ -561,12 +561,14 @@ class UpdateSession:
         """Edit the graph, keep the structural set structural, then recompute.
 
         A removed vertex leaves the set.  The new edges are then checked on
-        the edited graph, last op first: an edge (i, j) with both ends
-        outside the set promotes ``i`` when j reaches i outside the set,
-        since the edge closes a cycle there.  A cycle outside the final set
-        would use a new edge, whose check would have fired, so the set stays
-        structural; last op first, an added vertex's out-edge is checked
-        before its in-edge, and the new vertex is promoted, not its source.
+        the edited graph, last op first: an edge (i, j) that the edited
+        graph still holds, with both ends outside the set, promotes ``i``
+        when j reaches i outside the set, since the edge closes a cycle
+        there; an edge a later op removed promotes nothing.  A cycle outside
+        the final set would use a new edge, whose check would have fired, so
+        the set stays structural; last op first, an added vertex's out-edge
+        is checked before its in-edge, and the new vertex is promoted, not
+        its source.
         """
         if self._graph2 is not None:
             raise RuntimeError("session already applied a delta")
@@ -575,6 +577,7 @@ class UpdateSession:
         members = set(self._base.structural.members) - g2.removed
         for op in reversed(delta.ops):
             if (op.kind == "add_edge" and op.i not in members and op.j not in members
+                    and g2.adjacency[op.i - 1, op.j - 1]
                     and _reaches(g2, op.j, op.i, members)):
                 members.add(op.i)
         if not members:

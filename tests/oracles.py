@@ -9,15 +9,17 @@ entry-by-entry matrix reading) are kept here as references, and so are the
 branch-by-branch forms of the reduction's weights and the promotion rule,
 the dense solve for the stored columns ``E[:, S]``, the dense closed form
 of the branch counts, the eager compare behind an update report's
-change counts and a sorted derivation of a graph's edge lists.
+change counts and a sorted derivation of a graph's edge lists.  The damped
+eigenvalue co-iteration on reduced matrices, which no part of the package
+runs, lives here too, with the ``IterationError`` it raises.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from isoreduce import (DEFAULT_TOL, Branch, BranchSet, SingularWeightError, StoredState,
-                       WeightedDigraph)
+from isoreduce import (DEFAULT_TOL, Branch, BranchSet, IsoreduceError, SingularWeightError,
+                       StoredState, StructuralSet, WeightedDigraph, reduced_matrix)
 
 
 def all_branches_bruteforce(graph: WeightedDigraph, members) -> list[tuple[int, ...]]:
@@ -433,3 +435,67 @@ def promotion_candidates(state: StoredState) -> list[tuple[int, int]]:
         seen.add((i, j))
         out.append((i, j))
     return sorted(out)
+
+
+# -- eigenvalue co-iteration ---------------------------------------------------
+
+class IterationError(IsoreduceError):
+    """The co-iteration diverged or hit its cap without converging.
+
+    The ``trace`` attribute holds the eigenvalue estimates seen so far.
+    """
+
+    def __init__(self, message, *, trace=None):
+        super().__init__(message)
+        self.trace = list(trace) if trace is not None else []
+
+
+def reduced_eigen_co_iteration(graph: WeightedDigraph, structural: StructuralSet,
+                               initial_lambda: complex, initial_us, max_iters: int = 200,
+                               tol: float = 1e-12, *, relax: float = 0.5
+                               ) -> tuple[complex, np.ndarray]:
+    """Joint fixed-point iteration for an eigenvalue of the reduced matrix.
+
+    Updates the unit vector to the normalized image under the reduced matrix
+    evaluated at the previous eigenvalue estimate, and the eigenvalue to the
+    image's norm, relaxed by ``relax`` (1.0 applies the raw update, which
+    oscillates around some fixed points; 0.5 damps it).
+
+    Returns the fixed point ``(lambda, u)`` with ``R(lambda) u = lambda u``
+    within ``tol``.
+
+    Raises:
+        IterationError: divergence, a singular branch weight at some
+            eigenvalue estimate, or no convergence within ``max_iters``;
+            carries the eigenvalue trace.
+    """
+    if not 0 < relax <= 1:
+        raise ValueError("relax must be in (0, 1]")
+    lam = complex(initial_lambda)
+    u = np.asarray(initial_us, dtype=complex)
+    nu = np.linalg.norm(u)
+    if nu == 0:
+        raise ValueError("initial vector must be nonzero")
+    u = u / nu
+    trace = [lam]
+    for _ in range(max_iters):
+        try:
+            r = reduced_matrix(graph, structural, lam).entries
+        except SingularWeightError as exc:
+            raise IterationError(
+                f"reduced matrix singular at estimate {lam}", trace=trace) from exc
+        w = r @ u
+        nw = np.linalg.norm(w)
+        if not np.isfinite(nw) or nw == 0:
+            raise IterationError(f"iterate degenerated at estimate {lam}", trace=trace)
+        lam_raw = complex(nw)
+        u_new = w / nw
+        top = u_new[int(np.argmax(np.abs(u_new)))]
+        u_new = u_new * (abs(top) / top)
+        lam_new = (1 - relax) * lam + relax * lam_raw
+        done = abs(lam_raw - lam) < tol and np.linalg.norm(u_new - u) < tol
+        lam, u = lam_new, u_new
+        trace.append(lam)
+        if done:
+            return lam, u
+    raise IterationError(f"no fixed point within {max_iters} iterations", trace=trace)

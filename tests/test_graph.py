@@ -261,6 +261,19 @@ def test_nilpotency_examples(three_cycle):
     assert nilpotency_index(g, [1, 2]) == 1
 
 
+def test_nilpotency_checks_members_as_compute_depths_does(three_cycle):
+    for bad in (99, 0, 1.5, True):
+        with pytest.raises(ValueError, match="not an active vertex"):
+            compute_depths(three_cycle, [bad], 1.0)
+        with pytest.raises(ValueError, match="not an active vertex"):
+            nilpotency_index(three_cycle, [bad])
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 1, 1.0)], removed=[3])
+    with pytest.raises(ValueError, match="not an active vertex"):
+        nilpotency_index(g, [3])
+    assert nilpotency_index(three_cycle, []) is None
+    assert nilpotency_index(WeightedDigraph.from_edges(2, [(1, 2, 1.0)]), []) == 2
+
+
 def test_nilpotency_matches_literal_matrix_powers():
     rng = np.random.default_rng(10)
     for _ in range(40):

@@ -133,6 +133,31 @@ def test_simulate_refuses_steps_below_one(steps):
         simulate_stopped_chain(flip_chain(), [1], steps, seed=9)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 1.5, "1"])
+def test_simulate_refuses_bad_state_ids(bad):
+    with pytest.raises(ValueError):
+        simulate_stopped_chain(flip_chain(), [1], 10, seed=9, start=bad)
+    with pytest.raises(ValueError):
+        simulate_stopped_chain(flip_chain(), [bad], 10, seed=9)
+
+
+def test_simulate_takes_integer_valued_ids():
+    a = simulate_stopped_chain(cycle_chain(), [np.int64(1), 2.0], 50, seed=9, start=3.0)
+    b = simulate_stopped_chain(cycle_chain(), [1, 2], 50, seed=9, start=3)
+    assert a.members == b.members == (1, 2)
+    assert a.visits == b.visits and all(type(v) is int for v in a.visits)
+
+
+@pytest.mark.parametrize("bad", [99, 0, -1, True, 1.5])
+def test_taboo_refuses_states_outside_the_chain(bad):
+    with pytest.raises(ValueError):
+        taboo_matrix(cycle_chain(), [bad], 2)
+    with pytest.raises(ValueError):
+        taboo_probability(cycle_chain(), [bad], 1, 1, 3)
+    with pytest.raises(ValueError):
+        taboo_probability(cycle_chain(), [1], bad, 1, 3)
+
+
 def test_simulate_full_set_observes_every_step():
     lazy = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
     sample = simulate_stopped_chain(lazy, [1, 2], 5000, seed=10)

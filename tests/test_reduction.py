@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from isoreduce import (Branch, BranchSet, DeltaError, NonStochasticError,
-                       SingularWeightError, StoredState, WeightedDigraph, branch_counts,
-                       compute_depths, enumerate_branches, extended_reduced_matrix,
-                       find_structural_set, random_delta, random_stochastic_graph,
+from isoreduce import (Branch, BranchSet, DeltaError, DeltaOp, GraphDelta, NonStochasticError,
+                       SingularWeightError, StoredState, StructuralSetError, WeightedDigraph,
+                       apply_ops, branch_counts, compute_depths, enumerate_branches,
+                       extended_columns, extended_reduced_matrix, find_structural_set,
+                       lift_eigenvector, random_delta, random_stochastic_graph,
                        reduced_matrices_by_length, reduced_matrix,
                        reduced_matrix_by_length, run_update)
 from isoreduce.reduction import _depth_sweep
@@ -72,14 +75,15 @@ def test_enumeration_matches_bruteforce():
 def test_branchset_indices_consistent(three_cycle):
     ss = compute_depths(three_cycle, [1], 1.0)
     bs = enumerate_branches(three_cycle, ss)
+    starts, ends, through = Counter(), Counter(), Counter()
     for b in bs.branches:
-        assert b in bs.from_vertex[b.start]
-        assert b in bs.to_vertex[b.end]
-        for v in set(b.interior):
-            assert b in bs.through_vertex[v]
-    for v, bucket in bs.through_vertex.items():
-        assert len(bucket) <= bs.m_statistic
-        assert v in ss.complement()
+        assert b in bs
+        assert b in bs.between(b.start, b.end)
+        starts[b.start] += 1
+        ends[b.end] += 1
+        through.update(set(b.interior))
+    assert set(through) <= set(ss.complement())
+    assert bs.m_statistic == max([*starts.values(), *ends.values(), *through.values()])
     assert (1, 2, 3, 1) in bs
     assert (1, 3) not in bs
 
@@ -205,6 +209,47 @@ def test_stochastic_closure_columns_sum_to_one():
         ext = extended_reduced_matrix(g, ss)
         rows = [v - 1 for v in ss.members]
         assert np.allclose(ext.entries[rows, :].sum(axis=0), 1.0, atol=1e-10)
+
+
+def _sweeps(graph, structural):
+    """Every public call that sweeps ``graph`` over ``structural``."""
+    return [lambda: reduced_matrix(graph, structural, 1.0),
+            lambda: lift_eigenvector(graph, structural, 1.0, [1.0]),
+            lambda: extended_columns(graph, structural),
+            lambda: extended_reduced_matrix(graph, structural)]
+
+
+def test_a_layering_without_the_graphs_vertices_is_refused():
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 0.5), (2, 1, 0.5)],
+                                   stochastic=True)
+    ss = compute_depths(g, [1], 1.0)
+    grown = apply_ops(g, GraphDelta((DeltaOp.add_vertex(), DeltaOp.add_edge(3, 4, 1.0),
+                                     DeltaOp.add_edge(4, 1, 0.5))))
+    grown_ss = compute_depths(grown, [1], 1.0)
+    assert reduced_matrix(grown, grown_ss).entries[0, 0] == pytest.approx(1.0)
+    # unchecked, the first pair read 4/3: vertex 4, missing from the order,
+    # took member 1's position
+    for graph, structural in [(grown, ss), (g, grown_ss)]:
+        for call in _sweeps(graph, structural):
+            with pytest.raises(StructuralSetError, match="active vertices"):
+                call()
+
+
+def test_a_layering_whose_edges_do_not_go_shallower_is_refused():
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 1, 0.5), (3, 1, 0.5)],
+                                   stochastic=True)
+    ss = compute_depths(g, [1], 1.0)
+    assert ss.depth_of == {1: 0, 2: 1, 3: 1}
+    # 2 -> 3 joins two vertices of one layer; the fresh set puts 2 a layer deeper
+    same_layer = apply_ops(g, GraphDelta((DeltaOp.add_edge(2, 3, 1.0),)))
+    fresh = compute_depths(same_layer, [1], 1.0)
+    assert reduced_matrix(same_layer, fresh).entries[0, 0] == pytest.approx(1.0)
+    # 3 -> 2 also closes 2 -> 3 -> 2, so {1} is no longer structural at all
+    deeper = apply_ops(same_layer, GraphDelta((DeltaOp.add_edge(3, 2, 0.5),)))
+    for graph, structural in [(same_layer, ss), (deeper, fresh)]:
+        for call in _sweeps(graph, structural):
+            with pytest.raises(StructuralSetError, match="own depth layer or a deeper one"):
+                call()
 
 
 def test_branchset_sequences_roundtrip(three_cycle):

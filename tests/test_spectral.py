@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from isoreduce import (DEFAULT_TOL, DegenerateRestrictionError, EigenPair, IterationError,
+from isoreduce import (DEFAULT_TOL, DegenerateRestrictionError, EigenPair,
                        NotPrimitiveError, SingularWeightError, WeightedDigraph,
                        compute_depths, find_structural_set, is_primitive,
                        lift_eigenvector, power_iteration,
-                       reduced_eigen_co_iteration, reduced_matrix, verify_restriction)
+                       reduced_matrix, verify_restriction)
 from isoreduce import reduction as reduction_module
 from isoreduce import spectral as spectral_module
-from oracles import (dense_eigenpairs, dominant_unit_vector, primitive_wielandt,
-                     random_complex_graph)
+from oracles import (IterationError, dense_eigenpairs, dominant_unit_vector,
+                     primitive_wielandt, random_complex_graph, reduced_eigen_co_iteration)
 
 
 def test_is_primitive_cases():

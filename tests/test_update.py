@@ -760,6 +760,18 @@ def test_added_vertex_closing_a_cycle_is_promoted_not_its_source():
     assert not report.structural_fallback and scratch_equivalent(new)
 
 
+def test_edge_removed_later_in_the_delta_promotes_nothing():
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 0.5), (2, 1, 0.5)],
+                                   stochastic=True)
+    state = StoredState.from_graph(g, structural=[1])
+    # (3, 2) would close 2 -> 3 -> 2 outside {1}, but the next op removes it
+    delta = GraphDelta((DeltaOp.add_edge(3, 2, 0.5), DeltaOp.remove_edge(3, 2)))
+    new, report = run_update(state, delta)
+    assert new.graph == g
+    assert new.structural.members == (1,) and report.s_new == report.s
+    assert not report.structural_fallback and scratch_equivalent(new)
+
+
 def test_random_multi_op_deltas_keep_the_set_structural():
     rng = np.random.default_rng(97)
     promotions = 0
