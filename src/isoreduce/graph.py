@@ -24,7 +24,12 @@ Started from the sinks of the complement by ``_peel_sinks``, it gives the
 structural check, the depths and the nilpotency index in O(n + nnz);
 ``compute_depths`` and ``nilpotency_index`` check their members by one
 rule, ``_complement``.  One builder, ``_layering``, turns a depth list
-into a ``StructuralSet``'s ``order`` and ``cut``.  The structural-set
+into a ``StructuralSet``'s ``order`` and ``cut`` and records, by a weak
+reference, the graph it built the set for, on which the sweeps then trust
+the layering without checking it again.  An update does not peel its
+edited graph: ``_edited_layering`` moves the base set's depths by the rows
+the edit changed, evaluating again only the slots whose depth equation
+changed, and hands a cycle to ``compute_depths``.  The structural-set
 search, ``find_structural_set``, starts the same peel and carries it on as
 its set grows, taking out every vertex that can no longer reach a cycle,
 so its one depth-first search per pick, ``_cycles``, walks only the
@@ -35,6 +40,7 @@ a peel has stalled.
 
 from __future__ import annotations
 
+import weakref
 from bisect import insort
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -68,6 +74,14 @@ def _vertex_id(value) -> int:
     if is_int or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"vertex id {value!r} is not an integer")
+
+
+def _real(value) -> float:
+    """``value`` as a float: a number, but not a bool (JSON ``true``); any
+    other value is a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _weights_of(i: np.ndarray, j: np.ndarray,
@@ -390,11 +404,24 @@ class StructuralSet:
     ``order[:cut[0]]``.  Members sit at depth 0, and a complement vertex lies
     one level above the deepest of its non-loop out-neighbors (depth 1 when
     they are all members).
+
+    A set that :func:`_layering` built keeps a weak reference to the graph
+    it was built for, outside the fields: it is not compared, printed,
+    pickled or copied, and keeps no graph alive.  :meth:`_built_for` reads
+    it, so the sweeps trust the layering on that graph object alone.
     """
 
     lam: complex
     order: tuple[int, ...]
     cut: tuple[int, ...]
+
+    def _built_for(self, graph: WeightedDigraph) -> bool:
+        """Whether :func:`_layering` built this set for ``graph`` itself."""
+        ref = vars(self).get("_graph")
+        return ref is not None and ref() is graph
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_graph"}
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -515,12 +542,72 @@ def _peel_sinks(graph: WeightedDigraph,
 def _layering(graph: WeightedDigraph, lam: complex, depth: list[int]) -> StructuralSet:
     """The ``StructuralSet`` at ``lam`` whose depths, by slot, are ``depth``:
     the active vertices bucketed by depth, the members (depth 0) first and
-    then each layer, every bucket ascending."""
+    then each layer, every bucket ascending, built for ``graph``."""
     layers: list[list[int]] = [[] for _ in range(max(depth) + 1)]
     for v in graph.vertices():
         layers[depth[v - 1]].append(v)
-    return StructuralSet(lam, tuple(chain.from_iterable(layers)),
-                         tuple(accumulate(map(len, layers))))
+    ss = StructuralSet(lam, tuple(chain.from_iterable(layers)),
+                       tuple(accumulate(map(len, layers))))
+    object.__setattr__(ss, "_graph", weakref.ref(graph))
+    return ss
+
+
+def _edited_layering(graph: WeightedDigraph, base_graph: WeightedDigraph,
+                     base: StructuralSet, members: set[int], rows: Iterable[int] | None,
+                     lam: complex) -> StructuralSet:
+    """The layering of ``members`` on a loop-free ``graph`` that an edit of
+    ``base_graph`` gave, moved from ``base``'s depths: ``rows`` are the slots
+    whose forward lists the edit changed, and ``members`` are ``base``'s
+    members that are still active with any promoted vertices.
+
+    Each complement slot's depth is 1 plus the deepest of its forward-list
+    neighbours' (1 with none), and a slot's equation changes only when its
+    own list does, it turns member, or a neighbour's depth moves.  From
+    ``base``'s depths by slot (0 at a new slot), each promoted member and
+    removed vertex drops to 0, a member queuing its in-neighbours (a
+    tombstone has none), and each row is queued; a popped complement slot
+    is evaluated again, and when its depth moves it queues its
+    in-neighbours.  An acyclic complement has one solution, the peel's,
+    and each slot whose equation changed is evaluated after its last input
+    did, so the result is :func:`compute_depths`'.  A depth above
+    ``n_active`` is no complement's (around a cycle the depths only climb),
+    and :func:`compute_depths` then decides, raising with the witness; so
+    it does when the edit's rows are unknown (None) or ``base`` was not
+    built for ``base_graph`` itself.
+    """
+    if rows is None or not base._built_for(base_graph):
+        return compute_depths(graph, members, lam)
+    depth = [0] * graph.n_vertices
+    order, cut = base.order, base.cut
+    for d in range(1, len(cut)):
+        for v in order[cut[d - 1]:cut[d]]:
+            depth[v - 1] = d
+    succ, preds = graph.edge_lists
+    fixed = {v - 1 for v in chain(members, graph.removed)}
+    queue = list(rows)
+    for v in fixed:
+        if depth[v]:
+            depth[v] = 0
+            queue += preds[v]
+    # first in, first out, each slot waiting once: a slot is evaluated at
+    # most once per round of changes, however many of its inputs moved
+    waiting = [False] * len(depth)
+    for v in queue:
+        waiting[v] = True
+    for v in queue:
+        waiting[v] = False
+        if v in fixed:
+            continue
+        d = max(map(depth.__getitem__, succ[v]), default=0) + 1
+        if d != depth[v]:
+            if d > graph.n_active:
+                return compute_depths(graph, members, lam)
+            depth[v] = d
+            for u in preds[v]:
+                if not waiting[u]:
+                    waiting[u] = True
+                    queue.append(u)
+    return _layering(graph, lam, depth)
 
 
 def _complement(graph: WeightedDigraph,

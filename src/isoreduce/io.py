@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import GraphFormatError, NonStochasticError, StructuralSetError
-from .graph import WeightedDigraph, _vertex_id, compute_depths
+from .graph import WeightedDigraph, _real, _vertex_id, compute_depths
 from .reduction import extended_columns
 from .update import DeltaOp, GraphDelta, StoredState
 
@@ -135,13 +135,6 @@ def delta_to_dict(delta: GraphDelta) -> dict:
     """Each op as ``{"op": kind}`` plus its ``DeltaOp.FIELDS``."""
     return {"ops": [{"op": op.kind, **{name: getattr(op, name) for name in op.FIELDS[op.kind]}}
                     for op in delta.ops]}
-
-
-def _real(value) -> float:
-    """``value`` as a float: a number, but not a bool (JSON ``true``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
 
 
 def delta_from_dict(data: dict) -> GraphDelta:

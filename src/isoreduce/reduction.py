@@ -11,8 +11,11 @@ sweep over the complement in increasing depth.  The sweep reads the graph's
 weights as stored, so a real graph at a real parameter gives real results.
 It refuses a non-finite parameter, and a structural set whose layering is
 not the graph's own: an ``order`` that is not exactly the graph's active
-vertices, or a complement edge that does not point at a shallower layer.  It
-checks every denominator first, then scatters the graph's ``edge_arrays``
+vertices, or a complement edge that does not point at a shallower layer.
+A set built for this graph object, by ``compute_depths``, the search or an
+update, is its own by construction and skips those two checks; a set built
+for another graph, even an equal one, a copy and a hand-built set are
+checked.  It checks every denominator first, then scatters the graph's ``edge_arrays``
 once into the structural set's stored depth order, members first and loops
 dropped, so that each depth layer is one product of a contiguous block with
 the rows already solved.  With member terminals it starts from the identity
@@ -189,7 +192,10 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     ``lam`` is refused, and so is a layering that is not the graph's own:
     ``order`` and ``cut`` must list exactly the active vertices, and each
     complement edge must point at a shallower layer than its tail's, or the
-    product below would drop it.  Every denominator is checked first.  The
+    product below would drop it.  Both checks are skipped only for a set
+    the builder made for this very graph object (``_built_for``); any other
+    set, built for an equal graph, copied or made by hand, goes through
+    them.  Every denominator is checked first, for every set.  The
     complement rows' off-diagonal edges, read from ``edge_arrays`` and each
     divided by its row's denominator, are then scattered into ``ap``: the
     active block permuted into the structural set's ``order``, members
@@ -220,7 +226,9 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     a = graph.adjacency
     order, cut = structural.order, structural.cut
     s = cut[0]
-    if cut[-1] != len(order) or tuple(sorted(order)) != graph.vertices():
+    # a layering built for this graph object is its own by construction
+    checked = not structural._built_for(graph)
+    if checked and (cut[-1] != len(order) or tuple(sorted(order)) != graph.vertices()):
         raise StructuralSetError("the layering does not list exactly the graph's active vertices")
     slots = np.array(order, dtype=np.int64) - 1
     den = (lam - a.diagonal()[slots[s:]])[:, None]
@@ -234,12 +242,13 @@ def _depth_sweep(graph: WeightedDigraph, structural: StructuralSet, lam: complex
     at = pos[i - 1]
     step = (at >= s) & (i != j)
     at, to = at[step], pos[j[step] - 1]
-    layer = np.searchsorted(cut, np.arange(len(slots)), side="right")
-    up = np.flatnonzero(layer[to] >= layer[at])
-    if up.size:
-        raise StructuralSetError(
-            f"complement vertex {order[at[up[0]]]} points at vertex {order[to[up[0]]]} "
-            "in its own depth layer or a deeper one")
+    if checked:
+        layer = np.searchsorted(cut, np.arange(len(slots)), side="right")
+        up = np.flatnonzero(layer[to] >= layer[at])
+        if up.size:
+            raise StructuralSetError(
+                f"complement vertex {order[at[up[0]]]} points at vertex {order[to[up[0]]]} "
+                "in its own depth layer or a deeper one")
     ap = np.zeros((len(slots), len(slots)), dtype=np.result_type(a, den))
     ap[at, to] = w[step] / den[at - s, 0]
     if terminal is None:

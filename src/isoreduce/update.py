@@ -16,7 +16,13 @@ The structural set loses the removed vertices and grows by the promotion
 rule: each new edge the edited graph still holds, last op first, promotes
 its source when a depth-first walk, ``_reaches``, indexing the new graph's
 forward lists, finds that it closes a cycle outside the set.  The depths
-then come from one counting pass over the complement's edges.
+are then moved from the base state's layering, not peeled again: the
+editor hands over the slots whose forward lists it copied, and only they,
+the promoted members' in-neighbours and the in-neighbours of each slot
+whose depth moves are evaluated again (``graph._edited_layering``).  The
+full peel, ``compute_depths``, runs only when a renormalization underflow
+made the editor derive the lists afresh, or when the complement has a
+cycle and the set falls back to a fresh search.
 The columns ``E[:, S]`` are then recomputed in closed form by one
 depth-order sweep with member terminals, whose complement rows are
 ``E[C, S]`` as they stand, and one product for the s member rows; the
@@ -45,8 +51,8 @@ import numpy as np
 
 from .exceptions import (DeltaError, NonStochasticError, NotPrimitiveError,
                          StructuralSetError)
-from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, _row_major_edges,
-                    compute_depths, find_structural_set)
+from .graph import (DEFAULT_TOL, StructuralSet, WeightedDigraph, _edited_layering, _real,
+                    _row_major_edges, compute_depths, find_structural_set)
 from .reduction import (BranchSet, ExtendedReducedMatrix, branch_counts,
                         enumerate_branches, extended_columns,
                         extended_reduced_matrix)
@@ -449,6 +455,10 @@ class _Editor:
             raise DeltaError(f"loop ({i},{i}) is not allowed")
         if self.a[i - 1, j - 1]:
             raise DeltaError(f"edge ({i},{j}) already exists")
+        try:
+            w = _real(w)
+        except ValueError as exc:
+            raise DeltaError(f"edge weight {exc}") from exc
         if not (np.isfinite(w) and w > 0):
             raise DeltaError(f"edge weight must be positive, got {w}")
         self.a[i - 1, j - 1] = w
@@ -488,9 +498,13 @@ class _Editor:
             lists[v - 1] = []
             self._own[side].add(v - 1)
 
-    def graph(self) -> WeightedDigraph:
+    def graph(self) -> tuple[WeightedDigraph, set[int] | None]:
         """The edited graph, validated stochastic: the editor's own array
-        and patched lists, kept without a copy.
+        and patched lists, kept without a copy.  With it come the slots
+        whose forward lists the edits copied: the tails of added and removed
+        edges, the in-neighbours of a removed vertex and every added vertex,
+        which hold every slot whose out-neighbours changed; None when the
+        lists are derived afresh.
 
         Raises:
             DeltaError: the edits leave the graph non-stochastic.
@@ -498,26 +512,34 @@ class _Editor:
         edges = _row_major_edges(self.a)
         # a renormalization that underflows drops an edge from the array
         # alone; the lists then hold more edges and are derived afresh
-        lists = self.lists if sum(map(len, self.lists[0])) == len(edges[0]) else None
+        kept = sum(map(len, self.lists[0])) == len(edges[0])
         graph = WeightedDigraph.__new__(WeightedDigraph)
         try:
-            graph._keep(self.a, edges, True, self.removed, lists)
+            graph._keep(self.a, edges, True, self.removed, self.lists if kept else None)
         except NonStochasticError as exc:
             raise DeltaError(f"delta leaves the graph non-stochastic: {exc}") from exc
-        return graph
+        return graph, self._own[0] if kept else None
+
+
+def _edit(graph: WeightedDigraph, delta: GraphDelta) -> tuple[WeightedDigraph, set[int] | None]:
+    """:func:`apply_ops`' graph, with the slots whose forward lists the
+    edit changed, or None when an underflow made the lists derived afresh."""
+    ed = _Editor(graph)
+    for op in delta.ops:
+        ed.apply(op)
+    return ed.graph()
 
 
 def apply_ops(graph: WeightedDigraph, delta: GraphDelta) -> WeightedDigraph:
     """Apply a delta to the matrix alone (step 1), atomically.
 
     Columns touched by an edit are renormalized to unit sum.  The result is
-    validated stochastic; any failure rejects the whole delta, and a graph
-    with a non-real weight is refused before any edit.
+    validated stochastic; any failure rejects the whole delta.  A graph
+    with a non-real weight is refused before any edit, and so is an edge
+    weight that is not a positive finite real number, such as a bool, a
+    complex number or a string.
     """
-    ed = _Editor(graph)
-    for op in delta.ops:
-        ed.apply(op)
-    return ed.graph()
+    return _edit(graph, delta)[0]
 
 
 def _reaches(graph: WeightedDigraph, start: int, goal: int, avoid: set[int]) -> bool:
@@ -568,12 +590,17 @@ class UpdateSession:
         the final set would use a new edge, whose check would have fired, so
         the set stays structural; last op first, an added vertex's out-edge
         is checked before its in-edge, and the new vertex is promoted, not
-        its source.
+        its source.  The new layering is moved from the base state's by the
+        rows the edit changed (see ``graph._edited_layering``), equal to
+        what ``compute_depths`` gives, and is built for the edited graph, so
+        the sweep that follows does not check it again.  Members that are
+        still not structural fall back to a fresh search, flagged in the
+        report.
         """
         if self._graph2 is not None:
             raise RuntimeError("session already applied a delta")
         self._p = delta.size
-        g2 = apply_ops(self._base.graph, delta)
+        g2, rows = _edit(self._base.graph, delta)
         members = set(self._base.structural.members) - g2.removed
         for op in reversed(delta.ops):
             if (op.kind == "add_edge" and op.i not in members and op.j not in members
@@ -585,7 +612,8 @@ class UpdateSession:
         if not is_primitive(g2):
             raise DeltaError("delta breaks primitivity of the adjacency matrix")
         try:
-            ss = compute_depths(g2, members, 1.0)
+            ss = _edited_layering(g2, self._base.graph, self._base.structural, members,
+                                  rows, 1.0)
         except StructuralSetError:
             self._fallback = True
             ss = find_structural_set(g2, 1.0)

@@ -1,15 +1,21 @@
+import copy
+import dataclasses
+import gc
+import pickle
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from isoreduce import (Branch, BranchSet, DeltaError, DeltaOp, GraphDelta, NonStochasticError,
-                       SingularWeightError, StoredState, StructuralSetError, WeightedDigraph,
-                       apply_ops, branch_counts, compute_depths, enumerate_branches,
+                       SingularWeightError, StoredState, StructuralSet, StructuralSetError,
+                       WeightedDigraph, apply_ops, branch_counts, compute_depths, enumerate_branches,
                        extended_columns, extended_reduced_matrix, find_structural_set,
                        lift_eigenvector, random_delta, random_stochastic_graph,
                        reduced_matrices_by_length, reduced_matrix,
                        reduced_matrix_by_length, run_update)
+from isoreduce.graph import _layering
 from isoreduce.reduction import _depth_sweep
 from oracles import (all_branches_bruteforce, branch_counts_closed_form, branch_weight,
                      chain_graph, random_complex_graph)
@@ -250,6 +256,38 @@ def test_a_layering_whose_edges_do_not_go_shallower_is_refused():
         for call in _sweeps(graph, structural):
             with pytest.raises(StructuralSetError, match="own depth layer or a deeper one"):
                 call()
+
+
+def test_a_layering_is_trusted_by_the_graph_object_it_was_built_for():
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (1, 3, 0.5), (2, 1, 0.5), (3, 1, 0.5),
+                                       (2, 3, 0.5)], stochastic=True)
+    ss = compute_depths(g, [1], 1.0)
+    equal = WeightedDigraph.from_matrix(g.adjacency, stochastic=True)
+    assert equal == g and ss._built_for(g) and not ss._built_for(equal)
+    copies = [dataclasses.replace(ss), StructuralSet(ss.lam, ss.order, ss.cut),
+              pickle.loads(pickle.dumps(ss)), copy.deepcopy(ss)]
+    assert all(c == ss and not c._built_for(g) for c in copies)
+    assert repr(ss) == repr(copies[0])
+    # depths that put 2 -> 3 inside one layer, handed to the builder for g:
+    # its record is trusted as it stands on g, and checked everywhere else
+    wrong = _layering(g, 1.0, [0, 1, 1])
+    for call in _sweeps(g, wrong):
+        call()
+    for graph, structural in [(equal, wrong), (g, dataclasses.replace(wrong)),
+                              (g, pickle.loads(pickle.dumps(wrong)))]:
+        for call in _sweeps(graph, structural):
+            with pytest.raises(StructuralSetError, match="own depth layer or a deeper one"):
+                call()
+
+
+def test_a_layering_keeps_no_graph_alive():
+    g = WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)], stochastic=True)
+    ss = compute_depths(g, [1], 1.0)
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
+    assert ss.members == (1,) and ss.depth_of == {1: 0, 2: 2, 3: 1}
 
 
 def test_branchset_sequences_roundtrip(three_cycle):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoreduce import (CostReport, DeltaError, DeltaOp, GraphDelta, NotPrimitiveError,
-                       StoredState, UpdateSession, WeightedDigraph, apply_ops, branch_counts,
-                       compute_depths, enumerate_branches, extended_columns,
+                       StoredState, StructuralSetError, UpdateSession, WeightedDigraph,
+                       apply_ops, branch_counts, compute_depths, enumerate_branches, extended_columns,
                        extended_reduced_matrix, find_structural_set, random_delta,
                        random_stochastic_graph, run_update, scratch_equivalent, simplex_bound)
 from isoreduce.io import load_state, save_state
+from isoreduce import graph as graph_module
 from isoreduce import update as update_module
 from isoreduce.update import _lift_full, _reaches
 from oracles import (column_changes, dominant_unit_vector, edge_lists_derived,
@@ -71,6 +72,9 @@ def test_apply_ops_reference_errors(three_cycle):
            DeltaOp.add_edge(1, 9, 0.5), DeltaOp.add_edge(2, 2, 0.5),
            DeltaOp.add_edge(1, 3, -0.5), DeltaOp.remove_vertex(9),
            DeltaOp.add_edge(2, True, 0.5)]
+    # weights that are no real number: a bool (which would read as 1.0),
+    # complex, a string and None
+    ops += [DeltaOp.add_edge(1, 3, w) for w in (True, np.True_, 1j, 0.5 + 0j, "0.5", None)]
     # below the range, wrapping around to the last rows, past the end, a
     # tombstone, not an integer, a bool (which would read as vertex 1)
     for bad in (0, -1, 5, 4, 1.5, True):
@@ -782,3 +786,80 @@ def test_random_multi_op_deltas_keep_the_set_structural():
             assert not report.structural_fallback and scratch_equivalent(new)
             promotions += bool(set(new.structural.members) - set(state.structural.members))
     assert promotions
+
+
+def test_depths_moved_by_the_edit_are_the_full_peels(monkeypatch):
+    """A seeded batch of chained updates with tombstones, vertices added and
+    removed in one delta, promotions, removed members, renormalization
+    underflows and forced fallbacks: the committed set is the one
+    ``compute_depths`` gives for the session's members, or, when they are
+    not structural, the search's, after the same witness; the full peel
+    runs only for an underflow or a fallback."""
+    witnesses, peels = [], []
+
+    def search(graph, lam, tol=1e-12):
+        # called while the session handles the set's StructuralSetError
+        witnesses.append(sys.exc_info()[1])
+        return find_structural_set(graph, lam, tol)
+
+    def peel(graph, members, lam, tol=1e-12):
+        peels.append(graph)
+        return compute_depths(graph, members, lam, tol)
+
+    monkeypatch.setattr(update_module, "find_structural_set", search)
+    monkeypatch.setattr(graph_module, "compute_depths", peel)
+    rng = np.random.default_rng(131)
+    seen = Counter()
+    for t in range(480):
+        if t % 40 == 0:
+            state = StoredState.from_graph(random_stochastic_graph(int(rng.integers(8, 40)),
+                                                                   2.5, rng))
+        g, members = state.graph, state.structural.members
+        ops = list(random_delta(g, rng, int(rng.integers(1, 5))).ops)
+        src, dst = (int(v) for v in rng.choice(g.vertices(), 2, replace=False))
+        case = t % 6
+        if case == 1:
+            # a vertex added, wired in and out, and removed again
+            new = g.n_vertices + sum(op.kind == "add_vertex" for op in ops) + 1
+            ops += [DeltaOp.add_vertex(), DeltaOp.add_edge(src, new, 0.5),
+                    DeltaOp.add_edge(new, dst, 0.5), DeltaOp.remove_vertex(new)]
+        elif case == 2 and len(members) > 1:
+            ops.append(DeltaOp.remove_vertex(int(rng.choice(members))))
+        elif case == 3 and not g.has_edge(src, dst):
+            # 1e-300 into dst's column, then 1e308: the first edge underflows to 0
+            other = next(v for v in g.vertices() if v not in (src, dst) and not g.has_edge(v, dst))
+            ops = [DeltaOp.add_edge(src, dst, 1e-300), DeltaOp.add_edge(other, dst, 1e308)]
+        forced = case == 5
+        with monkeypatch.context() as mp:
+            if forced:
+                # with the promotion search off, an edge that closes a cycle
+                # outside the set forces a fresh structural-set search
+                mp.setattr(update_module, "_reaches", lambda graph, start, goal, avoid: False)
+            asked, peeled = len(witnesses), len(peels)
+            try:
+                new_state, report = run_update(state, GraphDelta(ops))
+            except DeltaError:
+                seen["refused"] += 1
+                continue
+        g2, ss = new_state.graph, new_state.structural
+        underflow = case == 3 and not g2.has_edge(src, dst)
+        kept = (set(members) - g2.removed) if forced else set(ss.members)
+        try:
+            want, fallback = compute_depths(g2, kept, 1.0), False
+        except StructuralSetError as exc:
+            want, fallback = find_structural_set(g2, 1.0), True
+            assert witnesses[asked:] == [witnesses[-1]]
+            assert witnesses[-1].cycle == exc.cycle and witnesses[-1].vertex == exc.vertex
+        assert report.structural_fallback == fallback
+        assert (ss.lam, ss.order, ss.cut) == (want.lam, want.order, want.cut)
+        assert ss._built_for(g2)
+        assert len(peels) - peeled == (underflow or fallback), (t, case)
+        seen["tombstones"] += bool(g2.removed)
+        seen["added and removed"] += case == 1
+        seen["removed member"] += bool(set(members) & g2.removed)
+        seen["promotion"] += bool(set(ss.members) - set(members)) and not fallback
+        seen["underflow"] += underflow
+        seen["fallback"] += fallback
+        if case != 3:
+            state = new_state
+    assert min(seen.values()) >= 5 and len(seen) == 7, seen
